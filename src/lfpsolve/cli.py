@@ -56,6 +56,18 @@ def _epsilon(args):
     return eps
 
 
+def _certificate_json(report: SolveReport) -> dict:
+    """The report's certificate; a witness lists its post-fixed point per
+    input variable, which P(y) <= y re-checks with no solver code."""
+    cert = report.certificate
+    out = {"kind": cert.kind, "attempted_h": list(cert.attempted_h)}
+    if cert.upper is not None:
+        out["post_fixed_point"] = {
+            name: rat_str(value) for name, value in zip(report.names, cert.upper)
+        }
+    return out
+
+
 def _report_json(report: SolveReport) -> dict:
     return {
         "status": report.status,
@@ -85,6 +97,7 @@ def _report_json(report: SolveReport) -> dict:
             for run in report.scc_runs
         ],
         "info": report.info,
+        "certificate": _certificate_json(report),
     }
 
 
@@ -100,6 +113,11 @@ def _emit_traces(report: SolveReport) -> None:
                 "residual": rat_str(record.residual),
             }
             sys.stderr.write(json.dumps(line) + "\n")
+
+
+def _removed_names(system, kept) -> list:
+    kept_set = set(kept)
+    return [name for i, name in enumerate(system.names) if i not in kept_set]
 
 
 def _cmd_solve(args) -> int:
@@ -124,7 +142,7 @@ def _cmd_solve(args) -> int:
 def _cmd_clean(args) -> int:
     system = parse_mps(_read_input(args.input))
     cleaned, kept = clean(system)
-    removed = [system.names[i] for i in range(system.n) if i not in set(kept)]
+    removed = _removed_names(system, kept)
     _emit(
         {
             "system": system_to_json(cleaned),
@@ -151,7 +169,7 @@ def _cmd_snf(args) -> int:
 def _cmd_decompose(args) -> int:
     system = parse_mps(_read_input(args.input))
     cleaned, kept = clean(system)
-    removed = [system.names[i] for i in range(system.n) if i not in set(kept)]
+    removed = _removed_names(system, kept)
     decomp = (
         decompose(build_graph(cleaned), cleaned)
         if cleaned.n
@@ -229,6 +247,7 @@ def _cmd_p1ca_term(args) -> int:
             "zero_mask": [list(row) for row in result.zero_mask],
             "params": result.params,
             "status": result.report.status,
+            "certificate": _certificate_json(result.report),
         }
     )
     return 0

@@ -2,12 +2,17 @@
 rescaling, bottom-up per-component Newton runs, and perturbation
 diagnostics.
 
-Certified mode picks the rounding parameter h and iteration count g from
-the convergence theorems, using only quantities it can bound soundly (all
-logarithms over-approximated by exact integer ceilings), and guarantees
-||q* - approx||_inf <= epsilon with approx <= q* coordinatewise.  Adaptive
-mode trades the certificate for feasible parameters: it doubles h until two
-consecutive levels agree and says so in the report status.
+Certified mode guarantees ||q* - approx||_inf <= epsilon with approx <= q*
+coordinatewise.  Every rounded Newton iterate is a lower bound on q*, so
+it first looks for a cheap witness of the upper side: on a doubling grid
+it tries y = approx + (a small step along (I - B(approx))^-1 1) and checks
+P(y) <= y exactly, which by Knaster-Tarski gives q* <= y.  Only when no
+grid well below the theorem's yields one does it run the rounding
+parameter h and iteration count g from the convergence theorems, using
+only quantities it can bound soundly (all logarithms over-approximated by
+exact integer ceilings).  Adaptive mode trades the certificate for
+feasible parameters: it doubles h until two consecutive levels agree and
+says so in the report status.
 """
 
 from __future__ import annotations
@@ -16,13 +21,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .decomposition import Decomposition, Scc, build_graph, decompose
-from .errors import DegreeTooHigh, DivergenceCertified, ParamsInfeasible
+from .errors import DegreeTooHigh, DivergenceCertified, ParamsInfeasible, SingularMatrix
 from .mps import (
     Monomial,
     MonotoneSystem,
     c_min,
     clean,
     encoding_size,
+    eval_jacobian,
+    evaluate,
     norm_p_one,
     to_snf,
 )
@@ -34,9 +41,12 @@ from .ratmath import (
     ZERO,
     Dyadic,
     ceil_log2,
+    identity_minus,
+    ones_vector,
     rat,
     rational_exceeds_pow2,
     round_down_dyadic,
+    solve_linear,
     sqrt_upper,
     zeros_vector,
 )
@@ -84,8 +94,26 @@ class DriverParams:
 class SccRun:
     names: tuple
     nonlinear: bool
-    iterations: int
+    iterations: int  # Newton steps computed; 1 for a linear component
     trace: IterationTrace | None
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """What justifies ||q* - approx||_inf <= epsilon.
+
+    ``kind`` is "witness" when ``upper`` (a rational per original variable,
+    zeros reinserted) satisfies P(upper) <= upper exactly and
+    approx <= upper <= approx + epsilon: then q* <= upper by Knaster-Tarski,
+    and approx <= q* because rounded Newton iterates never overshoot.  It is
+    "theorem" when the convergence theorem's parameters were run, and
+    "none" when nothing certifies the answer.  ``attempted_h`` lists the
+    grids tried for a witness, in order.
+    """
+
+    kind: str
+    upper: tuple | None
+    attempted_h: tuple
 
 
 @dataclass(frozen=True)
@@ -95,9 +123,10 @@ class SolveReport:
     params: DriverParams
     bounds: LfpBounds
     scc_runs: tuple
-    status: str  # "certified-eps" | "adaptive-heuristic"
+    status: str  # "certified-eps" | "adaptive-heuristic" | "uncertified"
     epsilon: object
     info: dict
+    certificate: Certificate
 
     def values(self) -> list:
         return [d.value() for d in self.approximation]
@@ -110,6 +139,7 @@ class SolveOptions:
     use_snf: bool = True
     h_override: int | None = None
     g_override: int | None = None
+    theorem_h: int | None = None  # certified h to fall back to, in place of the q <= 1 formula
     max_h: int = DEFAULT_MAX_H
     keep_traces: bool = False
     jobs: int = 1
@@ -285,10 +315,14 @@ def _scc_subsystem(sys: MonotoneSystem, members: tuple, solved: list) -> Monoton
     return MonotoneSystem(tuple(sys.names[v] for v in members), tuple(equations))
 
 
-def _solve_scc(sub: MonotoneSystem, scc: Scc, h: int, g: int, threshold: int | None):
+def _solve_scc(
+    sub: MonotoneSystem, scc: Scc, h: int, g: int, threshold: int | None, keep_trace: bool
+):
     if scc.nonlinear:
-        final, trace = run_rnm(sub, RnmConfig(h, g), divergence_exponent=threshold)
-        return list(final), trace, g
+        final, trace = run_rnm(
+            sub, RnmConfig(h, g), divergence_exponent=threshold, keep_trace=keep_trace
+        )
+        return list(final), trace, trace.steps
     # Linear component: one exact solve, then round down.
     exact = newton_step(sub, zeros_vector(sub.n))
     for value in exact:
@@ -330,7 +364,7 @@ def _run_rdnm(
 
     def work(scc: Scc):
         sub = _scc_subsystem(sys, scc.vars, solved)
-        return _solve_scc(sub, scc, h, g, threshold)
+        return _solve_scc(sub, scc, h, g, threshold, keep_traces)
 
     for height in sorted(by_height):
         group = by_height[height]
@@ -352,6 +386,96 @@ def _run_rdnm(
                 )
             )
     return dyadics, tuple(runs)
+
+
+# --- post-fixed-point witnesses ----------------------------------------------------
+
+WITNESS_HEADROOM = 8  # bits above log2(1/eps) on the first witness grid
+WITNESS_SHARE = 8  # witness grids stay at or below h_theorem / WITNESS_SHARE
+
+
+def post_fixed_point_witness(sys: MonotoneSystem, lower, epsilon, h: int):
+    """An exactly checked post-fixed point at most epsilon above ``lower``.
+
+    With x = lower and d = (I - B(x))^-1 1, tries y = x + round_down(eps d /
+    ||d||_inf) on the 2**-h grid.  Returns y as rationals when every d_i > 0,
+    P(y) <= y and y - x <= epsilon all hold exactly, otherwise None.  Near a
+    non-critical q*, P(y) - y = P(x) - x - (eps / ||d||) 1 + O(eps^2), so
+    the check passes once x is close enough to q*; at a critical q*,
+    I - B(q*) is singular and the check cannot pass.
+    """
+    x = [dy.value() for dy in lower]
+    try:
+        d = solve_linear(identity_minus(eval_jacobian(sys, x)), ones_vector(sys.n))
+    except SingularMatrix:
+        return None
+    if any(di <= 0 for di in d):
+        return None
+    step = epsilon / max(d)
+    y = [xi + round_down_dyadic(step * di, h).value() for xi, di in zip(x, d)]
+    if any(yi - xi > epsilon for xi, yi in zip(x, y)):
+        return None
+    if any(pi > yi for pi, yi in zip(evaluate(sys, y), y)):
+        return None
+    return y
+
+
+def _probe_divergence(sys: MonotoneSystem, bounds: LfpBounds, options: SolveOptions) -> None:
+    """Cheap certified divergence probe: value iterates are lower bounds on
+    any finite LFP, so escaping the upper bound settles the question before
+    any expensive parameter choice."""
+    if bounds.qmax_exponent <= (1 << 20) and detect_divergence(
+        sys, bounds.qmax_exponent, max_steps=options.probe_steps
+    ):
+        raise DivergenceCertified(
+            f"value iteration escapes the q*_max bound 2**{bounds.qmax_exponent}; "
+            "no finite least fixed point below it exists"
+        )
+
+
+def _certified_run(
+    sys: MonotoneSystem,
+    decomp: Decomposition,
+    epsilon,
+    h_theorem: int,
+    bounds: LfpBounds,
+    options: SolveOptions,
+):
+    """The certified route on a cleaned system with q* <= 2**qmax_exponent <= 1.
+
+    Runs rounded decomposed Newton (g = h - 1) on the grids h0, 2 h0,
+    4 h0, ... with h0 = ceil(log2(1/eps)) + WITNESS_HEADROOM, as long as
+    h <= h_theorem / WITNESS_SHARE and h <= max_h, and stops at the first
+    whose iterate has a post-fixed-point witness.  When none does, probes
+    for divergence and runs h_theorem, which the convergence theorem
+    certifies.  A witness y <= 2**qmax_exponent makes the probe redundant:
+    value iterates stay below q* <= y, so they cannot escape the bound.
+    Returns (h, dyadics, runs, witness or None, grids tried for a witness).
+    """
+    threshold = bounds.qmax_exponent
+    attempted = []
+    h = ceil_log2(ONE / epsilon) + WITNESS_HEADROOM
+    while h * WITNESS_SHARE <= h_theorem and h <= options.max_h:
+        attempted.append(h)
+        try:
+            dyadics, runs = _run_rdnm(
+                sys, decomp, h, h - 1, threshold, options.jobs, options.keep_traces
+            )
+        except SingularMatrix:
+            break  # the theorem's run decides this system, as it always did
+        upper = post_fixed_point_witness(sys, dyadics, epsilon, h)
+        if upper is not None:
+            if any(rational_exceeds_pow2(y, threshold) for y in upper):
+                _probe_divergence(sys, bounds, options)
+            return h, dyadics, runs, upper, tuple(attempted)
+        h *= 2
+    _probe_divergence(sys, bounds, options)
+    if h_theorem > options.max_h:
+        raise ParamsInfeasible(f"certified h = {h_theorem} exceeds the ceiling {options.max_h}")
+    dyadics, runs = _run_rdnm(
+        sys, decomp, h_theorem, h_theorem - 1, threshold, options.jobs, options.keep_traces
+    )
+    return h_theorem, dyadics, runs, None, tuple(attempted)
 
 
 # --- certified parameter formulas ---------------------------------------------
@@ -407,7 +531,11 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
     Pipeline: optional conversion to simple normal form, removal of zero
     variables, SCC decomposition, certified (or adaptive) parameter choice,
     bottom-up rounded Newton, undo of rescaling, reinsertion of zeros, and
-    projection back to the original variables.
+    projection back to the original variables.  In certified mode with
+    q* <= 1, a post-fixed-point witness on a small grid is tried before the
+    theorem's h (``theorem_h`` replaces the formula for that h); with a
+    manual ``h_override`` only a witness at that grid keeps the status
+    "certified-eps", otherwise it is "uncertified".
 
     Raises SingularMatrix (Newton undefined), DivergenceCertified (no finite
     LFP below the working bound), or ParamsInfeasible (certified h above the
@@ -428,7 +556,18 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
             "(leave simple-normal-form conversion enabled)"
         )
     cleaned, kept = clean(work)
-    removed = [work.names[i] for i in range(work.n) if i not in set(kept)]
+    kept_set = set(kept)
+    removed = [name for i, name in enumerate(work.names) if i not in kept_set]
+
+    def to_input(values, zero) -> tuple:
+        """Cleaned-system values at the original variables: zeros reinserted,
+        normal-form product variables dropped."""
+        full = [zero] * work.n
+        for cleaned_index, work_index in enumerate(kept):
+            full[work_index] = values[cleaned_index]
+        if snf is not None:
+            return tuple(full[snf.projection[i]] for i in range(sys.n))
+        return tuple(full)
 
     info = {
         "encoding_convention": _ENCODING_NOTE,
@@ -441,8 +580,14 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
         approx = tuple(Dyadic(0, 1) for _ in range(sys.n))
         params = DriverParams(alpha=ONE, h=1, g=1, u=0, mode=options.mode)
         bounds = LfpBounds(ONE, "value-iteration", 0, "probability-flag")
-        status = "certified-eps" if options.mode == "certified" else "adaptive-heuristic"
-        return SolveReport(approx, tuple(sys.names), params, bounds, (), status, epsilon, info)
+        if options.mode == "certified":
+            # P(0) = 0 here, so 0 is itself a post-fixed point.
+            status, certificate = "certified-eps", Certificate("witness", (ZERO,) * sys.n, ())
+        else:
+            status, certificate = "adaptive-heuristic", Certificate("none", None, ())
+        return SolveReport(
+            approx, tuple(sys.names), params, bounds, (), status, epsilon, info, certificate
+        )
 
     decomp = decompose(build_graph(cleaned), cleaned)
     n, d, f = cleaned.n, decomp.depth, decomp.nonlinear_depth
@@ -457,19 +602,15 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
         }
     )
 
-    # Cheap certified divergence probe: value iterates are lower bounds on
-    # any finite LFP, so escaping the upper bound settles the question
-    # before any expensive parameter choice.
-    if bounds.qmax_exponent <= (1 << 20) and detect_divergence(
-        cleaned, bounds.qmax_exponent, max_steps=options.probe_steps
-    ):
-        raise DivergenceCertified(
-            f"value iteration escapes the q*_max bound 2**{bounds.qmax_exponent}; "
-            "no finite least fixed point below it exists"
-        )
-
     cmin = min(ONE, c_min(cleaned))
     alpha_info = cmin * HALF * min(ONE, bounds.qmin_lower)
+    u = max(bounds.qmax_exponent, 0)
+
+    upper = None
+    attempted = ()
+    if options.mode != "certified" or u > 0 or options.h_override is not None:
+        # The certified q* <= 1 route probes only if it finds no witness.
+        _probe_divergence(cleaned, bounds, options)
 
     if options.h_override is not None:
         h = options.h_override
@@ -478,22 +619,29 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
         dyadics, runs = _run_rdnm(
             cleaned, decomp, h, g, bounds.qmax_exponent, options.jobs, options.keep_traces
         )
-        status = "certified-eps" if options.mode == "certified" else "adaptive-heuristic"
+        if options.mode == "certified":
+            # The theorem says nothing about a grid chosen by hand; only a
+            # witness at that grid can certify the answer.
+            attempted = (h,)
+            upper = post_fixed_point_witness(cleaned, dyadics, epsilon, h)
+            if upper is not None:
+                kind, status = "witness", "certified-eps"
+            else:
+                kind, status = "none", "uncertified"
+        else:
+            kind, status = "none", "adaptive-heuristic"
 
     elif options.mode == "certified":
-        u = max(bounds.qmax_exponent, 0)
         if u == 0:
             alpha = cmin * HALF * bounds.qmin_lower  # <= 1/2 by construction
-            h = _params_q_le_1(n, d, f, alpha, norm_p_one(cleaned), epsilon)
-            g = h - 1
-            if h > options.max_h:
-                raise ParamsInfeasible(
-                    f"certified h = {h} exceeds the ceiling {options.max_h}"
-                )
-            params = DriverParams(alpha=alpha, h=h, g=g, u=0, mode="certified")
-            dyadics, runs = _run_rdnm(
-                cleaned, decomp, h, g, bounds.qmax_exponent, options.jobs, options.keep_traces
+            if options.theorem_h is not None:
+                h_theorem = options.theorem_h
+            else:
+                h_theorem = _params_q_le_1(n, d, f, alpha, norm_p_one(cleaned), epsilon)
+            h, dyadics, runs, upper, attempted = _certified_run(
+                cleaned, decomp, epsilon, h_theorem, bounds, options
             )
+            params = DriverParams(alpha=alpha, h=h, g=h - 1, u=0, mode="certified")
         else:
             beta = cmin * min(ONE, HALF * bounds.qmin_lower)
             g = _params_general(n, d, f, u, beta, norm_p_one(cleaned), epsilon)
@@ -512,6 +660,7 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
             # Undo the rescaling exactly: m * 2**-h_run times 2**u is m on
             # the 2**-h_report grid, so only the scale tag changes.
             dyadics = [Dyadic(dy.mantissa, h_report) for dy in dyadics]
+        kind = "witness" if upper is not None else "theorem"
         status = "certified-eps"
 
     else:  # adaptive
@@ -535,19 +684,11 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
             previous = current
             h *= 2
         params = DriverParams(alpha=alpha_info, h=h, g=h - 1, u=0, mode="adaptive")
-        status = "adaptive-heuristic"
+        kind, status = "none", "adaptive-heuristic"
 
-    # Reinsert cleaned zeros at their original positions, then project back
-    # to the input variables (dropping any normal-form product variables).
-    grid = params.h
-    full: list = [Dyadic(0, grid)] * work.n
-    for cleaned_index, work_index in enumerate(kept):
-        full[work_index] = dyadics[cleaned_index]
-    if snf is not None:
-        approx = tuple(full[snf.projection[i]] for i in range(sys.n))
-    else:
-        approx = tuple(full)
-
+    approx = to_input(dyadics, Dyadic(0, params.h))
+    if upper is not None:
+        upper = to_input(upper, ZERO)
     return SolveReport(
         approximation=approx,
         names=tuple(sys.names),
@@ -557,4 +698,5 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
         status=status,
         epsilon=epsilon,
         info=info,
+        certificate=Certificate(kind, upper, attempted),
     )

@@ -53,7 +53,8 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    records: tuple
+    records: tuple  # empty unless the run kept its trace
+    steps: int  # Newton steps computed: g, or the step at which the iterate pinned
 
 
 def newton_step(sys: MonotoneSystem, z) -> list:
@@ -78,13 +79,16 @@ def run_rnm(
     sys: MonotoneSystem,
     cfg: RnmConfig,
     divergence_exponent: int | None = None,
+    keep_trace: bool = True,
 ):
     """Rounded-down Newton from the all-zero vector.
 
     Each step computes the exact Newton iterate, then rounds every
     coordinate down to the largest non-negative multiple of 2**-h.  Returns
-    the final iterate and the full trace (residuals are recorded for
-    diagnostics; they are never a stopping criterion).
+    the final iterate and the trace: the number of Newton steps computed
+    and, with ``keep_trace``, one record per iterate (residuals are recorded
+    for diagnostics; they are never a stopping criterion, and cost one
+    extra evaluation of P per step).
 
     When ``divergence_exponent`` is given, any iterate coordinate exceeding
     2**divergence_exponent raises DivergenceCertified: iterates of a system
@@ -92,7 +96,8 @@ def run_rnm(
     """
     n = sys.n
     x = tuple(Dyadic(0, cfg.h) for _ in range(n))
-    records = [_record(sys, 0, x)]
+    records = [_record(sys, 0, x)] if keep_trace else []
+    steps = cfg.g
     for k in range(1, cfg.g + 1):
         values = [d.value() for d in x]
         nxt = newton_step(sys, values)
@@ -101,6 +106,7 @@ def run_rnm(
             # The rounded step is a deterministic map, so a repeated iterate
             # is pinned forever: x^[g] equals this iterate exactly and the
             # remaining iterations can be skipped without changing anything.
+            steps = k
             break
         x = rounded
         if divergence_exponent is not None:
@@ -110,8 +116,9 @@ def run_rnm(
                         f"iterate {k} exceeds the q*_max bound 2**{divergence_exponent}; "
                         "no finite least fixed point below it exists"
                     )
-        records.append(_record(sys, k, x))
-    return x, IterationTrace(tuple(records))
+        if keep_trace:
+            records.append(_record(sys, k, x))
+    return x, IterationTrace(tuple(records), steps)
 
 
 def certify_params_scc(n: int, alpha, epsilon) -> RnmConfig:

@@ -251,10 +251,11 @@ def termination_probabilities(
 ) -> GMatrix:
     """Approximate the full G-matrix to within epsilon, coordinatewise.
 
-    Certified mode uses the closed-form rounding parameter above (feasible
-    because nonlinear depth is at most 1 and q*_min is at worst
-    c_min**(r^3)); adaptive mode is the escape hatch when that parameter is
-    still too large to enjoy.
+    Certified mode first looks for a post-fixed-point witness on small
+    grids, as ``solve`` does, and falls back to the closed-form rounding
+    parameter above (feasible because nonlinear depth is at most 1 and
+    q*_min is at worst c_min**(r^3)); adaptive mode is the escape hatch when
+    neither is affordable.
     """
     require_valid(model)
     eps = rat(epsilon)
@@ -277,7 +278,7 @@ def termination_probabilities(
         mode=mode,
         assume_probabilistic=True,
         use_snf=False,  # the system is already quadratic; the certified h is stated for it
-        h_override=params["h"] if mode == "certified" else None,
+        theorem_h=params["h"],
         max_h=max(max_h, params["h"] + 1),
         jobs=jobs,
         keep_traces=keep_traces,
