@@ -37,7 +37,6 @@ class Scc:
     nonlinear: bool
     height: int  # SCCs on the longest dependency path starting here (inclusive)
     nonlinear_height: int  # nonlinear SCCs on that path (inclusive when nonlinear)
-    depends_on: frozenset  # variables of lower components reachable from here
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,6 @@ def decompose(graph: DependencyGraph, sys: MonotoneSystem) -> Decomposition:
 
     heights = [0] * len(raw)
     nl_heights = [0] * len(raw)
-    reach: list[frozenset] = [frozenset()] * len(raw)
     sccs = []
     scc_of = [0] * graph.n
     for pos, cid in enumerate(order):
@@ -154,17 +152,11 @@ def decompose(graph: DependencyGraph, sys: MonotoneSystem) -> Decomposition:
         f = (1 if nonlinear else 0) + max((nl_heights[d] for d in depends[cid]), default=0)
         heights[cid] = h
         nl_heights[cid] = f
-        below = set()
-        for d in depends[cid]:
-            below.update(raw[d])
-            below.update(reach[d])
-        reach[cid] = frozenset(below)
         scc = Scc(
             vars=tuple(sorted(members)),
             nonlinear=nonlinear,
             height=h,
             nonlinear_height=f,
-            depends_on=reach[cid],
         )
         sccs.append(scc)
         for v in members:

@@ -165,10 +165,6 @@ def _qmin_candidates(sys: MonotoneSystem, value_iteration_cap: int):
         )
         if exponent * coeff_bits <= _POWER_BIT_BUDGET:
             candidates.append((cmin**exponent, "worst-case-formula"))
-        bits = encoding_size(sys)
-        if exponent * bits <= _POWER_BIT_BUDGET:
-            # Dominated by the bound above (c_min >= 2**-|P|); kept for traceability.
-            candidates.append((rat(1, 1 << (bits * exponent)), "worst-case-formula"))
     if n <= value_iteration_cap:
         iterate = value_iterate(sys, n)
         floor = min(iterate) if iterate else ONE
@@ -180,9 +176,8 @@ def _qmin_candidates(sys: MonotoneSystem, value_iteration_cap: int):
 def qmin_lower_bound(sys: MonotoneSystem, value_iteration_cap: int = 12):
     """Best available certified lower bound on the smallest LFP coordinate.
 
-    Takes the max of: min{1, c_min}**(2**n - 1); the encoding-size worst
-    case 2**(-|P| (2**n - 1)); and the smallest coordinate of the n-fold
-    value iterate (positive after cleaning, and always <= q*).
+    Takes the max of min{1, c_min}**(2**n - 1) and the smallest coordinate
+    of the n-fold value iterate (positive after cleaning, and always <= q*).
     """
     candidates = _qmin_candidates(sys, value_iteration_cap)
     if not candidates:

@@ -24,6 +24,8 @@ from .ratmath import (
     zeros_vector,
 )
 
+PROBE_GRID_BITS = 64  # the divergence probe rounds down to multiples of 2**-64
+
 
 def value_iterate(sys: MonotoneSystem, k: int) -> list:
     """Exact k-fold value iterate P^k(0).
@@ -54,16 +56,25 @@ def detect_divergence(
 ) -> bool:
     """Bounded probe: does value iteration certifiably escape 2**qmax_exponent?
 
-    Value iterates are lower bounds on any finite LFP, so exceeding an upper
+    Iterates x_0 = 0, x_{k+1} = floor(P(x_k)) on the 2**-PROBE_GRID_BITS
+    grid.  Since P is monotone, induction gives x_k <= P^k(0) <= q*, so
+    every iterate is a lower bound on any finite LFP, and exceeding an upper
     bound that every finite LFP must respect certifies that none exists.
-    The probe is one-directional: a False answer proves nothing (the budget
-    keeps runaway growth from eating the machine).
+    Rounding keeps iterates at a fixed number of fractional bits instead of
+    doubling them each step.  The rounded map is deterministic, so once an
+    iterate repeats the sequence is constant and can never cross the bound:
+    the probe stops there.  The probe is one-directional: a False answer
+    proves nothing (the budget keeps runaway growth from eating the machine).
     """
+    scale = 1 << PROBE_GRID_BITS
     x = zeros_vector(sys.n)
     for _ in range(max_steps):
-        x = evaluate(sys, x)
-        if any(rational_exceeds_pow2(xi, qmax_exponent) for xi in x):
+        nxt = [rat((num(v) << PROBE_GRID_BITS) // den(v), scale) for v in evaluate(sys, x)]
+        if any(rational_exceeds_pow2(xi, qmax_exponent) for xi in nxt):
             return True
+        if nxt == x:
+            return False
+        x = nxt
         size = sum(num(xi).bit_length() + den(xi).bit_length() for xi in x)
         if size > bit_budget:
             return False

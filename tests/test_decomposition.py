@@ -83,23 +83,6 @@ class TestDecompose:
                 seen |= members
             assert seen == set(range(cleaned.n))
 
-    def test_depends_on_is_reachability_outside_own_scc(self, rng):
-        for _ in range(30):
-            sys = random_with_zero_variables(rng, rng.randint(1, 6))
-            cleaned, _ = clean(sys)
-            if not cleaned.n:
-                continue
-            graph = build_graph(cleaned)
-            decomp = decompose(graph, cleaned)
-            reach = _transitive_closure(graph)
-            for scc in decomp.sccs:
-                members = set(scc.vars)
-                expected = set()
-                for v in scc.vars:
-                    expected |= reach[v]
-                expected -= members
-                assert scc.depends_on == expected
-
     def test_path_counts_bounded_by_depths(self, rng):
         for _ in range(30):
             sys = random_with_zero_variables(rng, rng.randint(1, 6))
@@ -130,19 +113,3 @@ class TestDecompose:
         )
         decomp = decompose(build_graph(sys), sys)
         assert [scc.vars for scc in decomp.sccs] == [(0,), (1,)]
-
-
-def _transitive_closure(graph):
-    n = graph.n
-    reach = []
-    for start in range(n):
-        seen = set()
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nxt in graph.successors[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        reach.append(seen)
-    return reach

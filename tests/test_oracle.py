@@ -9,6 +9,7 @@ from lfpsolve import (
     NoFiniteLfp,
     detect_divergence,
     detect_zero_variables,
+    oracle,
     rat,
     system_of,
     univariate_quadratic_lfp,
@@ -82,6 +83,37 @@ class TestDivergenceProbe:
         sys = univariate(0, "1", "1")  # x = x + 1 grows one unit per step
         assert not detect_divergence(sys, 10**6, max_steps=30)
         assert detect_divergence(sys, 4, max_steps=30)
+
+    def test_catches_fractional_growth(self):
+        sys = univariate("1/2", 0, "5/8")  # x = x^2/2 + 5/8 has no real fixed point
+        assert detect_divergence(sys, 0)
+
+    def test_firing_implies_exact_iterate_escapes(self, rng):
+        # Rounded iterates lie below the exact ones, so the probe may fire
+        # only where exact value iteration escapes the bound too.
+        steps = 8
+        fired = 0
+        for _ in range(50):
+            sys = random_with_zero_variables(rng, rng.randint(1, 5))
+            for exponent in (-2, -1, 0):
+                if detect_divergence(sys, exponent, max_steps=steps):
+                    fired += 1
+                    exact = value_iterate(sys, steps)
+                    assert any(xi > rat(2) ** exponent for xi in exact)
+        assert fired > 0
+
+    def test_stops_once_the_rounded_iterate_repeats(self, monkeypatch):
+        calls = []
+        real = oracle.evaluate
+
+        def counting(sys, x):
+            calls.append(1)
+            return real(sys, x)
+
+        monkeypatch.setattr(oracle, "evaluate", counting)
+        sys = univariate(0, "1/4", "1/4")  # x = x/4 + 1/4, q* = 1/3
+        assert not detect_divergence(sys, 0, max_steps=48)
+        assert 0 < len(calls) < 48
 
 
 class TestUnivariateQuadratic:
