@@ -130,7 +130,6 @@ def _cmd_solve(args) -> int:
         g_override=args.iters,
         max_h=args.max_h,
         keep_traces=args.trace,
-        jobs=args.jobs,
     )
     report = solve(system, _epsilon(args), options)
     if args.trace:
@@ -234,7 +233,6 @@ def _cmd_p1ca_term(args) -> int:
         model,
         _epsilon(args),
         mode=args.mode,
-        jobs=args.jobs,
         keep_traces=args.trace,
     )
     if args.trace:
@@ -290,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--no-snf", action="store_true", help="skip simple-normal-form conversion")
     p_solve.add_argument("--trace", action="store_true", help="emit per-iteration JSON lines on stderr")
     p_solve.add_argument("--max-h", type=int, default=1_000_000, help="ceiling for the certified h")
-    p_solve.add_argument("--jobs", type=int, default=1, help="solve independent components concurrently")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_clean = sub.add_parser("clean", help="remove variables whose LFP coordinate is 0")
@@ -320,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_term.add_argument("--epsilon", required=True, help='additive error bound, rational "p/q"')
     p_term.add_argument("--mode", choices=["certified", "adaptive"], default="certified")
     p_term.add_argument("--trace", action="store_true")
-    p_term.add_argument("--jobs", type=int, default=1)
     p_term.set_defaults(func=_cmd_p1ca_term)
 
     p_val = sub.add_parser("p1ca-validate", help="check a p1CA model")

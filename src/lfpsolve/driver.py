@@ -3,21 +3,22 @@ rescaling, bottom-up per-component Newton runs, and perturbation
 diagnostics.
 
 Certified mode guarantees ||q* - approx||_inf <= epsilon with approx <= q*
-coordinatewise.  Every rounded Newton iterate is a lower bound on q*, so
-it first looks for a cheap witness of the upper side: on a doubling grid
-it tries y = approx + (a small step along (I - B(approx))^-1 1) and checks
-P(y) <= y exactly, which by Knaster-Tarski gives q* <= y.  Only when no
-grid well below the theorem's yields one does it run the rounding
-parameter h and iteration count g from the convergence theorems, using
-only quantities it can bound soundly (all logarithms over-approximated by
-exact integer ceilings).  Adaptive mode trades the certificate for
-feasible parameters: it doubles h until two consecutive levels agree and
-says so in the report status.
+coordinatewise.  It has one route for every bound q* <= 2**u: it solves
+the rescaled system x = 2**-u P(2**u x), whose LFP is at most 1 (u = 0
+leaves the system as it is), and maps the answer back exactly.  Every
+rounded Newton iterate is a lower bound on q*, so it first looks for a
+cheap witness of the upper side: on a doubling grid it tries y = approx +
+(a small step along (I - B(approx))^-1 1) and checks P(y) <= y exactly,
+which by Knaster-Tarski gives q* <= y.  Only when no grid well below the
+theorem's yields one does it run the rounding parameter h and iteration
+count g from the convergence theorem, using only quantities it can bound
+soundly (all logarithms over-approximated by exact integer ceilings).
+Adaptive mode trades the certificate for feasible parameters: it doubles
+h until two consecutive levels agree and says so in the report status.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .decomposition import Decomposition, Scc, build_graph, decompose
@@ -52,6 +53,7 @@ from .ratmath import (
 )
 
 DEFAULT_MAX_H = 1_000_000
+VALUE_ITERATION_CAP = 12  # largest system whose exact n-fold value iterate bounds q*_min
 
 _ENCODING_NOTE = (
     "|P| = per-monomial numerator/denominator bit lengths plus per-exponent "
@@ -139,12 +141,10 @@ class SolveOptions:
     use_snf: bool = True
     h_override: int | None = None
     g_override: int | None = None
-    theorem_h: int | None = None  # certified h to fall back to, in place of the q <= 1 formula
+    theorem_h: int | None = None  # certified h (rescaled grid) to fall back to, in place of the formula
     max_h: int = DEFAULT_MAX_H
     keep_traces: bool = False
-    jobs: int = 1
     qmax_exponent_assert: int | None = None  # user-asserted bound on log2(q*_max)
-    value_iteration_cap: int = 12  # exact steps allowed for the q*_min bound
     probe_steps: int = 48  # divergence probe budget
 
 
@@ -173,7 +173,7 @@ def _qmin_candidates(sys: MonotoneSystem, value_iteration_cap: int):
     return candidates
 
 
-def qmin_lower_bound(sys: MonotoneSystem, value_iteration_cap: int = 12):
+def qmin_lower_bound(sys: MonotoneSystem, value_iteration_cap: int = VALUE_ITERATION_CAP):
     """Best available certified lower bound on the smallest LFP coordinate.
 
     Takes the max of min{1, c_min}**(2**n - 1) and the smallest coordinate
@@ -203,7 +203,7 @@ def qmax_upper_exponent(sys: MonotoneSystem, assume_probabilistic: bool) -> int:
 
 
 def compute_bounds(sys: MonotoneSystem, options: SolveOptions) -> LfpBounds:
-    candidates = _qmin_candidates(sys, options.value_iteration_cap)
+    candidates = _qmin_candidates(sys, VALUE_ITERATION_CAP)
     if not candidates:
         raise ParamsInfeasible("no computable lower bound on q*_min at this size")
     # on ties prefer the value-iteration tag; it is the bound that actually binds
@@ -340,46 +340,31 @@ def _run_rdnm(
     h: int,
     g: int,
     threshold: int | None,
-    jobs: int,
     keep_traces: bool,
 ):
     """Bottom-up rounded decomposed Newton over an already-cleaned system.
 
-    Components whose dependencies are fully solved can run concurrently
-    (grouped by height); each writes only its own slots, so scheduling never
-    changes the output.
+    Components run in order of height (stable, so ties keep the
+    decomposition's order), which solves every dependency first and fixes
+    the order of the reported runs.
     """
     solved: list = [None] * sys.n
     dyadics: list = [None] * sys.n
     runs = []
-
-    by_height: dict[int, list] = {}
-    for scc in decomp.sccs:
-        by_height.setdefault(scc.height, []).append(scc)
-
-    def work(scc: Scc):
+    for scc in sorted(decomp.sccs, key=lambda scc: scc.height):
         sub = _scc_subsystem(sys, scc.vars, solved)
-        return _solve_scc(sub, scc, h, g, threshold, keep_traces)
-
-    for height in sorted(by_height):
-        group = by_height[height]
-        if jobs > 1 and len(group) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(work, group))
-        else:
-            results = [work(scc) for scc in group]
-        for scc, (final, trace, iterations) in zip(group, results):
-            for v, d in zip(scc.vars, final):
-                dyadics[v] = d
-                solved[v] = d.value()
-            runs.append(
-                SccRun(
-                    names=tuple(sys.names[v] for v in scc.vars),
-                    nonlinear=scc.nonlinear,
-                    iterations=iterations,
-                    trace=trace if keep_traces else None,
-                )
+        final, trace, iterations = _solve_scc(sub, scc, h, g, threshold, keep_traces)
+        for v, d in zip(scc.vars, final):
+            dyadics[v] = d
+            solved[v] = d.value()
+        runs.append(
+            SccRun(
+                names=tuple(sys.names[v] for v in scc.vars),
+                nonlinear=scc.nonlinear,
+                iterations=iterations,
+                trace=trace if keep_traces else None,
             )
+        )
     return dyadics, tuple(runs)
 
 
@@ -432,64 +417,71 @@ def _certified_run(
     sys: MonotoneSystem,
     decomp: Decomposition,
     epsilon,
+    u: int,
     h_theorem: int,
     bounds: LfpBounds,
     options: SolveOptions,
 ):
-    """The certified route on a cleaned system with q* <= 2**qmax_exponent <= 1.
+    """The certified route on a cleaned system with q* <= 2**qmax_exponent.
 
-    Runs rounded decomposed Newton (g = h - 1) on the grids h0, 2 h0,
-    4 h0, ... with h0 = ceil(log2(1/eps)) + WITNESS_HEADROOM, as long as
-    h <= h_theorem / WITNESS_SHARE and h <= max_h, and stops at the first
-    whose iterate has a post-fixed-point witness.  When none does, probes
-    for divergence and runs h_theorem, which the convergence theorem
+    Works on the rescaled system x = 2**-u P(2**u x) with u =
+    max(qmax_exponent, 0), whose LFP 2**-u q* is at most 2**(qmax_exponent
+    - u) <= 1, to tolerance eps / 2**u.  There it runs rounded decomposed
+    Newton (g = h - 1) on the grids h0, 2 h0, 4 h0, ... with h0 =
+    ceil(log2(2**u / eps)) + WITNESS_HEADROOM, as long as h <= h_theorem /
+    WITNESS_SHARE and h <= max_h, and stops at the first whose iterate has
+    a post-fixed-point witness.  When none does, probes the system for
+    divergence and runs h_theorem, which the convergence theorem
     certifies.  A witness y <= 2**qmax_exponent makes the probe redundant:
     value iterates stay below q* <= y, so they cannot escape the bound.
-    Returns (h, dyadics, runs, witness or None, grids tried for a witness).
+
+    Grid h of the rescaled system is grid h - u of the original one, and a
+    witness y there maps to 2**u y.  Returns (h, dyadics, runs, witness or
+    None, grids tried for a witness), all on the original scale.
     """
-    threshold = bounds.qmax_exponent
+    scaled = rescale(sys, u)
+    tolerance = epsilon / (1 << u)
+    threshold = bounds.qmax_exponent - u
     attempted = []
-    h = ceil_log2(ONE / epsilon) + WITNESS_HEADROOM
+    upper = None
+    h = ceil_log2(ONE / tolerance) + WITNESS_HEADROOM
     while h * WITNESS_SHARE <= h_theorem and h <= options.max_h:
-        attempted.append(h)
+        attempted.append(h - u)
         try:
-            dyadics, runs = _run_rdnm(
-                sys, decomp, h, h - 1, threshold, options.jobs, options.keep_traces
-            )
+            dyadics, runs = _run_rdnm(scaled, decomp, h, h - 1, threshold, options.keep_traces)
         except SingularMatrix:
             break  # the theorem's run decides this system, as it always did
-        upper = post_fixed_point_witness(sys, dyadics, epsilon, h)
+        upper = post_fixed_point_witness(scaled, dyadics, tolerance, h)
         if upper is not None:
-            if any(rational_exceeds_pow2(y, threshold) for y in upper):
-                _probe_divergence(sys, bounds, options)
-            return h, dyadics, runs, upper, tuple(attempted)
+            break
         h *= 2
-    _probe_divergence(sys, bounds, options)
-    if h_theorem > options.max_h:
-        raise ParamsInfeasible(f"certified h = {h_theorem} exceeds the ceiling {options.max_h}")
-    dyadics, runs = _run_rdnm(
-        sys, decomp, h_theorem, h_theorem - 1, threshold, options.jobs, options.keep_traces
-    )
-    return h_theorem, dyadics, runs, None, tuple(attempted)
+    if upper is None:
+        _probe_divergence(sys, bounds, options)
+        if h_theorem > options.max_h:
+            rescaled = f" (u = {u})" if u else ""
+            raise ParamsInfeasible(
+                f"certified h = {h_theorem}{rescaled} exceeds the ceiling {options.max_h}"
+            )
+        h = h_theorem
+        dyadics, runs = _run_rdnm(scaled, decomp, h, h - 1, threshold, options.keep_traces)
+    else:
+        if any(rational_exceeds_pow2(y, threshold) for y in upper):
+            _probe_divergence(sys, bounds, options)
+        upper = [y * (1 << u) for y in upper]
+    # m 2**-h times 2**u is m 2**-(h - u): undoing the rescaling only relabels the grid
+    dyadics = [Dyadic(dy.mantissa, h - u) for dy in dyadics]
+    return h - u, dyadics, runs, upper, tuple(attempted)
 
 
 # --- certified parameter formulas ---------------------------------------------
 
 
-def _params_q_le_1(n, d, f, alpha, norm_p1, epsilon):
-    """Rounding parameter for LFP <= 1: h >= ceil(3 + 2**f (log 1/eps +
-    d (log alpha^-(4n+1) + log 16n + log ||P(1)||)))."""
-    inner = (
-        ceil_log2(ONE / epsilon)
-        + d * ((4 * n + 1) * ceil_log2(ONE / alpha) + ceil_log2(rat(16 * n)) + ceil_log2(norm_p1))
-    )
-    return max(3 + (1 << f) * inner, 2)
-
-
 def _params_general(n, d, f, u, beta, norm_q1, epsilon):
     """Iteration count for rescaled solving of a system with q*_max <= 2**u:
     g = 2 + ceil(2**f (log 1/eps + d (2u + log alpha'^-(4n+1) + log 16n +
-    log ||Q(1)||))) with alpha' = 2**-2u * beta."""
+    log ||Q(1)||))) with alpha' = 2**-2u * beta.  The certified grid of the
+    rescaled system is g + 1; at u = 0 this is the q* <= 1 theorem's
+    h >= 3 + 2**f (log 1/eps + d (log alpha^-(4n+1) + log 16n + log ||P(1)||))."""
     log_inv_alpha = 2 * u + ceil_log2(ONE / beta)
     inner = (
         ceil_log2(ONE / epsilon)
@@ -526,9 +518,11 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
     Pipeline: optional conversion to simple normal form, removal of zero
     variables, SCC decomposition, certified (or adaptive) parameter choice,
     bottom-up rounded Newton, undo of rescaling, reinsertion of zeros, and
-    projection back to the original variables.  In certified mode with
-    q* <= 1, a post-fixed-point witness on a small grid is tried before the
-    theorem's h (``theorem_h`` replaces the formula for that h); with a
+    projection back to the original variables.  Certified mode solves the
+    system rescaled by 2**-u, u = max(qmax_exponent, 0), and tries a
+    post-fixed-point witness on small grids before the theorem's h
+    (``theorem_h`` replaces the formula for that h, on the rescaled grid);
+    ``params.h`` and the certificate are on the original scale.  With a
     manual ``h_override`` only a witness at that grid keeps the status
     "certified-eps", otherwise it is "uncertified".
 
@@ -603,17 +597,15 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
 
     upper = None
     attempted = ()
-    if options.mode != "certified" or u > 0 or options.h_override is not None:
-        # The certified q* <= 1 route probes only if it finds no witness.
+    if options.mode != "certified" or options.h_override is not None:
+        # The certified route probes only if it finds no witness.
         _probe_divergence(cleaned, bounds, options)
 
     if options.h_override is not None:
         h = options.h_override
         g = options.g_override if options.g_override is not None else max(h - 1, 1)
         params = DriverParams(alpha=alpha_info, h=h, g=g, u=0, mode=options.mode)
-        dyadics, runs = _run_rdnm(
-            cleaned, decomp, h, g, bounds.qmax_exponent, options.jobs, options.keep_traces
-        )
+        dyadics, runs = _run_rdnm(cleaned, decomp, h, g, bounds.qmax_exponent, options.keep_traces)
         if options.mode == "certified":
             # The theorem says nothing about a grid chosen by hand; only a
             # witness at that grid can certify the answer.
@@ -627,34 +619,18 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
             kind, status = "none", "adaptive-heuristic"
 
     elif options.mode == "certified":
-        if u == 0:
-            alpha = cmin * HALF * bounds.qmin_lower  # <= 1/2 by construction
-            if options.theorem_h is not None:
-                h_theorem = options.theorem_h
-            else:
-                h_theorem = _params_q_le_1(n, d, f, alpha, norm_p_one(cleaned), epsilon)
-            h, dyadics, runs, upper, attempted = _certified_run(
-                cleaned, decomp, epsilon, h_theorem, bounds, options
-            )
-            params = DriverParams(alpha=alpha, h=h, g=h - 1, u=0, mode="certified")
+        beta = cmin * min(ONE, HALF * bounds.qmin_lower)
+        if options.theorem_h is not None:
+            h_theorem = options.theorem_h
         else:
-            beta = cmin * min(ONE, HALF * bounds.qmin_lower)
-            g = _params_general(n, d, f, u, beta, norm_p_one(cleaned), epsilon)
-            h_run = g + 1  # grid used on the rescaled system
-            h_report = g + 1 - u  # the equivalent grid on the original system
-            if h_run > options.max_h:
-                raise ParamsInfeasible(
-                    f"certified h = {h_run} (u = {u}) exceeds the ceiling {options.max_h}"
-                )
-            alpha_prime = beta / (1 << (2 * u))
-            params = DriverParams(alpha=alpha_prime, h=h_report, g=g, u=u, mode="certified")
-            scaled = rescale(cleaned, u)
-            dyadics, runs = _run_rdnm(
-                scaled, decomp, h_run, g, 0, options.jobs, options.keep_traces
-            )
-            # Undo the rescaling exactly: m * 2**-h_run times 2**u is m on
-            # the 2**-h_report grid, so only the scale tag changes.
-            dyadics = [Dyadic(dy.mantissa, h_report) for dy in dyadics]
+            h_theorem = _params_general(n, d, f, u, beta, norm_p_one(cleaned), epsilon) + 1
+        h, dyadics, runs, upper, attempted = _certified_run(
+            cleaned, decomp, epsilon, u, h_theorem, bounds, options
+        )
+        # g counts steps on the rescaled grid h + u
+        params = DriverParams(
+            alpha=beta / (1 << (2 * u)), h=h, g=h + u - 1, u=u, mode="certified"
+        )
         kind = "witness" if upper is not None else "theorem"
         status = "certified-eps"
 
@@ -669,7 +645,7 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
                     f"adaptive refinement passed the ceiling {options.max_h} without settling"
                 )
             dyadics, runs = _run_rdnm(
-                cleaned, decomp, h, h - 1, bounds.qmax_exponent, options.jobs, options.keep_traces
+                cleaned, decomp, h, h - 1, bounds.qmax_exponent, options.keep_traces
             )
             current = [dy.value() for dy in dyadics]
             if previous is not None and all(

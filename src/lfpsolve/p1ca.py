@@ -246,7 +246,6 @@ def termination_probabilities(
     epsilon,
     mode: str = "certified",
     max_h: int = 1_000_000,
-    jobs: int = 1,
     keep_traces: bool = False,
 ) -> GMatrix:
     """Approximate the full G-matrix to within epsilon, coordinatewise.
@@ -280,7 +279,6 @@ def termination_probabilities(
         use_snf=False,  # the system is already quadratic; the certified h is stated for it
         theorem_h=params["h"],
         max_h=max(max_h, params["h"] + 1),
-        jobs=jobs,
         keep_traces=keep_traces,
     )
     report = solve(system, eps, options)

@@ -15,9 +15,9 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from conftest import chain_system, gamblers_ruin, random_p1ca, random_substochastic
+from conftest import chain_system, gamblers_ruin, random_p1ca, random_substochastic, univariate
 
-from lfpsolve import SolveOptions, rat, solve, termination_probabilities
+from lfpsolve import SolveOptions, qmax_upper_exponent, rat, solve, termination_probabilities
 from lfpsolve.cli import main
 from lfpsolve.errors import ParamsInfeasible
 from lfpsolve.mps import evaluate, serialize_mps
@@ -100,6 +100,38 @@ def test_critical_chain_falls_back_to_theorem(chain3_report):
 def test_steps_reported_are_steps_taken(chain3_report):
     # Each level of the chain pins well before g = 4498 Newton steps.
     assert [run.iterations for run in chain3_report.scc_runs] == [4498, 2260, 1136]
+
+
+def test_rescaled_route_finds_witness():
+    # x = x^2/8 + 1, q* = 4 - 2 sqrt(2), with no bound asserted: the solve
+    # runs on the system rescaled by the worst-case u, yet the first witness
+    # grid certifies it; grids and the witness are on the input's scale.
+    system = univariate("1/8", 0, "1")
+    eps = rat(1, 2**20)
+    report = solve(system, eps, SolveOptions(use_snf=False))
+    cert = report.certificate
+    assert report.status == "certified-eps"
+    assert cert.kind == "witness"
+    assert report.params.u == qmax_upper_exponent(system, False)
+    assert report.params.h == 28 and cert.attempted_h == (28,)
+    approx = [d.value() for d in report.approximation]
+    assert_witness(system, approx, cert.upper, eps)
+
+
+def test_rescaled_theorem_fallback_is_unchanged():
+    # x = x^2/4 + 1 is critical at q* = 2: no witness exists, so the
+    # theorem's grid on the system rescaled by 2**-2 decides the answer,
+    # pinned here bit for bit.
+    report = solve(
+        univariate("1/4", 0, "1"),
+        rat(1, 2**20),
+        SolveOptions(qmax_exponent_assert=2, use_snf=False),
+    )
+    params = report.params
+    assert (params.h, params.g, params.u) == (129, 130, 2)
+    assert report.certificate.kind == "theorem"
+    assert report.approximation[0].mantissa == 1361129467683753853853498429727072845823
+    assert report.approximation[0].scale == 129
 
 
 def test_override_without_witness_is_uncertified():

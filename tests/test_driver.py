@@ -11,6 +11,9 @@ from lfpsolve import (
     RnmConfig,
     SingularMatrix,
     SolveOptions,
+    build_graph,
+    clean,
+    decompose,
     encoding_size,
     evaluate,
     perturbation_bound,
@@ -243,6 +246,18 @@ class TestSolveCertified:
         lo, _ = root.enclosure(bits=40)
         assert lo - value <= eps
 
+    def test_scc_runs_in_height_order(self):
+        # a depends on c; c and b are constants.  decompose lists c, a, b,
+        # while components are solved and reported by height: c, b, a.
+        sys = system_of(
+            ["a", "c", "b"], [("1/2", {"c": 1}), ("1/4", {})], [("1/2", {})], [("1/2", {})]
+        )
+        cleaned, _ = clean(sys)
+        decomp = decompose(build_graph(cleaned), cleaned)
+        assert [cleaned.names[v] for scc in decomp.sccs for v in scc.vars] == ["c", "a", "b"]
+        report = solve(sys, rat(1, 2**10), SolveOptions(use_snf=False))
+        assert [run.names for run in report.scc_runs] == [("c",), ("b",), ("a",)]
+
     def test_empty_after_cleaning(self):
         sys = system_of(["a", "b"], [("1", {"b": 1})], [("1", {"a": 1})])
         report = solve(sys, rat(1, 4))
@@ -294,18 +309,6 @@ class TestSolveCertified:
         # astronomical exponent; the ceiling must catch it.
         with pytest.raises(ParamsInfeasible):
             solve(chain_system(3), rat(1, 2), SolveOptions(max_h=10_000))
-
-    def test_jobs_parity(self):
-        sys = system_of(
-            ["a", "b", "top"],
-            [("1/2", {"a": 2}), ("1/2", {})],
-            [("1/3", {"b": 2}), ("2/3", {})],
-            [("1/4", {"a": 1}), ("1/4", {"b": 1}), ("1/2", {})],
-        )
-        eps = rat(1, 2**10)
-        serial = solve(sys, eps, SolveOptions(assume_probabilistic=True))
-        parallel = solve(sys, eps, SolveOptions(assume_probabilistic=True, jobs=4))
-        assert serial.approximation == parallel.approximation
 
     def test_manual_override(self):
         report = solve(
