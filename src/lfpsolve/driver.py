@@ -8,11 +8,14 @@ the rescaled system x = 2**-u P(2**u x), whose LFP is at most 1 (u = 0
 leaves the system as it is), and maps the answer back exactly.  Every
 rounded Newton iterate is a lower bound on q*, so it first looks for a
 cheap witness of the upper side: on a doubling grid it tries y = approx +
-(a small step along (I - B(approx))^-1 1) and checks P(y) <= y exactly,
-which by Knaster-Tarski gives q* <= y.  Only when no grid well below the
-theorem's yields one does it run the rounding parameter h and iteration
-count g from the convergence theorem, using only quantities it can bound
-soundly (all logarithms over-approximated by exact integer ceilings).
+(a small step along (I - B(approx))^-1 1) and, failing that, the cap y = 1
+when approx is within epsilon of it, and checks P(y) <= y exactly, which
+by Knaster-Tarski gives q* <= y.  The cap covers critical systems with
+q* = 1, where I - B(q*) is singular and the first candidate cannot pass.
+Only when no grid well below the theorem's yields a witness does it run
+the rounding parameter h and iteration count g from the convergence
+theorem, using only quantities it can bound soundly (all logarithms
+over-approximated by exact integer ceilings).
 Adaptive mode trades the certificate for feasible parameters: it doubles
 h until two consecutive levels agree and says so in the report status.
 """
@@ -374,17 +377,11 @@ WITNESS_HEADROOM = 8  # bits above log2(1/eps) on the first witness grid
 WITNESS_SHARE = 8  # witness grids stay at or below h_theorem / WITNESS_SHARE
 
 
-def post_fixed_point_witness(sys: MonotoneSystem, lower, epsilon, h: int):
-    """An exactly checked post-fixed point at most epsilon above ``lower``.
+def _is_post_fixed_point(sys: MonotoneSystem, y) -> bool:
+    return all(pi <= yi for pi, yi in zip(evaluate(sys, y), y))
 
-    With x = lower and d = (I - B(x))^-1 1, tries y = x + round_down(eps d /
-    ||d||_inf) on the 2**-h grid.  Returns y as rationals when every d_i > 0,
-    P(y) <= y and y - x <= epsilon all hold exactly, otherwise None.  Near a
-    non-critical q*, P(y) - y = P(x) - x - (eps / ||d||) 1 + O(eps^2), so
-    the check passes once x is close enough to q*; at a critical q*,
-    I - B(q*) is singular and the check cannot pass.
-    """
-    x = [dy.value() for dy in lower]
+
+def _newton_direction_candidate(sys: MonotoneSystem, x, epsilon, h: int):
     try:
         d = solve_linear(identity_minus(eval_jacobian(sys, x)), ones_vector(sys.n))
     except SingularMatrix:
@@ -395,9 +392,35 @@ def post_fixed_point_witness(sys: MonotoneSystem, lower, epsilon, h: int):
     y = [xi + round_down_dyadic(step * di, h).value() for xi, di in zip(x, d)]
     if any(yi - xi > epsilon for xi, yi in zip(x, y)):
         return None
-    if any(pi > yi for pi, yi in zip(evaluate(sys, y), y)):
+    return y if _is_post_fixed_point(sys, y) else None
+
+
+def _cap_candidate(sys: MonotoneSystem, x, epsilon):
+    if any(ONE - xi > epsilon for xi in x):
         return None
-    return y
+    y = ones_vector(sys.n)
+    return y if _is_post_fixed_point(sys, y) else None
+
+
+def post_fixed_point_witness(sys: MonotoneSystem, lower, epsilon, h: int):
+    """An exactly checked post-fixed point at most epsilon above ``lower``.
+
+    Returns y as rationals when P(y) <= y and y - x <= epsilon hold exactly
+    for x = lower, otherwise None.  Two candidates are tried in order:
+
+    - the Newton direction: with d = (I - B(x))^-1 1, y = x + round_down(eps
+      d / ||d||_inf) on the 2**-h grid, provided every d_i > 0.  Near a
+      non-critical q*, P(y) - y = P(x) - x - (eps / ||d||) 1 + O(eps^2), so
+      it passes once x is close enough to q*; at a critical q*, I - B(q*) is
+      singular and it cannot pass;
+    - the cap y = 1, when 1 - x_i <= epsilon for every i (checked first, so
+      iterates far from the cap never evaluate P(1)) and P(1) <= 1.  This
+      covers the critical systems whose q* is 1, such as critical chains and
+      almost surely terminating probabilistic systems.
+    """
+    x = [dy.value() for dy in lower]
+    y = _newton_direction_candidate(sys, x, epsilon, h)
+    return y if y is not None else _cap_candidate(sys, x, epsilon)
 
 
 def _probe_divergence(sys: MonotoneSystem, bounds: LfpBounds, options: SolveOptions) -> None:
@@ -430,10 +453,15 @@ def _certified_run(
     Newton (g = h - 1) on the grids h0, 2 h0, 4 h0, ... with h0 =
     ceil(log2(2**u / eps)) + WITNESS_HEADROOM, as long as h <= h_theorem /
     WITNESS_SHARE and h <= max_h, and stops at the first whose iterate has
-    a post-fixed-point witness.  When none does, probes the system for
-    divergence and runs h_theorem, which the convergence theorem
-    certifies.  A witness y <= 2**qmax_exponent makes the probe redundant:
-    value iterates stay below q* <= y, so they cannot escape the bound.
+    a post-fixed-point witness.  When none does, runs h_theorem, which the
+    convergence theorem certifies.
+
+    The divergence probe runs at most once.  For u > 0 it runs first: a
+    divergent system would otherwise climb witness grids of u bits and
+    more before anything noticed.  For u = 0 it runs only when no witness
+    is found, or when the witness exceeds 2**qmax_exponent; a witness y
+    below that bound makes the probe redundant, since value iterates stay
+    below q* <= y and cannot escape it.
 
     Grid h of the rescaled system is grid h - u of the original one, and a
     witness y there maps to 2**u y.  Returns (h, dyadics, runs, witness or
@@ -442,6 +470,9 @@ def _certified_run(
     scaled = rescale(sys, u)
     tolerance = epsilon / (1 << u)
     threshold = bounds.qmax_exponent - u
+    probed = u > 0
+    if probed:
+        _probe_divergence(sys, bounds, options)
     attempted = []
     upper = None
     h = ceil_log2(ONE / tolerance) + WITNESS_HEADROOM
@@ -456,7 +487,8 @@ def _certified_run(
             break
         h *= 2
     if upper is None:
-        _probe_divergence(sys, bounds, options)
+        if not probed:
+            _probe_divergence(sys, bounds, options)
         if h_theorem > options.max_h:
             rescaled = f" (u = {u})" if u else ""
             raise ParamsInfeasible(
@@ -465,7 +497,7 @@ def _certified_run(
         h = h_theorem
         dyadics, runs = _run_rdnm(scaled, decomp, h, h - 1, threshold, options.keep_traces)
     else:
-        if any(rational_exceeds_pow2(y, threshold) for y in upper):
+        if not probed and any(rational_exceeds_pow2(y, threshold) for y in upper):
             _probe_divergence(sys, bounds, options)
         upper = [y * (1 << u) for y in upper]
     # m 2**-h times 2**u is m 2**-(h - u): undoing the rescaling only relabels the grid
@@ -598,7 +630,7 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
     upper = None
     attempted = ()
     if options.mode != "certified" or options.h_override is not None:
-        # The certified route probes only if it finds no witness.
+        # The certified route decides itself when to probe (see _certified_run).
         _probe_divergence(cleaned, bounds, options)
 
     if options.h_override is not None:

@@ -254,7 +254,9 @@ def termination_probabilities(
     grids, as ``solve`` does, and falls back to the closed-form rounding
     parameter above (feasible because nonlinear depth is at most 1 and
     q*_min is at worst c_min**(r^3)); adaptive mode is the escape hatch when
-    neither is affordable.
+    neither is affordable.  ``max_h`` bounds every grid, the closed-form one
+    included: when no witness is found below it and the closed-form h is
+    above it, ParamsInfeasible is raised.
     """
     require_valid(model)
     eps = rat(epsilon)
@@ -278,7 +280,7 @@ def termination_probabilities(
         assume_probabilistic=True,
         use_snf=False,  # the system is already quadratic; the certified h is stated for it
         theorem_h=params["h"],
-        max_h=max(max_h, params["h"] + 1),
+        max_h=max_h,
         keep_traces=keep_traces,
     )
     report = solve(system, eps, options)

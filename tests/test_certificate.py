@@ -17,7 +17,14 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from conftest import chain_system, gamblers_ruin, random_p1ca, random_substochastic, univariate
 
-from lfpsolve import SolveOptions, qmax_upper_exponent, rat, solve, termination_probabilities
+from lfpsolve import (
+    SolveOptions,
+    qmax_upper_exponent,
+    rat,
+    solve,
+    system_of,
+    termination_probabilities,
+)
 from lfpsolve.cli import main
 from lfpsolve.errors import ParamsInfeasible
 from lfpsolve.mps import evaluate, serialize_mps
@@ -31,6 +38,19 @@ CHAIN_EPS = rat(1, 2**16)
 # SHA-256 of json.dumps([rat_str(x) for x in approximation]) for chain3 at
 # 2**-16 on the theorem's grid h = 4499, g = 4498.
 CHAIN3_THEOREM_ANSWER = "7cc04c8f9eea53678301ee9bfb8439de1641e447fe0962b76f7461bee375c42b"
+# The same digest for MIXED (below) at 2**-16 on its theorem grid h = 371.
+MIXED_THEOREM_ANSWER = "d666d89e06942763ffe50955f75ba4638d2afffcf6630dc4793e9ed72ae46e22"
+
+# a = a^2/2 + 1/2, b = b/2 + a/4: q* = (1, 1/2).  a is critical, so the
+# Newton-direction witness fails, and b is far from the cap y = 1.
+MIXED = system_of(
+    ["a", "b"], [("1/2", {"a": 2}), ("1/2", {})], [("1/2", {"b": 1}), ("1/4", {"a": 1})]
+)
+
+
+def answer_digest(report):
+    answer = json.dumps([rat_str(d.value()) for d in report.approximation])
+    return hashlib.sha256(answer.encode()).hexdigest()
 
 
 def assert_witness(system, approx, upper, eps):
@@ -63,6 +83,19 @@ def test_p1ca_certificates(label, model, kind, h):
         assert h == result.params["h"]
 
 
+def test_p1ca_ceiling_bounds_the_closed_form_grid():
+    # The closed-form h of r = 2 is 5627.  Below the first witness grid (28)
+    # the ceiling refuses it; from 28 up the witness certifies the answer.
+    model = random_p1ca(random.Random(7), 2)
+    with pytest.raises(ParamsInfeasible):
+        termination_probabilities(model, P1CA_EPS, max_h=16)
+    for max_h in (28, 5626):
+        result = termination_probabilities(model, P1CA_EPS, max_h=max_h)
+        assert result.params["h"] == 5627
+        report = result.report
+        assert (report.certificate.kind, report.params.h) == ("witness", 28)
+
+
 @pytest.mark.parametrize("n", [4, 8])
 def test_random_substochastic_witnesses_recheck(n):
     witnesses = 0
@@ -81,25 +114,72 @@ def test_random_substochastic_witnesses_recheck(n):
 
 
 @pytest.fixture(scope="module")
-def chain3_report():
-    return solve(chain_system(3), CHAIN_EPS, SolveOptions(assume_probabilistic=True))
+def chain3_theorem_grid():
+    # At u = 0 the override runs the theorem's grid exactly as the fallback would.
+    return solve(
+        chain_system(3),
+        CHAIN_EPS,
+        SolveOptions(assume_probabilistic=True, h_override=4499, g_override=4498),
+    )
 
 
-def test_critical_chain_falls_back_to_theorem(chain3_report):
-    report = chain3_report
+def test_chain3_theorem_grid_is_unchanged(chain3_theorem_grid):
+    report = chain3_theorem_grid
+    assert report.params.h == 4499 and report.params.g == 4498
+    assert answer_digest(report) == CHAIN3_THEOREM_ANSWER
+
+
+def test_steps_reported_are_steps_taken(chain3_theorem_grid):
+    # Each level of the chain pins well before g = 4498 Newton steps.
+    assert [run.iterations for run in chain3_theorem_grid.scc_runs] == [4498, 2260, 1136]
+
+
+def test_chain3_is_certified_by_the_cap():
+    # q* = (1, 1, 1) is critical, so no Newton-direction witness exists, but
+    # P(1) <= 1 holds exactly: y = 1 certifies the first grid whose iterate
+    # is within eps of it, far below the theorem's h = 4499.
+    system = chain_system(3)
+    report = solve(system, CHAIN_EPS, SolveOptions(assume_probabilistic=True))
+    cert = report.certificate
+    assert report.status == "certified-eps"
+    assert cert.kind == "witness"
+    assert report.params.h == 96 and cert.attempted_h == (24, 48, 96)
+    assert [run.iterations for run in report.scc_runs] == [95, 53, 30]
+    assert cert.upper == (1, 1, 1)
+    approx = [d.value() for d in report.approximation]
+    assert_witness(system, approx, cert.upper, CHAIN_EPS)
+
+
+def test_critical_chain_falls_back_to_theorem():
+    # A critical q* = 1 component below a q* = 1/2 one has neither witness,
+    # so the theorem's grid decides, bit for bit as before the cap witness.
+    report = solve(MIXED, CHAIN_EPS, SolveOptions(assume_probabilistic=True))
     cert = report.certificate
     assert report.status == "certified-eps"
     assert cert.kind == "theorem" and cert.upper is None
-    assert report.params.h == 4499 and report.params.g == 4498
-    assert cert.attempted_h == (24, 48, 96, 192, 384)
+    assert report.params.h == 371 and report.params.g == 370
+    assert cert.attempted_h == (24,)
     assert all(8 * h <= report.params.h for h in cert.attempted_h)
-    answer = json.dumps([rat_str(d.value()) for d in report.approximation])
-    assert hashlib.sha256(answer.encode()).hexdigest() == CHAIN3_THEOREM_ANSWER
+    assert answer_digest(report) == MIXED_THEOREM_ANSWER
 
 
-def test_steps_reported_are_steps_taken(chain3_report):
-    # Each level of the chain pins well before g = 4498 Newton steps.
-    assert [run.iterations for run in chain3_report.scc_runs] == [4498, 2260, 1136]
+def test_cap_requires_exact_post_fixed_point_check():
+    # x = a x^2 + b with roots r1 = 1 - 3 eps/4 < r2 = 1 - 3 eps/8 < 1 (the
+    # probability flag is a false assertion here): the iterate at 2**-24 is
+    # within eps of the cap, yet P(1) > 1, so y = 1 is no witness.  The
+    # Newton-direction step eps overshoots r2 and fails as well.
+    r1, r2 = 1 - 3 * CHAIN_EPS / 4, 1 - 3 * CHAIN_EPS / 8
+    a = 1 / (r1 + r2)
+    system = system_of(["x"], [(a, {"x": 2}), (a * r1 * r2, {})])
+    assert evaluate(system, [rat(1)])[0] > 1
+    report = solve(
+        system,
+        CHAIN_EPS,
+        SolveOptions(assume_probabilistic=True, use_snf=False, h_override=24),
+    )
+    assert 1 - report.approximation[0].value() <= CHAIN_EPS
+    assert report.status == "uncertified"
+    assert report.certificate.kind == "none" and report.certificate.upper is None
 
 
 def test_rescaled_route_finds_witness():
@@ -176,6 +256,21 @@ def test_cli_solve_witness_rechecks(tmp_path):
     upper = [rat(cert["post_fixed_point"][name]) for name in system.names]
     approx = [rat(x) for x in doc["approximation"]]
     assert_witness(system, approx, upper, SUBSTOCH_EPS)
+
+
+def test_cli_solve_cap_witness(tmp_path):
+    system = chain_system(3)
+    code, doc = run_cli(
+        ["solve", "--assume-prob", "--epsilon", rat_str(CHAIN_EPS)], serialize_mps(system), tmp_path
+    )
+    assert code == 0
+    assert doc["status"] == "certified-eps"
+    cert = doc["certificate"]
+    assert cert["kind"] == "witness"
+    assert cert["post_fixed_point"] == {name: "1" for name in system.names}
+    upper = [rat(cert["post_fixed_point"][name]) for name in system.names]
+    approx = [rat(x) for x in doc["approximation"]]
+    assert_witness(system, approx, upper, CHAIN_EPS)
 
 
 def test_cli_p1ca_witness_rechecks(tmp_path):

@@ -295,6 +295,20 @@ class TestSolveCertified:
         with pytest.raises(DivergenceCertified):
             solve(univariate("1", 0, "1"), rat(1, 4), SolveOptions(assume_probabilistic=True))
 
+    def test_rescaled_route_probes_before_newton(self, monkeypatch):
+        # Without the probability flag u > 0, so the probe runs before any
+        # witness grid; otherwise Newton would climb grids of u bits first.
+        calls = []
+
+        def counting_run_rnm(*args, **kwargs):
+            calls.append(args)
+            return run_rnm(*args, **kwargs)
+
+        monkeypatch.setattr("lfpsolve.driver.run_rnm", counting_run_rnm)
+        with pytest.raises(DivergenceCertified):
+            solve(univariate("1", 0, "1"), rat(1, 2))
+        assert calls == []
+
     def test_linear_divergence_negative_solution(self):
         # x = 2x + 1 solves to -1: certifiably no non-negative fixed point.
         with pytest.raises(DivergenceCertified):
