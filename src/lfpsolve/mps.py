@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from math import lcm
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DegreeTooHigh, NotMonotone, ParseError
 from .ratmath import ONE, ZERO, den, num, rat, rat_str
@@ -234,14 +235,66 @@ def evaluate(sys: MonotoneSystem, z: Sequence) -> list:
     return out
 
 
+class GridSystem(NamedTuple):
+    """P rewritten for exact evaluation on the 2**-bits grid in integers.
+
+    Equation i is P_i(z) = sum(c * prod z_v**e) / L with integer c, where L
+    is the common denominator of all coefficients.  Each term carries the
+    left shift that brings it to the shared scale 2**(bits * D) of the
+    highest degree D, and ``divisor`` = L * 2**(bits * (D - 1)) takes the
+    sum back to the grid.
+    """
+
+    divisor: int
+    equations: tuple  # per equation: (integer coefficient, exponents, shift) triples
+
+
+def grid_system(sys: MonotoneSystem, bits: int) -> GridSystem:
+    """The integer form of P on the 2**-bits grid, built once per probe."""
+    denominator = lcm(*(den(mono.coeff) for terms in sys.equations for mono in terms))
+    degree = max(sys.degree(), 1)
+    equations = tuple(
+        tuple(
+            (num(mono.coeff) * (denominator // den(mono.coeff)), mono.exponents, bits * (degree - mono.degree))
+            for mono in terms
+        )
+        for terms in sys.equations
+    )
+    return GridSystem(denominator << (bits * (degree - 1)), equations)
+
+
+def evaluate_on_grid(grid: GridSystem, m: Sequence[int]) -> list:
+    """floor(2**bits * P(m * 2**-bits)) for non-negative integer mantissas m,
+    with bits as given to ``grid_system``.
+
+    Every term is accumulated at the shared scale and each coordinate ends
+    in a single floor division, so no rational is ever normalized.
+    """
+    divisor = grid.divisor
+    out = []
+    for terms in grid.equations:
+        acc = 0
+        for coeff, exponents, shift in terms:
+            value = coeff
+            for v, e in exponents:
+                mv = m[v]
+                if mv == 0:
+                    break
+                value *= mv if e == 1 else mv**e
+            else:
+                acc += value << shift
+        out.append(acc // divisor)
+    return out
+
+
 def eval_jacobian(sys: MonotoneSystem, z: Sequence) -> list:
-    """Exact Jacobian B(z) for a quadratic system (degree <= 2)."""
+    """Exact Jacobian B(z) for a quadratic system (degree <= 2), as sparse
+    rows: row i is a {column: value} dict holding only the nonzero entries."""
     if len(z) != sys.n:
         raise ValueError("point has wrong dimension")
-    n = sys.n
-    b = [[ZERO] * n for _ in range(n)]
+    b = []
     for i, terms in enumerate(sys.equations):
-        row = b[i]
+        row = {}
         for mono in terms:
             d = mono.degree
             if d > 2:
@@ -253,15 +306,32 @@ def eval_jacobian(sys: MonotoneSystem, z: Sequence) -> list:
                 continue
             if d == 1:
                 ((v, _),) = mono.exponents
-                row[v] = row[v] + mono.coeff
+                _add_entry(row, v, mono.coeff)
             elif len(mono.exponents) == 1:  # c * x_v^2
                 ((v, _),) = mono.exponents
-                row[v] = row[v] + 2 * mono.coeff * z[v]
+                if z[v]:
+                    _add_entry(row, v, 2 * mono.coeff * z[v])
             else:  # c * x_a * x_b with a < b
                 (a, _), (bb, _) = mono.exponents
-                row[a] = row[a] + mono.coeff * z[bb]
-                row[bb] = row[bb] + mono.coeff * z[a]
+                if z[bb]:
+                    _add_entry(row, a, mono.coeff * z[bb])
+                if z[a]:
+                    _add_entry(row, bb, mono.coeff * z[a])
+        b.append(row)
     return b
+
+
+def _add_entry(row: dict, j: int, value) -> None:
+    """row[j] += value for a nonzero value, keeping exact zeros out of row."""
+    prev = row.get(j)
+    if prev is None:
+        row[j] = value
+        return
+    total = prev + value
+    if total:
+        row[j] = total
+    else:
+        del row[j]
 
 
 def c_min(sys: MonotoneSystem):

@@ -10,15 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoFiniteLfp
-from .mps import MonotoneSystem, evaluate
+from .mps import MonotoneSystem, evaluate, evaluate_on_grid, grid_system
 from .ratmath import (
     ONE,
     ZERO,
+    Dyadic,
     den,
+    dyadic_exceeds_pow2,
     is_perfect_square,
     num,
     rat,
-    rational_exceeds_pow2,
     sqrt_bounds,
     sqrt_exact,
     zeros_vector,
@@ -61,24 +62,41 @@ def detect_divergence(
     every iterate is a lower bound on any finite LFP, and exceeding an upper
     bound that every finite LFP must respect certifies that none exists.
     Rounding keeps iterates at a fixed number of fractional bits instead of
-    doubling them each step.  The rounded map is deterministic, so once an
-    iterate repeats the sequence is constant and can never cross the bound:
-    the probe stops there.  The probe is one-directional: a False answer
-    proves nothing (the budget keeps runaway growth from eating the machine).
+    doubling them each step.  The iterates are kept as integer mantissas m
+    (x = m * 2**-PROBE_GRID_BITS) and each step is computed in integers
+    only, by ``mps.evaluate_on_grid`` over the coefficients' common
+    denominator.  The rounded map is deterministic, so once an iterate
+    repeats the sequence is constant and can never cross the bound: the
+    probe stops there.  The probe is one-directional: a False answer proves
+    nothing (the budget, on the bit size of the iterates as reduced
+    fractions, keeps runaway growth from eating the machine).
     """
-    scale = 1 << PROBE_GRID_BITS
-    x = zeros_vector(sys.n)
+    grid = grid_system(sys, PROBE_GRID_BITS)
+    # Each coordinate's reduced size is at most its mantissa's bit length
+    # plus PROBE_GRID_BITS + 1, so the exact count is needed only near the
+    # budget.
+    slack = (PROBE_GRID_BITS + 1) * sys.n
+    x = [0] * sys.n
     for _ in range(max_steps):
-        nxt = [rat((num(v) << PROBE_GRID_BITS) // den(v), scale) for v in evaluate(sys, x)]
-        if any(rational_exceeds_pow2(xi, qmax_exponent) for xi in nxt):
+        nxt = evaluate_on_grid(grid, x)
+        # The crossing test is monotone in the mantissa: the largest decides.
+        if nxt and dyadic_exceeds_pow2(Dyadic(max(nxt), PROBE_GRID_BITS), qmax_exponent):
             return True
         if nxt == x:
             return False
         x = nxt
-        size = sum(num(xi).bit_length() + den(xi).bit_length() for xi in x)
-        if size > bit_budget:
+        if sum(map(int.bit_length, x)) + slack > bit_budget and sum(map(_reduced_bits, x)) > bit_budget:
             return False
     return False
+
+
+def _reduced_bits(m: int) -> int:
+    """Numerator plus denominator bit lengths of m * 2**-PROBE_GRID_BITS in
+    lowest terms."""
+    if m == 0:
+        return 1  # 0/1
+    twos = min((m & -m).bit_length() - 1, PROBE_GRID_BITS)
+    return m.bit_length() - twos + PROBE_GRID_BITS - twos + 1
 
 
 @dataclass(frozen=True)

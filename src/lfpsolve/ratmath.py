@@ -1,4 +1,4 @@
-"""Exact arithmetic: rationals, dyadic fixed-point values, and dense
+"""Exact arithmetic: rationals, dyadic fixed-point values, and sparse
 rational linear algebra.
 
 Every certificate in this package rests on intermediate values being exact,
@@ -201,15 +201,14 @@ def dyadic_exceeds_pow2(d: Dyadic, exponent: int) -> bool:
     return (m & (m - 1)) != 0  # m has 2**total as its top bit; more bits => greater
 
 
-# --- dense rational linear algebra -------------------------------------------
+# --- sparse rational linear algebra ------------------------------------------
 #
-# RVector / RMatrix are plain lists (rows as lists); dimensions are validated
-# at the entry points that need them.  At the sizes this solver meets
-# (components of a decomposed system) dense exact elimination is the right
-# tool; sparse solvers are out of scope.
-
-RVector = list
-RMatrix = list
+# Vectors are plain lists.  A matrix is a list of rows, and each row is a
+# {column: nonzero rational} dict: the Jacobian of a decomposed component has
+# only a few nonzeros per row, so work proportional to the nonzeros, not to
+# n**2, is what keeps each exact Newton step cheap.  Entries that are exactly
+# zero are never stored.  Dimensions are validated at the entry points that
+# need them.
 
 
 def zeros_vector(n: int) -> list:
@@ -220,22 +219,28 @@ def ones_vector(n: int) -> list:
     return [ONE] * n
 
 
-def identity_minus(b: Sequence[Sequence]) -> list:
-    """I - B for a square matrix B."""
-    n = len(b)
+def identity_minus(b: Sequence[dict]) -> list:
+    """I - B for a square matrix B given as sparse rows."""
     out = []
-    for i in range(n):
-        row = [-x for x in b[i]]
-        row[i] = ONE + row[i]
-        out.append(row)
+    for i, row in enumerate(b):
+        neg = {j: -v for j, v in row.items()}
+        diagonal = ONE - row[i] if i in row else ONE
+        if diagonal:
+            neg[i] = diagonal
+        else:
+            del neg[i]
+        out.append(neg)
     return out
 
 
-def mat_vec_mul(a: Sequence[Sequence], x: Sequence) -> list:
+def mat_vec_mul(a: Sequence, x: Sequence) -> list:
+    """A x for sparse rows, or for dense list rows."""
     out = []
     for row in a:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
         acc = ZERO
-        for coeff, xv in zip(row, x):
+        for j, coeff in items:
+            xv = x[j]
             if coeff != 0 and xv != 0:
                 acc = acc + coeff * xv
         out.append(acc)
@@ -255,44 +260,99 @@ def inf_norm(v: Sequence):
     return worst
 
 
-def solve_linear(a: Sequence[Sequence], b: Sequence) -> list:
-    """Exact solution of A x = b for square A by rational Gaussian elimination.
+def _sparse_rows(a: Sequence) -> list:
+    """Private sparse copies of the rows of a square matrix; dense list rows
+    are converted here, once."""
+    n = len(a)
+    rows = []
+    for row in a:
+        if isinstance(row, dict):
+            if any(not 0 <= j < n for j in row):
+                raise ValueError("matrix must be square")
+            rows.append({j: v for j, v in row.items() if v != 0})
+        else:
+            if len(row) != n:
+                raise ValueError("matrix must be square")
+            rows.append({j: v for j, v in enumerate(row) if v != 0})
+    return rows
 
-    The pivot is the first row with a nonzero entry in the current column:
-    exact arithmetic needs no magnitude-based pivoting, and a fixed rule
-    keeps runs reproducible.  Raises SingularMatrix when a column has no
-    pivot, which during Newton iteration signals an undefined iterate.
+
+def solve_linear(a: Sequence, b: Sequence) -> list:
+    """Exact solution of A x = b for square A by sparse rational elimination.
+
+    A is given as sparse rows ({column: value} dicts) or as dense lists.
+    Pivots follow Markowitz's rule: among the remaining diagonal entries
+    that are nonzero, take the one with the smallest (row nonzeros - 1) *
+    (column nonzeros - 1), which bounds the fill-in it can create, breaking
+    ties on the lowest index so runs are reproducible.  When no nonzero
+    diagonal entry remains, the lowest remaining column with a nonzero
+    entry pivots on its lowest row.  Entries that cancel to exactly 0 are
+    dropped, so the counts and the singularity test see true nonzeros.
+    Exact arithmetic makes the solution independent of the pivot order and
+    needs no magnitude-based pivoting.  Raises SingularMatrix when no
+    nonzero entry is left to pivot on, which during Newton iteration
+    signals an undefined iterate.
     """
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
+    rows = _sparse_rows(a)
     if len(b) != n:
         raise ValueError("right-hand side has wrong dimension")
-    m = [list(row) for row in a]
     rhs = list(b)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix(f"no pivot in column {col}")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        lead = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] / lead
-            m[r][col] = ZERO
-            for c in range(col + 1, n):
-                if m[col][c] != 0:
-                    m[r][c] = m[r][c] - factor * m[col][c]
-            rhs[r] = rhs[r] - factor * rhs[col]
+    cols = [set() for _ in range(n)]  # column -> remaining rows with a nonzero there
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    remaining = list(range(n))  # columns not yet pivoted, ascending
+    row_done = [False] * n
+    pivots = []  # (row, column) in elimination order
+    for _ in range(n):
+        pr = pc = None
+        best = None
+        for i in remaining:
+            if not row_done[i] and i in rows[i]:
+                score = (len(rows[i]) - 1) * (len(cols[i]) - 1)
+                if best is None or score < best:
+                    pr, pc, best = i, i, score
+                    if score == 0:
+                        break
+        if pr is None:
+            pc = next((j for j in remaining if cols[j]), None)
+            if pc is None:
+                raise SingularMatrix(f"no pivot in column {remaining[0]}")
+            pr = min(cols[pc])
+        pivot_row = rows[pr]
+        lead = pivot_row[pc]
+        for j in pivot_row:
+            cols[j].discard(pr)
+        others = [(j, v) for j, v in pivot_row.items() if j != pc]
+        pivot_rhs = rhs[pr]
+        for r in cols[pc]:
+            row = rows[r]
+            factor = row.pop(pc) / lead
+            for j, v in others:
+                prev = row.get(j)
+                if prev is None:
+                    row[j] = -factor * v
+                    cols[j].add(r)
+                else:
+                    updated = prev - factor * v
+                    if updated:
+                        row[j] = updated
+                    else:
+                        del row[j]
+                        cols[j].discard(r)
+            if pivot_rhs:
+                rhs[r] = rhs[r] - factor * pivot_rhs
+        cols[pc] = set()
+        remaining.remove(pc)
+        row_done[pr] = True
+        pivots.append((pr, pc))
     x = zeros_vector(n)
-    for r in range(n - 1, -1, -1):
-        acc = rhs[r]
-        row = m[r]
-        for c in range(r + 1, n):
-            if row[c] != 0 and x[c] != 0:
-                acc = acc - row[c] * x[c]
-        x[r] = acc / row[r]
+    for pr, pc in reversed(pivots):
+        row = rows[pr]
+        acc = rhs[pr]
+        for j, v in row.items():
+            if j != pc and x[j] != 0:
+                acc = acc - v * x[j]
+        x[pc] = acc / row[pc]
     return x

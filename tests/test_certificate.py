@@ -40,6 +40,9 @@ CHAIN_EPS = rat(1, 2**16)
 CHAIN3_THEOREM_ANSWER = "7cc04c8f9eea53678301ee9bfb8439de1641e447fe0962b76f7461bee375c42b"
 # The same digest for MIXED (below) at 2**-16 on its theorem grid h = 371.
 MIXED_THEOREM_ANSWER = "d666d89e06942763ffe50955f75ba4638d2afffcf6630dc4793e9ed72ae46e22"
+# SHA-256 of random_outcomes() below: substochastic n = 8, seeds 0-19, in
+# certified and adaptive mode, and random_p1ca(Random(7), r) for r = 1..3.
+RANDOM_OUTCOMES = "fa51ea10fa3467c59eef1f994dfecd8db649c6020747f0c3f6f222b407fced98"
 
 # a = a^2/2 + 1/2, b = b/2 + a/4: q* = (1, 1/2).  a is critical, so the
 # Newton-direction witness fails, and b is far from the cap y = 1.
@@ -51,6 +54,32 @@ MIXED = system_of(
 def answer_digest(report):
     answer = json.dumps([rat_str(d.value()) for d in report.approximation])
     return hashlib.sha256(answer.encode()).hexdigest()
+
+
+def _outcome(report):
+    cert = report.certificate
+    upper = None if cert.upper is None else [rat_str(rat(y)) for y in cert.upper]
+    approx = [rat_str(d.value()) for d in report.approximation]
+    return [report.status, report.params.h, approx, cert.kind, upper, list(cert.attempted_h)]
+
+
+def random_outcomes():
+    """Every exact answer and certificate of a fixed set of random inputs."""
+    outcomes = []
+    for seed in range(20):
+        system = random_substochastic(random.Random(seed), 8)
+        for mode in ("certified", "adaptive"):
+            try:
+                report = solve(system, SUBSTOCH_EPS, SolveOptions(mode=mode, assume_probabilistic=True))
+            except ParamsInfeasible as exc:
+                outcomes.append([seed, mode, type(exc).__name__])
+                continue
+            outcomes.append([seed, mode, _outcome(report)])
+    for r in (1, 2, 3):
+        result = termination_probabilities(random_p1ca(random.Random(7), r), P1CA_EPS)
+        entries = [[rat_str(d.value()) for d in row] for row in result.entries]
+        outcomes.append([r, entries, _outcome(result.report)])
+    return hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
 
 
 def assert_witness(system, approx, upper, eps):
@@ -127,6 +156,12 @@ def test_chain3_theorem_grid_is_unchanged(chain3_theorem_grid):
     report = chain3_theorem_grid
     assert report.params.h == 4499 and report.params.g == 4498
     assert answer_digest(report) == CHAIN3_THEOREM_ANSWER
+
+
+def test_random_answers_are_unchanged():
+    # Exact arithmetic makes every answer independent of how the linear
+    # solves and the divergence probe compute it, so these stay bit for bit.
+    assert random_outcomes() == RANDOM_OUTCOMES
 
 
 def test_steps_reported_are_steps_taken(chain3_theorem_grid):

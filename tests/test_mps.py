@@ -3,6 +3,8 @@ normal form, size measure, zero detection, and cleaning."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from lfpsolve import (
@@ -26,6 +28,7 @@ from lfpsolve import (
     value_iterate,
     zero_set_oracle,
 )
+from lfpsolve.mps import evaluate_on_grid, grid_system
 from lfpsolve.ratmath import mat_vec_mul, vec_sub
 
 from conftest import random_substochastic, random_with_zero_variables, univariate
@@ -132,6 +135,30 @@ class TestEvaluation:
             pa, pb = evaluate(sys, a), evaluate(sys, b)
             assert all(x <= y for x, y in zip(pa, pb))
 
+    @pytest.mark.parametrize("bits", [64, 3])
+    def test_grid_evaluation_is_the_exact_floor(self, rng, bits):
+        # Degree up to 3, coefficients over several denominators, and
+        # mantissas that are often 0 (the monomial vanishes) or above 2**bits.
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            names = [f"v{i}" for i in range(n)]
+            eqs = []
+            for _ in range(n):
+                terms = []
+                for _ in range(rng.randint(0, 4)):
+                    powers = {}
+                    for _ in range(rng.randint(0, 3)):
+                        v = rng.choice(names)
+                        powers[v] = powers.get(v, 0) + 1
+                    terms.append((rat(rng.randint(1, 40), rng.choice([1, 2, 3, 7, 12, 1 << 40])), powers))
+                eqs.append(terms)
+            sys = system_of(names, *eqs)
+            grid = grid_system(sys, bits)
+            for _ in range(5):
+                m = [rng.choice([0, rng.randint(0, 1 << bits), rng.randint(0, 1 << (bits + 6))]) for _ in range(n)]
+                exact = evaluate(sys, [rat(mi, 1 << bits) for mi in m])
+                assert evaluate_on_grid(grid, m) == [math.floor(v * (1 << bits)) for v in exact]
+
     def test_helpers(self):
         sys = parse_mps(UNIVARIATE_DOC)
         assert c_min(sys) == rat(1, 2)
@@ -142,16 +169,27 @@ class TestJacobian:
     def test_square_rule(self):
         sys = parse_mps(UNIVARIATE_DOC)
         z = rat(3, 7)
-        assert eval_jacobian(sys, [z]) == [[z]]
+        assert eval_jacobian(sys, [z]) == [{0: z}]
 
     def test_product_rule(self):
         sys = system_of(["x1", "x2"], [("1", {"x1": 1, "x2": 1})], [("1/2", {})])
         a, b = rat(2, 3), rat(5, 7)
-        assert eval_jacobian(sys, [a, b]) == [[b, a], [rat(0), rat(0)]]
+        assert eval_jacobian(sys, [a, b]) == [{0: b, 1: a}, {}]
+
+    def test_zero_entries_are_not_stored(self):
+        sys = system_of(
+            ["x1", "x2"],
+            [("1", {"x1": 1, "x2": 1}), ("1/2", {"x1": 2})],
+            [("1/2", {"x2": 1}), ("1/2", {"x1": 1})],
+        )
+        assert eval_jacobian(sys, [rat(0), rat(3)]) == [{0: rat(3)}, {0: rat(1, 2), 1: rat(1, 2)}]
+        assert eval_jacobian(sys, [rat(0), rat(0)]) == [{}, {0: rat(1, 2), 1: rat(1, 2)}]
+        # Contributions that cancel at a negative point leave no entry.
+        assert eval_jacobian(sys, [rat(-3), rat(3)]) == [{1: rat(-3)}, {0: rat(1, 2), 1: rat(1, 2)}]
 
     def test_linear_constant_jacobian(self):
         sys = univariate(0, "1/2", "1/4")
-        assert eval_jacobian(sys, [rat(9, 5)]) == [[rat(1, 2)]]
+        assert eval_jacobian(sys, [rat(9, 5)]) == [{0: rat(1, 2)}]
 
     def test_degree_too_high(self):
         with pytest.raises(DegreeTooHigh):

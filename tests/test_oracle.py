@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from lfpsolve import (
@@ -9,6 +11,7 @@ from lfpsolve import (
     NoFiniteLfp,
     detect_divergence,
     detect_zero_variables,
+    evaluate,
     oracle,
     rat,
     system_of,
@@ -102,18 +105,52 @@ class TestDivergenceProbe:
                     assert any(xi > rat(2) ** exponent for xi in exact)
         assert fired > 0
 
+    def test_matches_the_rational_probe(self, rng):
+        # The integer probe takes the same steps as rounding each exact
+        # rational P(x) down to the grid, so every verdict, including the
+        # ones the step and bit budgets decide, is the same.
+        verdicts = set()
+        for _ in range(60):
+            sys = random_with_zero_variables(rng, rng.randint(1, 5))
+            if rng.random() < 0.3:
+                sys = univariate("1", 0, "1") if rng.random() < 0.5 else univariate(0, "3/2", "1/3")
+            for exponent in (-3, 0, 5, 40):
+                for budget in (70, 200, 1 << 20):
+                    steps = rng.randint(1, 12)
+                    verdict = detect_divergence(sys, exponent, max_steps=steps, bit_budget=budget)
+                    assert verdict == rational_probe(sys, exponent, steps, budget)
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
+
     def test_stops_once_the_rounded_iterate_repeats(self, monkeypatch):
         calls = []
-        real = oracle.evaluate
+        real = oracle.evaluate_on_grid
 
-        def counting(sys, x):
+        def counting(grid, x):
             calls.append(1)
-            return real(sys, x)
+            return real(grid, x)
 
-        monkeypatch.setattr(oracle, "evaluate", counting)
+        monkeypatch.setattr(oracle, "evaluate_on_grid", counting)
         sys = univariate(0, "1/4", "1/4")  # x = x/4 + 1/4, q* = 1/3
         assert not detect_divergence(sys, 0, max_steps=48)
         assert 0 < len(calls) < 48
+
+
+def rational_probe(sys, qmax_exponent, max_steps, bit_budget):
+    """The probe on exact rationals: each P(x) is evaluated exactly, then
+    rounded down to the 2**-64 grid."""
+    x = [rat(0)] * sys.n
+    for _ in range(max_steps):
+        nxt = [rat(math.floor(v * 2**64), 2**64) for v in evaluate(sys, x)]
+        if any(xi > rat(2) ** qmax_exponent for xi in nxt):
+            return True
+        if nxt == x:
+            return False
+        x = nxt
+        size = sum(int(xi.numerator).bit_length() + int(xi.denominator).bit_length() for xi in x)
+        if size > bit_budget:
+            return False
+    return False
 
 
 class TestUnivariateQuadratic:

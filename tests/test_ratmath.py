@@ -7,6 +7,7 @@ import pytest
 from lfpsolve import Dyadic, SingularMatrix, ceil_log2, rat, rat_str, round_down_dyadic, solve_linear
 from lfpsolve.ratmath import (
     dyadic_exceeds_pow2,
+    identity_minus,
     is_perfect_square,
     mat_vec_mul,
     parse_rat,
@@ -120,6 +121,69 @@ class TestThresholdComparisons:
             q = rat(rng.randint(1, 1 << 20), rng.randint(1, 1 << 20))
             e = rng.randint(-25, 25)
             assert rational_exceeds_pow2(q, e) == (q > rat(2) ** e)
+
+
+class TestSparseSolve:
+    def test_zero_diagonal_needs_an_off_diagonal_pivot(self):
+        assert solve_linear([{1: rat(1)}, {0: rat(1)}], [rat(2), rat(3)]) == [rat(3), rat(2)]
+        assert solve_linear([[rat(0), rat(1)], [rat(1), rat(0)]], [rat(2), rat(3)]) == [rat(3), rat(2)]
+        # A scaled cyclic permutation: 2 x1 = 1, 3 x2 = 2, x0 / 4 = 3.
+        a = [{1: rat(2)}, {2: rat(3)}, {0: rat(1, 4)}]
+        assert solve_linear(a, [rat(1), rat(2), rat(3)]) == [rat(12), rat(1, 2), rat(2, 3)]
+
+    def test_rank_deficient_with_nonzero_diagonal(self):
+        # Row 2 is row 0 plus row 1; every diagonal entry is nonzero.
+        a = [[rat(1), rat(1), rat(0)], [rat(0), rat(1), rat(1)], [rat(1), rat(2), rat(1)]]
+        with pytest.raises(SingularMatrix):
+            solve_linear(a, [rat(1), rat(1), rat(1)])
+        with pytest.raises(SingularMatrix):
+            solve_linear([{0: rat(1), 1: rat(1)}, {0: rat(1), 1: rat(1)}], [rat(1), rat(2)])
+
+    def test_dict_rows_match_dense_rows(self, rng):
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            dense = [[rand_rat(rng, 3, 5) if rng.random() < 0.4 else rat(0) for _ in range(n)] for _ in range(n)]
+            sparse = [{j: v for j, v in enumerate(row) if v != 0} for row in dense]
+            b = [rand_rat(rng, 9, 7) for _ in range(n)]
+            try:
+                expected = solve_linear(dense, b)
+            except SingularMatrix:
+                with pytest.raises(SingularMatrix):
+                    solve_linear(sparse, b)
+                continue
+            assert solve_linear(sparse, b) == expected
+
+    def test_random_sparse_systems_solve_exactly(self, rng):
+        solved = 0
+        for _ in range(200):
+            n = rng.randint(1, 20)
+            a = [{j: rand_rat(rng, 9, 7) for j in range(n) if rng.random() < 0.15} for _ in range(n)]
+            # A nonzero on a permutation keeps most systems nonsingular; a
+            # shuffled one leaves diagonal entries missing, so some pivots
+            # must come off the diagonal.
+            perm = list(range(n))
+            if rng.random() < 0.5:
+                rng.shuffle(perm)
+            for i, row in enumerate(a):
+                row[perm[i]] = rat(rng.randint(1, 9), rng.randint(1, 7))
+            a = [{j: v for j, v in row.items() if v != 0} for row in a]
+            b = [rand_rat(rng, 9, 7) for _ in range(n)]
+            try:
+                x = solve_linear(a, b)
+            except SingularMatrix:
+                continue
+            solved += 1
+            assert mat_vec_mul(a, x) == b
+        assert solved >= 180
+
+    def test_input_rows_are_not_modified(self):
+        a = [{0: rat(2), 1: rat(1)}, {0: rat(4), 1: rat(3)}]
+        copy = [dict(row) for row in a]
+        solve_linear(a, [rat(1), rat(1)])
+        assert a == copy
+
+    def test_identity_minus_drops_cancelled_diagonal(self):
+        assert identity_minus([{0: rat(1), 1: rat(1, 2)}, {}]) == [{1: rat(-1, 2)}, {1: rat(1)}]
 
 
 class TestSqrtHelpers:
