@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 parse/validation failure, 2 divergence certified,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -326,9 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first ``main`` call and reused by
+    every later one in the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, NotMonotone, InvalidModel, DegreeTooHigh, StructureViolation) as exc:

@@ -42,7 +42,6 @@ class Scc:
 @dataclass(frozen=True)
 class Decomposition:
     sccs: tuple  # topological order: dependencies precede dependents
-    scc_of: tuple  # variable index -> position in sccs
     depth: int
     nonlinear_depth: int
 
@@ -144,8 +143,7 @@ def decompose(graph: DependencyGraph, sys: MonotoneSystem) -> Decomposition:
     heights = [0] * len(raw)
     nl_heights = [0] * len(raw)
     sccs = []
-    scc_of = [0] * graph.n
-    for pos, cid in enumerate(order):
+    for cid in order:
         members = set(raw[cid])
         nonlinear = _is_nonlinear(sys, members)
         h = 1 + max((heights[d] for d in depends[cid]), default=0)
@@ -159,8 +157,6 @@ def decompose(graph: DependencyGraph, sys: MonotoneSystem) -> Decomposition:
             nonlinear_height=f,
         )
         sccs.append(scc)
-        for v in members:
-            scc_of[v] = pos
     depth = max((s.height for s in sccs), default=0)
     nl_depth = max((s.nonlinear_height for s in sccs), default=0)
-    return Decomposition(tuple(sccs), tuple(scc_of), depth, nl_depth)
+    return Decomposition(tuple(sccs), depth, nl_depth)

@@ -1,23 +1,28 @@
-"""The decomposed solver: LFP bounds, certified parameter selection,
-rescaling, bottom-up per-component Newton runs, and perturbation
-diagnostics.
+"""The decomposed solver: LFP bounds, rescaling, bottom-up per-component
+rounded Newton, post-fixed-point witnesses, and perturbation diagnostics.
 
-Certified mode guarantees ||q* - approx||_inf <= epsilon with approx <= q*
-coordinatewise.  It has one route for every bound q* <= 2**u: it solves
-the rescaled system x = 2**-u P(2**u x), whose LFP is at most 1 (u = 0
-leaves the system as it is), and maps the answer back exactly.  Every
-rounded Newton iterate is a lower bound on q*, so it first looks for a
-cheap witness of the upper side: on a doubling grid it tries y = approx +
-(a small step along (I - B(approx))^-1 1) and, failing that, the cap y = 1
-when approx is within epsilon of it, and checks P(y) <= y exactly, which
-by Knaster-Tarski gives q* <= y.  The cap covers critical systems with
-q* = 1, where I - B(q*) is singular and the first candidate cannot pass.
-Only when no grid well below the theorem's yields a witness does it run
-the rounding parameter h and iteration count g from the convergence
-theorem, using only quantities it can bound soundly (all logarithms
-over-approximated by exact integer ceilings).
-Adaptive mode trades the certificate for feasible parameters: it doubles
-h until two consecutive levels agree and says so in the report status.
+Every mode runs one loop: rounded decomposed Newton on a schedule of 2**-h
+grids, stopping at the first grid that settles.  Rounded Newton iterates
+never overshoot q*; the modes differ in what bounds q* - approx.
+
+- Certified doubles h from ceil(log2(2**u / eps)) + WITNESS_HEADROOM up to
+  min(max_h, h_theorem / WITNESS_SHARE) on the system x = 2**-u P(2**u x),
+  u = max(qmax_exponent, 0), whose LFP is at most 1 (the answer maps back
+  exactly).  A grid settles when y = approx + (a small step along (I -
+  B(approx))^-1 1), or else the cap y = 1 (for critical systems with q* =
+  1, where I - B(q*) is singular), is within epsilon of approx and passes
+  the exact check P(y) <= y, which by Knaster-Tarski gives q* <= y.
+- Adaptive doubles h from ceil(log2(1 / eps)) + WITNESS_HEADROOM up to
+  max_h, unscaled; a grid settles when it agrees with the one before
+  within eps / 4, a heuristic that the report status names.
+- ``h_override`` runs the single given grid, unscaled, in either mode.
+
+When no grid settles, certified doubling runs the divergence probe, the
+ceiling check and the convergence theorem's grid h_theorem (computed only
+from quantities it can bound soundly, every logarithm over-approximated by
+an exact integer ceiling); certified ``h_override`` reports "uncertified";
+adaptive doubling raises ParamsInfeasible; adaptive ``h_override`` reports
+"adaptive-heuristic".
 """
 
 from __future__ import annotations
@@ -148,7 +153,6 @@ class SolveOptions:
     max_h: int = DEFAULT_MAX_H
     keep_traces: bool = False
     qmax_exponent_assert: int | None = None  # user-asserted bound on log2(q*_max)
-    probe_steps: int = 48  # divergence probe budget
 
 
 # --- bounds on the least fixed point -----------------------------------------
@@ -423,86 +427,116 @@ def post_fixed_point_witness(sys: MonotoneSystem, lower, epsilon, h: int):
     return y if y is not None else _cap_candidate(sys, x, epsilon)
 
 
-def _probe_divergence(sys: MonotoneSystem, bounds: LfpBounds, options: SolveOptions) -> None:
+# --- the grid loop -------------------------------------------------------------
+
+
+def _probe_divergence(sys: MonotoneSystem, bounds: LfpBounds) -> None:
     """Cheap certified divergence probe: value iterates are lower bounds on
     any finite LFP, so escaping the upper bound settles the question before
     any expensive parameter choice."""
-    if bounds.qmax_exponent <= (1 << 20) and detect_divergence(
-        sys, bounds.qmax_exponent, max_steps=options.probe_steps
-    ):
+    if bounds.qmax_exponent <= (1 << 20) and detect_divergence(sys, bounds.qmax_exponent):
         raise DivergenceCertified(
             f"value iteration escapes the q*_max bound 2**{bounds.qmax_exponent}; "
             "no finite least fixed point below it exists"
         )
 
 
-def _certified_run(
-    sys: MonotoneSystem,
-    decomp: Decomposition,
-    epsilon,
-    u: int,
-    h_theorem: int,
-    bounds: LfpBounds,
-    options: SolveOptions,
+def _doubling(h: int, limit: int):
+    while h <= limit:
+        yield h
+        h *= 2
+
+
+def _run_grids(
+    sys: MonotoneSystem, decomp: Decomposition, epsilon, bounds: LfpBounds, options: SolveOptions
 ):
-    """The certified route on a cleaned system with q* <= 2**qmax_exponent.
+    """The grid loop of the module docstring on a cleaned system.  Returns
+    (params, dyadics, runs, certificate kind, witness or None, grids tried
+    for a witness), all on the original scale, where grid h - u and 2**u y
+    stand for grid h and witness y of the rescaled system.
 
-    Works on the rescaled system x = 2**-u P(2**u x) with u =
-    max(qmax_exponent, 0), whose LFP 2**-u q* is at most 2**(qmax_exponent
-    - u) <= 1, to tolerance eps / 2**u.  There it runs rounded decomposed
-    Newton (g = h - 1) on the grids h0, 2 h0, 4 h0, ... with h0 =
-    ceil(log2(2**u / eps)) + WITNESS_HEADROOM, as long as h <= h_theorem /
-    WITNESS_SHARE and h <= max_h, and stops at the first whose iterate has
-    a post-fixed-point witness.  When none does, runs h_theorem, which the
-    convergence theorem certifies.
-
-    The divergence probe runs at most once.  For u > 0 it runs first: a
-    divergent system would otherwise climb witness grids of u bits and
-    more before anything noticed.  For u = 0 it runs only when no witness
-    is found, or when the witness exceeds 2**qmax_exponent; a witness y
-    below that bound makes the probe redundant, since value iterates stay
-    below q* <= y and cannot escape it.
-
-    Grid h of the rescaled system is grid h - u of the original one, and a
-    witness y there maps to 2**u y.  Returns (h, dyadics, runs, witness or
-    None, grids tried for a witness), all on the original scale.
+    A singular Newton step ends the certified doubling schedule and leaves
+    the system to the theorem's grid; elsewhere it propagates.  The
+    divergence probe runs once, first, except on certified doubling at u =
+    0 (for u > 0 a divergent system would climb grids of u bits first).
+    There it runs only without a witness or when the witness y exceeds
+    2**qmax_exponent: below it, value iterates stay under q* <= y and
+    cannot escape.
     """
+    certified = options.mode == "certified"
+    doubling = options.h_override is None
+    theorem = certified and doubling
+    cmin = min(ONE, c_min(sys))
+    if theorem:
+        u = max(bounds.qmax_exponent, 0)
+        beta = cmin * min(ONE, HALF * bounds.qmin_lower)
+        alpha = beta / (1 << (2 * u))
+        h_theorem = options.theorem_h
+        if h_theorem is None:
+            n, d, f = sys.n, decomp.depth, decomp.nonlinear_depth
+            h_theorem = _params_general(n, d, f, u, beta, norm_p_one(sys), epsilon) + 1
+        limit = min(options.max_h, h_theorem // WITNESS_SHARE)
+    else:
+        u, alpha, limit = 0, cmin * HALF * min(ONE, bounds.qmin_lower), options.max_h
     scaled = rescale(sys, u)
     tolerance = epsilon / (1 << u)
     threshold = bounds.qmax_exponent - u
-    probed = u > 0
-    if probed:
-        _probe_divergence(sys, bounds, options)
-    attempted = []
-    upper = None
-    h = ceil_log2(ONE / tolerance) + WITNESS_HEADROOM
-    while h * WITNESS_SHARE <= h_theorem and h <= options.max_h:
+    probe_first = u > 0 or not theorem
+    if probe_first:
+        _probe_divergence(sys, bounds)
+    if doubling:
+        h0 = ceil_log2(ONE / tolerance) + WITNESS_HEADROOM
+        grids = ((h, h - 1) for h in _doubling(h0, limit))
+    else:
+        h = options.h_override
+        grids = [(h, options.g_override if options.g_override is not None else max(h - 1, 1))]
+
+    attempted, upper, previous, settled = [], None, None, False
+    for h, g in grids:
         attempted.append(h - u)
         try:
-            dyadics, runs = _run_rdnm(scaled, decomp, h, h - 1, threshold, options.keep_traces)
+            dyadics, runs = _run_rdnm(scaled, decomp, h, g, threshold, options.keep_traces)
         except SingularMatrix:
-            break  # the theorem's run decides this system, as it always did
-        upper = post_fixed_point_witness(scaled, dyadics, tolerance, h)
-        if upper is not None:
+            if not theorem:
+                raise
             break
-        h *= 2
-    if upper is None:
-        if not probed:
-            _probe_divergence(sys, bounds, options)
+        if certified:
+            upper = post_fixed_point_witness(scaled, dyadics, tolerance, h)
+            settled = upper is not None
+        else:
+            current = [dy.value() for dy in dyadics]
+            settled = previous is not None and all(
+                abs(a - b) <= epsilon / 4 for a, b in zip(current, previous)
+            )
+            previous = current
+        if settled:
+            break
+
+    if not probe_first and (
+        upper is None or any(rational_exceeds_pow2(y, threshold) for y in upper)
+    ):
+        _probe_divergence(sys, bounds)
+    kind = "witness" if upper is not None else "none"
+    if not settled and theorem:
         if h_theorem > options.max_h:
             rescaled = f" (u = {u})" if u else ""
             raise ParamsInfeasible(
                 f"certified h = {h_theorem}{rescaled} exceeds the ceiling {options.max_h}"
             )
-        h = h_theorem
-        dyadics, runs = _run_rdnm(scaled, decomp, h, h - 1, threshold, options.keep_traces)
-    else:
-        if not probed and any(rational_exceeds_pow2(y, threshold) for y in upper):
-            _probe_divergence(sys, bounds, options)
+        h, g = h_theorem, h_theorem - 1
+        dyadics, runs = _run_rdnm(scaled, decomp, h, g, threshold, options.keep_traces)
+        kind = "theorem"
+    elif not settled and doubling:
+        raise ParamsInfeasible(
+            f"adaptive refinement passed the ceiling {options.max_h} without settling"
+        )
+    elif upper is not None:
         upper = [y * (1 << u) for y in upper]
-    # m 2**-h times 2**u is m 2**-(h - u): undoing the rescaling only relabels the grid
+    # m 2**-h times 2**u is m 2**-(h - u): undoing the rescaling only relabels
+    # the grid, and g still counts the steps taken on the rescaled grid h
     dyadics = [Dyadic(dy.mantissa, h - u) for dy in dyadics]
-    return h - u, dyadics, runs, upper, tuple(attempted)
+    params = DriverParams(alpha=alpha, h=h - u, g=g, u=u, mode=options.mode)
+    return params, dyadics, runs, kind, upper, tuple(attempted) if certified else ()
 
 
 # --- certified parameter formulas ---------------------------------------------
@@ -548,19 +582,18 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
     """Approximate the least fixed point of x = P(x) to within epsilon.
 
     Pipeline: optional conversion to simple normal form, removal of zero
-    variables, SCC decomposition, certified (or adaptive) parameter choice,
-    bottom-up rounded Newton, undo of rescaling, reinsertion of zeros, and
-    projection back to the original variables.  Certified mode solves the
-    system rescaled by 2**-u, u = max(qmax_exponent, 0), and tries a
-    post-fixed-point witness on small grids before the theorem's h
-    (``theorem_h`` replaces the formula for that h, on the rescaled grid);
-    ``params.h`` and the certificate are on the original scale.  With a
-    manual ``h_override`` only a witness at that grid keeps the status
-    "certified-eps", otherwise it is "uncertified".
+    variables, SCC decomposition, bounds, the grid loop of the module
+    docstring, undo of rescaling, reinsertion of zeros, and projection back
+    to the original variables.  ``theorem_h`` replaces the formula for the
+    certified fallback grid, on the rescaled grid; ``params.h`` and the
+    certificate are on the original scale.  The status is "certified-eps"
+    for a witness or the theorem's grid, "uncertified" for an
+    ``h_override`` grid without a witness, and "adaptive-heuristic" in
+    adaptive mode.
 
     Raises SingularMatrix (Newton undefined), DivergenceCertified (no finite
     LFP below the working bound), or ParamsInfeasible (certified h above the
-    ceiling).
+    ceiling, or no adaptive grid settled below it).
     """
     options = options or SolveOptions()
     epsilon = rat(epsilon)
@@ -623,71 +656,13 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
         }
     )
 
-    cmin = min(ONE, c_min(cleaned))
-    alpha_info = cmin * HALF * min(ONE, bounds.qmin_lower)
-    u = max(bounds.qmax_exponent, 0)
-
-    upper = None
-    attempted = ()
-    if options.mode != "certified" or options.h_override is not None:
-        # The certified route decides itself when to probe (see _certified_run).
-        _probe_divergence(cleaned, bounds, options)
-
-    if options.h_override is not None:
-        h = options.h_override
-        g = options.g_override if options.g_override is not None else max(h - 1, 1)
-        params = DriverParams(alpha=alpha_info, h=h, g=g, u=0, mode=options.mode)
-        dyadics, runs = _run_rdnm(cleaned, decomp, h, g, bounds.qmax_exponent, options.keep_traces)
-        if options.mode == "certified":
-            # The theorem says nothing about a grid chosen by hand; only a
-            # witness at that grid can certify the answer.
-            attempted = (h,)
-            upper = post_fixed_point_witness(cleaned, dyadics, epsilon, h)
-            if upper is not None:
-                kind, status = "witness", "certified-eps"
-            else:
-                kind, status = "none", "uncertified"
-        else:
-            kind, status = "none", "adaptive-heuristic"
-
-    elif options.mode == "certified":
-        beta = cmin * min(ONE, HALF * bounds.qmin_lower)
-        if options.theorem_h is not None:
-            h_theorem = options.theorem_h
-        else:
-            h_theorem = _params_general(n, d, f, u, beta, norm_p_one(cleaned), epsilon) + 1
-        h, dyadics, runs, upper, attempted = _certified_run(
-            cleaned, decomp, epsilon, u, h_theorem, bounds, options
-        )
-        # g counts steps on the rescaled grid h + u
-        params = DriverParams(
-            alpha=beta / (1 << (2 * u)), h=h, g=h + u - 1, u=u, mode="certified"
-        )
-        kind = "witness" if upper is not None else "theorem"
-        status = "certified-eps"
-
-    else:  # adaptive
-        h = ceil_log2(ONE / epsilon) + 8
-        tolerance = epsilon / 4
-        previous = None
-        dyadics = runs = None
-        while True:
-            if h > options.max_h:
-                raise ParamsInfeasible(
-                    f"adaptive refinement passed the ceiling {options.max_h} without settling"
-                )
-            dyadics, runs = _run_rdnm(
-                cleaned, decomp, h, h - 1, bounds.qmax_exponent, options.keep_traces
-            )
-            current = [dy.value() for dy in dyadics]
-            if previous is not None and all(
-                abs(a - b) <= tolerance for a, b in zip(current, previous)
-            ):
-                break
-            previous = current
-            h *= 2
-        params = DriverParams(alpha=alpha_info, h=h, g=h - 1, u=0, mode="adaptive")
-        kind, status = "none", "adaptive-heuristic"
+    params, dyadics, runs, kind, upper, attempted = _run_grids(
+        cleaned, decomp, epsilon, bounds, options
+    )
+    if options.mode == "adaptive":
+        status = "adaptive-heuristic"
+    else:  # the theorem says nothing about an h_override grid; only a witness there certifies
+        status = "uncertified" if kind == "none" else "certified-eps"
 
     approx = to_input(dyadics, Dyadic(0, params.h))
     if upper is not None:

@@ -173,10 +173,6 @@ class Dyadic:
     def value(self):
         return Rat(self.mantissa, 1 << self.scale)
 
-    def shifted_left(self, bits: int) -> "Dyadic":
-        """Exact multiplication by 2**bits (same grid)."""
-        return Dyadic(self.mantissa << bits, self.scale)
-
 
 def round_down_dyadic(v, h: int) -> Dyadic:
     """Largest multiple of 2**-h that is <= max(v, 0)."""

@@ -309,10 +309,35 @@ class TestSolveCertified:
             solve(univariate("1", 0, "1"), rat(1, 2))
         assert calls == []
 
-    def test_linear_divergence_negative_solution(self):
-        # x = 2x + 1 solves to -1: certifiably no non-negative fixed point.
+    @pytest.mark.parametrize(
+        "options",
+        [
+            SolveOptions(mode="adaptive"),
+            SolveOptions(h_override=12),
+            SolveOptions(mode="adaptive", h_override=12),
+        ],
+        ids=["adaptive", "certified-h", "adaptive-h"],
+    )
+    def test_every_other_mode_probes_before_newton(self, monkeypatch, options):
+        # Outside certified doubling the grid loop probes first as well.
+        calls = []
+
+        def counting_run_rnm(*args, **kwargs):
+            calls.append(args)
+            return run_rnm(*args, **kwargs)
+
+        monkeypatch.setattr("lfpsolve.driver.run_rnm", counting_run_rnm)
         with pytest.raises(DivergenceCertified):
-            solve(univariate(0, "2", "1"), rat(1, 4), SolveOptions(assume_probabilistic=True, probe_steps=0))
+            solve(univariate("1", 0, "1"), rat(1, 2), options)
+        assert calls == []
+
+    def test_linear_divergence_negative_solution(self, monkeypatch):
+        # x = 2x + 1 solves to -1: certifiably no non-negative fixed point.
+        # With the probe switched off, the linear component's exact solve
+        # is what finds it.
+        monkeypatch.setattr("lfpsolve.driver.detect_divergence", lambda *args, **kwargs: False)
+        with pytest.raises(DivergenceCertified, match="linear component"):
+            solve(univariate(0, "2", "1"), rat(1, 4), SolveOptions(assume_probabilistic=True))
 
     def test_params_infeasible_ceiling(self):
         with pytest.raises(ParamsInfeasible):
@@ -348,6 +373,17 @@ class TestSolveAdaptive:
     def test_without_probability_flag(self):
         report = solve(univariate(0, "1/2", "1/4"), rat(1, 2**6), SolveOptions(mode="adaptive"))
         assert report.approximation[0].value() == rat(1, 2)
+
+    def test_manual_override_reports_its_grid(self):
+        report = solve(
+            chain_system(3),
+            rat(1, 2**16),
+            SolveOptions(mode="adaptive", assume_probabilistic=True, h_override=30),
+        )
+        assert report.status == "adaptive-heuristic"
+        assert report.certificate.kind == "none"
+        assert report.certificate.attempted_h == ()
+        assert (report.params.h, report.params.g) == (30, 29)
 
     def test_ceiling_raises(self):
         with pytest.raises(ParamsInfeasible):
