@@ -1,28 +1,31 @@
 """The decomposed solver: LFP bounds, rescaling, bottom-up per-component
 rounded Newton, post-fixed-point witnesses, and perturbation diagnostics.
 
-Every mode runs one loop: rounded decomposed Newton on a schedule of 2**-h
-grids, stopping at the first grid that settles.  Rounded Newton iterates
-never overshoot q*; the modes differ in what bounds q* - approx.
+Every mode runs one loop on the cleaned input system: rounded decomposed
+Newton on a schedule of 2**-h grids, stopping at the first grid that
+settles.  Iterates never overshoot q*; the modes differ in what bounds q* -
+approx.
 
-- Certified doubles h from ceil(log2(2**u / eps)) + WITNESS_HEADROOM up to
-  min(max_h, h_theorem / WITNESS_SHARE) on the system x = 2**-u P(2**u x),
-  u = max(qmax_exponent, 0), whose LFP is at most 1 (the answer maps back
-  exactly).  A grid settles when y = approx + (a small step along (I -
-  B(approx))^-1 1), or else the cap y = 1 (for critical systems with q* =
-  1, where I - B(q*) is singular), is within epsilon of approx and passes
-  the exact check P(y) <= y, which by Knaster-Tarski gives q* <= y.
-- Adaptive doubles h from ceil(log2(1 / eps)) + WITNESS_HEADROOM up to
-  max_h, unscaled; a grid settles when it agrees with the one before
-  within eps / 4, a heuristic that the report status names.
-- ``h_override`` runs the single given grid, unscaled, in either mode.
+- Certified runs grid h = H - u with g = H - 1 for H = (h0 + u) 2**k, k =
+  0, 1, ... up to min(max_h, h_theorem / WITNESS_SHARE), h0 = ceil(log2(1 /
+  eps)) + WITNESS_HEADROOM.  A grid settles when y = approx + (a small step
+  along (I - B(approx))^-1 1), or else the cap y = 1 (for critical systems
+  with q* = 1, where I - B(q*) is singular), is within epsilon of approx
+  and passes the exact check P(y) <= y, so q* <= y by Knaster-Tarski.
+- Adaptive doubles h from h0 up to max_h; a grid settles when it agrees
+  with the one before within eps / 4, a heuristic that the report status
+  names.
+- ``h_override`` runs the single given grid in either mode.
 
 When no grid settles, certified doubling runs the divergence probe, the
-ceiling check and the convergence theorem's grid h_theorem (computed only
-from quantities it can bound soundly, every logarithm over-approximated by
-an exact integer ceiling); certified ``h_override`` reports "uncertified";
-adaptive doubling raises ParamsInfeasible; adaptive ``h_override`` reports
-"adaptive-heuristic".
+ceiling check and the theorem's grid; certified ``h_override`` reports
+"uncertified"; adaptive doubling raises ParamsInfeasible; adaptive
+``h_override`` reports "adaptive-heuristic".  The convergence theorem gives
+the grid h_theorem of x = 2**-u P(2**u x), u = max(qmax_exponent, 0), whose
+LFP is at most 1, every logarithm over-approximated by an exact integer
+ceiling.  Rounded Newton commutes with that rescaling bit for bit (grid H
+there is grid H - u here), so the fallback runs grid h_theorem - u of the
+input with g = h_theorem - 1, and the witness grids count H the same way.
 """
 
 from __future__ import annotations
@@ -149,7 +152,7 @@ class SolveOptions:
     use_snf: bool = True
     h_override: int | None = None
     g_override: int | None = None
-    theorem_h: int | None = None  # certified h (rescaled grid) to fall back to, in place of the formula
+    theorem_h: int | None = None  # h_theorem (a grid of the rescaled system) in place of the formula
     max_h: int = DEFAULT_MAX_H
     keep_traces: bool = False
     qmax_exponent_assert: int | None = None  # user-asserted bound on log2(q*_max)
@@ -162,6 +165,8 @@ _POWER_BIT_BUDGET = 1 << 21
 
 def _qmin_candidates(sys: MonotoneSystem, value_iteration_cap: int):
     """Certified lower bounds on q*_min of a cleaned system, with source tags."""
+    if sys.degree() > 2:  # c_min**(2**n - 1) bounds q*_min only for quadratic systems
+        raise DegreeTooHigh("q*_min bounds require a quadratic system (use simple normal form)")
     n = sys.n
     candidates = []
     cmin = min(ONE, c_min(sys))
@@ -177,22 +182,19 @@ def _qmin_candidates(sys: MonotoneSystem, value_iteration_cap: int):
         floor = min(iterate) if iterate else ONE
         if floor > 0:
             candidates.append((floor, "value-iteration"))
+    if not candidates:
+        raise ParamsInfeasible("no computable lower bound on q*_min at this size")
     return candidates
 
 
 def qmin_lower_bound(sys: MonotoneSystem, value_iteration_cap: int = VALUE_ITERATION_CAP):
-    """Best available certified lower bound on the smallest LFP coordinate.
+    """Best available certified lower bound on the smallest LFP coordinate
+    of a quadratic system.
 
     Takes the max of min{1, c_min}**(2**n - 1) and the smallest coordinate
     of the n-fold value iterate (positive after cleaning, and always <= q*).
     """
-    candidates = _qmin_candidates(sys, value_iteration_cap)
-    if not candidates:
-        raise ParamsInfeasible(
-            "no computable lower bound on q*_min at this size; "
-            "raise the value-iteration cap"
-        )
-    return max(value for value, _ in candidates)
+    return max(value for value, _ in _qmin_candidates(sys, value_iteration_cap))
 
 
 def qmax_upper_exponent(sys: MonotoneSystem, assume_probabilistic: bool) -> int:
@@ -211,8 +213,6 @@ def qmax_upper_exponent(sys: MonotoneSystem, assume_probabilistic: bool) -> int:
 
 def compute_bounds(sys: MonotoneSystem, options: SolveOptions) -> LfpBounds:
     candidates = _qmin_candidates(sys, VALUE_ITERATION_CAP)
-    if not candidates:
-        raise ParamsInfeasible("no computable lower bound on q*_min at this size")
     # on ties prefer the value-iteration tag; it is the bound that actually binds
     qmin, source = max(candidates, key=lambda pair: (pair[0], pair[1] == "value-iteration"))
     if options.qmax_exponent_assert is not None:
@@ -452,56 +452,50 @@ def _run_grids(
 ):
     """The grid loop of the module docstring on a cleaned system.  Returns
     (params, dyadics, runs, certificate kind, witness or None, grids tried
-    for a witness), all on the original scale, where grid h - u and 2**u y
-    stand for grid h and witness y of the rescaled system.
+    for a witness).
 
     A singular Newton step ends the certified doubling schedule and leaves
     the system to the theorem's grid; elsewhere it propagates.  The
     divergence probe runs once, first, except on certified doubling at u =
-    0 (for u > 0 a divergent system would climb grids of u bits first).
-    There it runs only without a witness or when the witness y exceeds
-    2**qmax_exponent: below it, value iterates stay under q* <= y and
-    cannot escape.
+    0 (for u > 0 a divergent system would take h + u Newton steps per grid
+    first).  There it runs only without a witness or when the witness y
+    exceeds 2**qmax_exponent: below it, value iterates stay under q* <= y
+    and cannot escape.
     """
     certified = options.mode == "certified"
     doubling = options.h_override is None
     theorem = certified and doubling
-    cmin = min(ONE, c_min(sys))
+    u = max(bounds.qmax_exponent, 0) if theorem else 0
+    beta = min(ONE, c_min(sys)) * min(ONE, HALF * bounds.qmin_lower)
+    limit = options.max_h
     if theorem:
-        u = max(bounds.qmax_exponent, 0)
-        beta = cmin * min(ONE, HALF * bounds.qmin_lower)
-        alpha = beta / (1 << (2 * u))
         h_theorem = options.theorem_h
         if h_theorem is None:
             n, d, f = sys.n, decomp.depth, decomp.nonlinear_depth
             h_theorem = _params_general(n, d, f, u, beta, norm_p_one(sys), epsilon) + 1
-        limit = min(options.max_h, h_theorem // WITNESS_SHARE)
-    else:
-        u, alpha, limit = 0, cmin * HALF * min(ONE, bounds.qmin_lower), options.max_h
-    scaled = rescale(sys, u)
-    tolerance = epsilon / (1 << u)
-    threshold = bounds.qmax_exponent - u
+        limit = min(limit, h_theorem // WITNESS_SHARE)
     probe_first = u > 0 or not theorem
     if probe_first:
         _probe_divergence(sys, bounds)
     if doubling:
-        h0 = ceil_log2(ONE / tolerance) + WITNESS_HEADROOM
-        grids = ((h, h - 1) for h in _doubling(h0, limit))
+        h0 = ceil_log2(ONE / epsilon) + WITNESS_HEADROOM
+        grids = ((big_h - u, big_h - 1) for big_h in _doubling(h0 + u, limit))
     else:
         h = options.h_override
         grids = [(h, options.g_override if options.g_override is not None else max(h - 1, 1))]
 
+    threshold = bounds.qmax_exponent
     attempted, upper, previous, settled = [], None, None, False
     for h, g in grids:
-        attempted.append(h - u)
+        attempted.append(h)
         try:
-            dyadics, runs = _run_rdnm(scaled, decomp, h, g, threshold, options.keep_traces)
+            dyadics, runs = _run_rdnm(sys, decomp, h, g, threshold, options.keep_traces)
         except SingularMatrix:
             if not theorem:
                 raise
             break
         if certified:
-            upper = post_fixed_point_witness(scaled, dyadics, tolerance, h)
+            upper = post_fixed_point_witness(sys, dyadics, epsilon, h)
             settled = upper is not None
         else:
             current = [dy.value() for dy in dyadics]
@@ -523,19 +517,15 @@ def _run_grids(
             raise ParamsInfeasible(
                 f"certified h = {h_theorem}{rescaled} exceeds the ceiling {options.max_h}"
             )
-        h, g = h_theorem, h_theorem - 1
-        dyadics, runs = _run_rdnm(scaled, decomp, h, g, threshold, options.keep_traces)
+        h, g = h_theorem - u, h_theorem - 1
+        dyadics, runs = _run_rdnm(sys, decomp, h, g, threshold, options.keep_traces)
         kind = "theorem"
     elif not settled and doubling:
         raise ParamsInfeasible(
             f"adaptive refinement passed the ceiling {options.max_h} without settling"
         )
-    elif upper is not None:
-        upper = [y * (1 << u) for y in upper]
-    # m 2**-h times 2**u is m 2**-(h - u): undoing the rescaling only relabels
-    # the grid, and g still counts the steps taken on the rescaled grid h
-    dyadics = [Dyadic(dy.mantissa, h - u) for dy in dyadics]
-    params = DriverParams(alpha=alpha, h=h - u, g=g, u=u, mode=options.mode)
+    # u <= max_h here, so 2**(2u) is affordable
+    params = DriverParams(alpha=beta / (1 << (2 * u)), h=h, g=g, u=u, mode=options.mode)
     return params, dyadics, runs, kind, upper, tuple(attempted) if certified else ()
 
 
@@ -583,13 +573,11 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
 
     Pipeline: optional conversion to simple normal form, removal of zero
     variables, SCC decomposition, bounds, the grid loop of the module
-    docstring, undo of rescaling, reinsertion of zeros, and projection back
-    to the original variables.  ``theorem_h`` replaces the formula for the
-    certified fallback grid, on the rescaled grid; ``params.h`` and the
-    certificate are on the original scale.  The status is "certified-eps"
-    for a witness or the theorem's grid, "uncertified" for an
-    ``h_override`` grid without a witness, and "adaptive-heuristic" in
-    adaptive mode.
+    docstring, reinsertion of zeros, and projection back to the original
+    variables.  ``theorem_h`` replaces the formula's h_theorem.  The status
+    is "certified-eps" for a witness or the theorem's grid, "uncertified"
+    for an ``h_override`` grid without a witness, and "adaptive-heuristic"
+    in adaptive mode.
 
     Raises SingularMatrix (Newton undefined), DivergenceCertified (no finite
     LFP below the working bound), or ParamsInfeasible (certified h above the

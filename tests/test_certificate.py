@@ -26,7 +26,7 @@ from lfpsolve import (
     termination_probabilities,
 )
 from lfpsolve.cli import main
-from lfpsolve.errors import ParamsInfeasible
+from lfpsolve.errors import LfpError, ParamsInfeasible
 from lfpsolve.mps import evaluate, serialize_mps
 from lfpsolve.p1ca import build_termination_mps, p1ca_to_json
 from lfpsolve.ratmath import rat_str
@@ -43,6 +43,10 @@ MIXED_THEOREM_ANSWER = "d666d89e06942763ffe50955f75ba4638d2afffcf6630dc4793e9ed7
 # SHA-256 of random_outcomes() below: substochastic n = 8, seeds 0-19, in
 # certified and adaptive mode, and random_p1ca(Random(7), r) for r = 1..3.
 RANDOM_OUTCOMES = "fa51ea10fa3467c59eef1f994dfecd8db649c6020747f0c3f6f222b407fced98"
+
+# SHA-256 of rescaled_outcomes() below: small substochastic systems under
+# asserted q*_max bounds 2 and 4, so u = 1 and u = 2.
+RESCALED_OUTCOMES = "b812946f021551fb3e09c39ea32e942f646ded6c0edf92ad9afd1d1cdb73cbb8"
 
 # a = a^2/2 + 1/2, b = b/2 + a/4: q* = (1, 1/2).  a is critical, so the
 # Newton-direction witness fails, and b is far from the cap y = 1.
@@ -79,6 +83,27 @@ def random_outcomes():
         result = termination_probabilities(random_p1ca(random.Random(7), r), P1CA_EPS)
         entries = [[rat_str(d.value()) for d in row] for row in result.entries]
         outcomes.append([r, entries, _outcome(result.report)])
+    return hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+
+
+def rescaled_outcomes():
+    """Answers, params and certificates at u = 1 and u = 2, where the theorem
+    is stated on x = 2**-u P(2**u x) and the grids run on the input."""
+    outcomes = []
+    for seed in range(20):
+        system = random_substochastic(random.Random(seed), 1 + seed % 3)
+        for u in (1, 2):
+            for use_snf in (True, False):
+                for bits in (10, 20):
+                    options = SolveOptions(qmax_exponent_assert=u, use_snf=use_snf)
+                    try:
+                        report = solve(system, rat(1, 2**bits), options)
+                    except LfpError as exc:
+                        outcomes.append([seed, u, use_snf, bits, type(exc).__name__])
+                        continue
+                    params = report.params
+                    row = [rat_str(params.alpha), params.h, params.g, params.u, params.mode]
+                    outcomes.append([seed, u, use_snf, bits, row + _outcome(report)])
     return hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
 
 
@@ -218,9 +243,9 @@ def test_cap_requires_exact_post_fixed_point_check():
 
 
 def test_rescaled_route_finds_witness():
-    # x = x^2/8 + 1, q* = 4 - 2 sqrt(2), with no bound asserted: the solve
-    # runs on the system rescaled by the worst-case u, yet the first witness
-    # grid certifies it; grids and the witness are on the input's scale.
+    # x = x^2/8 + 1, q* = 4 - 2 sqrt(2), with no bound asserted: the
+    # worst-case u sets the theorem's grid and the step budget, yet the
+    # first witness grid, run on the input system, certifies it.
     system = univariate("1/8", 0, "1")
     eps = rat(1, 2**20)
     report = solve(system, eps, SolveOptions(use_snf=False))
@@ -233,10 +258,84 @@ def test_rescaled_route_finds_witness():
     assert_witness(system, approx, cert.upper, eps)
 
 
+def test_worst_case_u_route_finds_witness():
+    # With no bound asserted u is 950000 here; the witness grid is still
+    # the first one, h = 18, and the witness is exact on the input system.
+    system = random_substochastic(random.Random(2), 2)
+    eps = rat(1, 2**10)
+    report = solve(system, eps)
+    cert = report.certificate
+    assert report.status == "certified-eps"
+    assert cert.kind == "witness"
+    assert report.params.u == 950000
+    assert report.params.h == 18 and cert.attempted_h == (18,)
+    approx = [d.value() for d in report.approximation]
+    assert_witness(system, approx, cert.upper, eps)
+
+
+def test_rescaled_answers_are_unchanged():
+    # Grid H of x = 2**-u P(2**u x) is grid H - u of the input, so running
+    # the grids on the input moves no answer, parameter or certificate.
+    assert rescaled_outcomes() == RESCALED_OUTCOMES
+
+
+def test_witness_grids_keep_the_rescaled_schedule():
+    # Under u = 3 the witness grids are H - u for H = 16 + 3 and 2 (16 + 3),
+    # each with H - 1 steps, and the fallback grid is h_theorem - u with
+    # g = h_theorem - 1: the grids and step budgets of x = 2**-3 P(2**3 x).
+    report = solve(MIXED, rat(1, 2**8), SolveOptions(qmax_exponent_assert=3, use_snf=False))
+    params = report.params
+    assert report.certificate.kind == "theorem"
+    assert report.certificate.attempted_h == (16, 35)
+    assert (params.h, params.g, params.u) == (492, 494, 3)
+
+
+# x = x^2/2 + 1/2, q* = 1 critical; its worst-case bound is u = 4800.
+CRITICAL = univariate("1/2", 0, "1/2")
+
+
+def test_critical_cap_without_probability_flag():
+    # The cap y = 1 is checked on the input system, so q* = 1 is certified
+    # on the first grid whatever u is.
+    report = solve(CRITICAL, CHAIN_EPS)
+    cert = report.certificate
+    assert report.params.u == 4800
+    assert report.status == "certified-eps"
+    assert cert.kind == "witness" and cert.upper == (1,)
+    assert report.params.h == 24 and cert.attempted_h == (24,)
+    assert_witness(CRITICAL, [report.approximation[0].value()], cert.upper, CHAIN_EPS)
+
+
+def test_cli_critical_cap_without_probability_flag(tmp_path):
+    code, doc = run_cli(["solve", "--epsilon", rat_str(CHAIN_EPS)], serialize_mps(CRITICAL), tmp_path)
+    assert code == 0
+    assert doc["status"] == "certified-eps"
+    assert doc["params"]["h"] == 24
+    assert doc["certificate"] == {"kind": "witness", "attempted_h": [24], "post_fixed_point": {"x": "1"}}
+
+
+def _huge_u_system():
+    # The third system drawn here has the worst-case bound u = 114726562500,
+    # far above any ceiling: nothing of size 2**u may be built.
+    rng = random.Random(5)
+    return [random_substochastic(rng, rng.randint(1, 5)) for _ in range(3)][2]
+
+
+def test_huge_u_raises_the_ceiling():
+    with pytest.raises(ParamsInfeasible, match=r"\(u = 114726562500\) exceeds the ceiling"):
+        solve(_huge_u_system(), rat(1, 1024))
+
+
+def test_cli_huge_u_exits_4(tmp_path):
+    code, doc = run_cli(["solve", "--epsilon", "1/1024"], serialize_mps(_huge_u_system()), tmp_path)
+    assert code == 4
+    assert doc["error"]["type"] == "ParamsInfeasible"
+
+
 def test_rescaled_theorem_fallback_is_unchanged():
     # x = x^2/4 + 1 is critical at q* = 2: no witness exists, so the
-    # theorem's grid on the system rescaled by 2**-2 decides the answer,
-    # pinned here bit for bit.
+    # theorem's grid for u = 2 (grid 131 of x = 2**-2 P(4 x), so grid 129 of
+    # the input) decides the answer, pinned here bit for bit.
     report = solve(
         univariate("1/4", 0, "1"),
         rat(1, 2**20),

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from lfpsolve import (
+    DegreeTooHigh,
     DivergenceCertified,
     ParamsInfeasible,
     RnmConfig,
@@ -52,6 +53,19 @@ class TestQminLowerBound:
     def test_constant_system_exact(self):
         sys = univariate(0, 0, "1")
         assert qmin_lower_bound(sys) == rat(1)
+
+    def test_cubic_system_is_refused(self):
+        # a = 1/2, b = a^3/2: q*_min = 1/16, but c_min**(2**n - 1) = 1/8 is
+        # a bound only for quadratic systems.
+        sys = system_of(["a", "b"], [("1/2", {})], [("1/2", {"a": 3})])
+        with pytest.raises(DegreeTooHigh):
+            qmin_lower_bound(sys)
+        with pytest.raises(DegreeTooHigh):
+            compute_bounds(sys, SolveOptions(assume_probabilistic=True))
+        # its normal form is quadratic, and solve bounds q*_min soundly there
+        report = solve(sys, rat(1, 2**10), SolveOptions(assume_probabilistic=True))
+        assert report.bounds.qmin_lower <= rat(1, 16)
+        assert [d.value() for d in report.approximation] == [rat(1, 2), rat(1, 16)]
 
     def test_below_true_minimum_on_analytic_fixtures(self):
         for n in range(2, 9):
@@ -344,8 +358,9 @@ class TestSolveCertified:
             solve(chain_system(3), rat(1, 2**16), SolveOptions(assume_probabilistic=True, max_h=64))
 
     def test_worst_case_params_infeasible_without_probability_flag(self):
-        # Certified mode without any q*max knowledge rescales by an
-        # astronomical exponent; the ceiling must catch it.
+        # Certified mode without any q*max knowledge takes an astronomical
+        # exponent u: the theorem's grid and every witness grid h + u lie
+        # above the ceiling, which must catch it.
         with pytest.raises(ParamsInfeasible):
             solve(chain_system(3), rat(1, 2), SolveOptions(max_h=10_000))
 
