@@ -5,7 +5,9 @@ One Newton iteration at z is z + (I - B(z))^{-1} (P(z) - z), computed
 exactly; the rounded loop then snaps every coordinate down to the 2**-h
 grid (clamping at 0), which keeps iterate bit-sizes linear in h instead of
 doubling per step, while every iterate remains a lower bound on the least
-fixed point.
+fixed point.  The rounded loop keeps each iterate as integer mantissas and
+computes its steps in integers only (``run_rnm``); ``newton_step`` is the
+exact operator on rationals, used for linear components.
 """
 
 from __future__ import annotations
@@ -13,16 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DivergenceCertified
-from .mps import MonotoneSystem, eval_jacobian, evaluate
+from .mps import GridSystem, MonotoneSystem, eval_jacobian, evaluate, grid_system
 from .ratmath import (
     ONE,
+    ZERO,
     Dyadic,
     ceil_log2,
     dyadic_exceeds_pow2,
     identity_minus,
     inf_norm,
     rat,
-    round_down_dyadic,
+    round_down_dyadic,  # unused here; perfbench/spans.py times it at this import
+    solve_integer,
     solve_linear,
     vec_sub,
 )
@@ -75,6 +79,52 @@ def _record(sys: MonotoneSystem, k: int, iterate) -> TraceRecord:
     return TraceRecord(k, tuple(iterate), residual)
 
 
+def _rounded_step(grid: GridSystem, m: list) -> list:
+    """Mantissas of round_down(x + (I - B(x))^-1 (P(x) - x), h) at x = m 2**-h.
+
+    With s = L 2**h (``grid.divisor`` at degree 2), N(m) = L 2**(2h) P(x) and
+    its integer Jacobian J(m) = s B(x), the rows A = s I - J(m) and r = N(m) -
+    s m satisfy I - B(x) = A / s and P(x) - x = r / (s 2**h), so the rounded
+    iterate is max(0, m + floor(A^-1 r)).  Zero patterns match the rational
+    step's, and so does any SingularMatrix.
+    """
+    s = grid.divisor
+    rows, rhs = [], []
+    for i, terms in enumerate(grid.equations):
+        total = 0
+        jac = {}
+        for coeff, exponents, shift in terms:
+            if not exponents:
+                total += coeff << shift
+            elif len(exponents) == 2:
+                (a, _), (b, _) = exponents
+                ma, mb = m[a], m[b]
+                total += coeff * ma * mb
+                if mb:
+                    jac[a] = jac.get(a, 0) + coeff * mb
+                if ma:
+                    jac[b] = jac.get(b, 0) + coeff * ma
+            else:
+                ((v, e),) = exponents
+                mv = m[v]
+                if e == 1:
+                    c = coeff << shift
+                    total += c * mv
+                    jac[v] = jac.get(v, 0) + c
+                elif mv:
+                    total += coeff * mv * mv
+                    jac[v] = jac.get(v, 0) + 2 * coeff * mv
+        row = {j: -value for j, value in jac.items()}
+        diagonal = s - jac.get(i, 0)
+        if diagonal:
+            row[i] = diagonal
+        else:
+            del row[i]
+        rows.append(row)
+        rhs.append(total - s * m[i])
+    return [max(0, mi + p // q) for mi, (p, q) in zip(m, solve_integer(rows, rhs))]
+
+
 def run_rnm(
     sys: MonotoneSystem,
     cfg: RnmConfig,
@@ -84,31 +134,37 @@ def run_rnm(
     """Rounded-down Newton from the all-zero vector.
 
     Each step computes the exact Newton iterate, then rounds every
-    coordinate down to the largest non-negative multiple of 2**-h.  Returns
-    the final iterate and the trace: the number of Newton steps computed
-    and, with ``keep_trace``, one record per iterate (residuals are recorded
-    for diagnostics; they are never a stopping criterion, and cost one
-    extra evaluation of P per step).
+    coordinate down to the largest non-negative multiple of 2**-h.  The
+    iterate is kept as integer mantissas m with x = m 2**-h, and each step
+    is one integer elimination over the coefficients' common denominator
+    (``_rounded_step``), bit for bit the rational step followed by rounding.
+    Returns the final iterate and the trace: the number of Newton steps
+    computed and, with ``keep_trace``, one record per iterate (residuals are
+    recorded for diagnostics; they are never a stopping criterion, and cost
+    one extra evaluation of P per step).
 
     When ``divergence_exponent`` is given, any iterate coordinate exceeding
     2**divergence_exponent raises DivergenceCertified: iterates of a system
     with a finite LFP below that bound can never get there.
     """
-    n = sys.n
-    x = tuple(Dyadic(0, cfg.h) for _ in range(n))
+    n, h = sys.n, cfg.h
+    if sys.degree() > 2:
+        eval_jacobian(sys, [ZERO] * n)  # raises DegreeTooHigh naming the equation
+    grid = grid_system(sys, h, degree=2)
+    m = [0] * n
+    x = tuple(Dyadic(0, h) for _ in range(n))
     records = [_record(sys, 0, x)] if keep_trace else []
     steps = cfg.g
     for k in range(1, cfg.g + 1):
-        values = [d.value() for d in x]
-        nxt = newton_step(sys, values)
-        rounded = tuple(round_down_dyadic(v, cfg.h) for v in nxt)
-        if rounded == x:
+        rounded = _rounded_step(grid, m)
+        if rounded == m:
             # The rounded step is a deterministic map, so a repeated iterate
             # is pinned forever: x^[g] equals this iterate exactly and the
             # remaining iterations can be skipped without changing anything.
             steps = k
             break
-        x = rounded
+        m = rounded
+        x = tuple(Dyadic(mi, h) for mi in m)
         if divergence_exponent is not None:
             for d in x:
                 if dyadic_exceeds_pow2(d, divergence_exponent):

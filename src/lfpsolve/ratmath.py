@@ -1,8 +1,11 @@
 """Exact arithmetic: rationals, dyadic fixed-point values, and sparse
-rational linear algebra.
+linear algebra.
 
 Every certificate in this package rests on intermediate values being exact,
-so this module offers no floating-point escape hatch.  Rationals are
+so this module offers no floating-point escape hatch.  Linear systems are
+solved by one fraction-free sparse elimination on integer rows with content
+reduction (``solve_integer``); ``solve_linear`` scales rational rows to
+integers and feeds it.  Rationals are
 arbitrary-precision fractions kept in lowest terms; gmpy2's ``mpq`` is used
 when present (same semantics as ``fractions.Fraction``, much faster
 normalization), with a pure-stdlib fallback.  All values are immutable and
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .errors import SingularMatrix
@@ -197,10 +200,10 @@ def dyadic_exceeds_pow2(d: Dyadic, exponent: int) -> bool:
     return (m & (m - 1)) != 0  # m has 2**total as its top bit; more bits => greater
 
 
-# --- sparse rational linear algebra ------------------------------------------
+# --- sparse linear algebra ----------------------------------------------------
 #
 # Vectors are plain lists.  A matrix is a list of rows, and each row is a
-# {column: nonzero rational} dict: the Jacobian of a decomposed component has
+# {column: nonzero value} dict: the Jacobian of a decomposed component has
 # only a few nonzeros per row, so work proportional to the nonzeros, not to
 # n**2, is what keeps each exact Newton step cheap.  Entries that are exactly
 # zero are never stored.  Dimensions are validated at the entry points that
@@ -256,44 +259,59 @@ def inf_norm(v: Sequence):
     return worst
 
 
-def _sparse_rows(a: Sequence) -> list:
-    """Private sparse copies of the rows of a square matrix; dense list rows
-    are converted here, once."""
+def _integer_rows(a: Sequence, b: Sequence) -> tuple:
+    """Integer copies of the square system A x = b, each row (right-hand side
+    included) scaled by the lcm of its denominators; dense list rows become
+    sparse here, once."""
     n = len(a)
-    rows = []
-    for row in a:
+    if len(b) != n:
+        raise ValueError("right-hand side has wrong dimension")
+    rows, rhs = [], []
+    for row, bi in zip(a, b):
         if isinstance(row, dict):
             if any(not 0 <= j < n for j in row):
                 raise ValueError("matrix must be square")
-            rows.append({j: v for j, v in row.items() if v != 0})
+            entries = {j: v for j, v in row.items() if v != 0}
         else:
             if len(row) != n:
                 raise ValueError("matrix must be square")
-            rows.append({j: v for j, v in enumerate(row) if v != 0})
-    return rows
+            entries = {j: v for j, v in enumerate(row) if v != 0}
+        scale = lcm(den(bi), *(den(v) for v in entries.values()))
+        rows.append({j: num(v) * (scale // den(v)) for j, v in entries.items()})
+        rhs.append(num(bi) * (scale // den(bi)))
+    return rows, rhs
 
 
 def solve_linear(a: Sequence, b: Sequence) -> list:
-    """Exact solution of A x = b for square A by sparse rational elimination.
+    """Exact solution of A x = b for square A with rational entries.
 
     A is given as sparse rows ({column: value} dicts) or as dense lists.
-    Pivots follow Markowitz's rule: among the remaining diagonal entries
-    that are nonzero, take the one with the smallest (row nonzeros - 1) *
-    (column nonzeros - 1), which bounds the fill-in it can create, breaking
-    ties on the lowest index so runs are reproducible.  When no nonzero
-    diagonal entry remains, the lowest remaining column with a nonzero
-    entry pivots on its lowest row.  Entries that cancel to exactly 0 are
-    dropped, so the counts and the singularity test see true nonzeros.
-    Exact arithmetic makes the solution independent of the pivot order and
-    needs no magnitude-based pivoting.  Raises SingularMatrix when no
-    nonzero entry is left to pivot on, which during Newton iteration
-    signals an undefined iterate.
+    Each row is scaled to integers and solved by ``solve_integer``, the one
+    elimination routine of this package.  Raises SingularMatrix when A has
+    no inverse, which during Newton iteration signals an undefined iterate.
     """
-    n = len(a)
-    rows = _sparse_rows(a)
-    if len(b) != n:
-        raise ValueError("right-hand side has wrong dimension")
-    rhs = list(b)
+    rows, rhs = _integer_rows(a, b)
+    return [Rat(p, q) for p, q in solve_integer(rows, rhs)]
+
+
+def solve_integer(rows: list, rhs: list) -> list:
+    """Exact solution of A x = r for integer sparse rows, as (numerator,
+    denominator) pairs in lowest terms with positive denominators.  Consumes
+    ``rows`` and ``rhs``.
+
+    Fraction-free sparse elimination.  Pivots follow Markowitz's rule: the
+    remaining nonzero diagonal entry with the smallest (row nonzeros - 1) *
+    (column nonzeros - 1), which bounds its fill-in, ties on the lowest
+    index; with no nonzero diagonal entry left, the lowest remaining column
+    with a nonzero entry pivots on its lowest row.  A row with entry c under
+    pivot p becomes (p/g) row - (c/g) pivot row, g = gcd(p, c), and is then
+    divided by its content (the gcd of its entries and right-hand side), so
+    entries stay near the size of the row's own minors.  Entries that cancel
+    to 0 are dropped.  Every update scales a row by a nonzero integer, so
+    the pivots, and the SingularMatrix raised when none is left, are those
+    of rational elimination.
+    """
+    n = len(rows)
     cols = [set() for _ in range(n)]  # column -> remaining rows with a nonzero there
     for i, row in enumerate(rows):
         for j in row:
@@ -324,7 +342,12 @@ def solve_linear(a: Sequence, b: Sequence) -> list:
         pivot_rhs = rhs[pr]
         for r in cols[pc]:
             row = rows[r]
-            factor = row.pop(pc) / lead
+            entry = row.pop(pc)
+            g = gcd(lead, entry)
+            keep, factor = lead // g, entry // g
+            if keep != 1:
+                for j in row:
+                    row[j] *= keep
             for j, v in others:
                 prev = row.get(j)
                 if prev is None:
@@ -337,18 +360,29 @@ def solve_linear(a: Sequence, b: Sequence) -> list:
                     else:
                         del row[j]
                         cols[j].discard(r)
-            if pivot_rhs:
-                rhs[r] = rhs[r] - factor * pivot_rhs
+            value = keep * rhs[r] - factor * pivot_rhs
+            content = gcd(value, *row.values())
+            if content > 1:
+                for j in row:
+                    row[j] //= content
+                value //= content
+            rhs[r] = value
         cols[pc] = set()
         remaining.remove(pc)
         row_done[pr] = True
         pivots.append((pr, pc))
-    x = zeros_vector(n)
+    x = [(0, 1)] * n
     for pr, pc in reversed(pivots):
         row = rows[pr]
-        acc = rhs[pr]
+        p, q = rhs[pr], 1  # the value p/q of rhs - sum of the solved terms
         for j, v in row.items():
-            if j != pc and x[j] != 0:
-                acc = acc - v * x[j]
-        x[pc] = acc / row[pc]
+            xn, xd = x[j]
+            if j != pc and xn:
+                g = gcd(q, xd)
+                p, q = p * (xd // g) - v * xn * (q // g), q // g * xd
+        q *= row[pc]
+        if q < 0:
+            p, q = -p, -q
+        g = gcd(p, q)
+        x[pc] = (p // g, q // g)
     return x

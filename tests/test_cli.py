@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -214,3 +215,32 @@ class TestOtherSubcommands:
     def test_missing_file(self, tmp_path):
         code, out, _ = run_cli(["solve", "--epsilon", "1/2", str(tmp_path / "nope.json")])
         assert code == 1
+
+
+class TestTracePinned:
+    """``--trace`` lines and the JSON report, byte for byte: the rounded
+    Newton kernel builds the iterates that the trace prints."""
+
+    CASES = {
+        "chain3-h8": (
+            ["solve", "--epsilon", "1/16", "--assume-prob", "--trace", "--h", "8"],
+            CHAIN3,
+            "61a92e784f2ddabf4a6e79a2e9a7532ffac6b0e510d4de364a410ae639054302",
+            "28374a49baefaaff8f2b50acfc819e43cffef8425045c7f5d38be42baafc23a2",
+        ),
+        "gambler": (
+            ["p1ca-term", "--epsilon", "1/1024", "--trace"],
+            GAMBLER,
+            "8a6c3b79354ad7c836604d3ad9553b39ea791cb2f8ab74609ff0cf4c599fdefc",
+            "d55ad9d7293bc8a62f80a917780efa3f34d7cb5b2f8ab9ff4e573afcfe0c652b",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_trace_bytes(self, case, tmp_path):
+        args, model, stdout_digest, stderr_digest = self.CASES[case]
+        code, out, err = run_cli(args, model, tmp_path)
+        assert code == 0
+        assert err.count("\n") > 1
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+        assert hashlib.sha256(err.encode()).hexdigest() == stderr_digest

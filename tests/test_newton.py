@@ -13,9 +13,12 @@ from lfpsolve import (
     certify_params_scc,
     newton_step,
     rat,
+    round_down_dyadic,
     run_rnm,
     univariate_quadratic_lfp,
 )
+from lfpsolve.mps import grid_system
+from lfpsolve.newton import _rounded_step
 
 from conftest import univariate
 
@@ -105,6 +108,30 @@ class TestRunRnm:
         final, _ = run_rnm(univariate("2/3", 0, "1/3"), cfg)
         assert rat(1, 2) - final[0].value() <= epsilon
         assert final[0].value() <= rat(1, 2)
+
+
+class TestIntegerKernel:
+    def test_step_down_from_above_floors(self):
+        # At x = 11/8 > q* = 1 the exact step lands on 19/16 = 9.5 / 8, so
+        # the mantissa floors to 9, not 10.
+        assert round_down_dyadic(newton_step(CRITICAL, [rat(11, 8)])[0], 3).mantissa == 9
+        assert _rounded_step(grid_system(CRITICAL, 3, degree=2), [11]) == [9]
+
+    def test_matches_the_rounded_exact_step_at_any_grid_point(self, rng):
+        from conftest import random_substochastic
+
+        for _ in range(100):
+            sys = random_substochastic(rng, rng.randint(1, 5))
+            h = rng.randint(1, 30)
+            m = [rng.randint(0, 3 << h) for _ in range(sys.n)]  # some points lie above q*
+            try:
+                exact = newton_step(sys, [rat(mi, 1 << h) for mi in m])
+            except SingularMatrix as exc:
+                with pytest.raises(SingularMatrix, match=str(exc)):
+                    _rounded_step(grid_system(sys, h, degree=2), m)
+                continue
+            expected = [round_down_dyadic(v, h).mantissa for v in exact]
+            assert _rounded_step(grid_system(sys, h, degree=2), m) == expected
 
 
 class TestCertifyParams:

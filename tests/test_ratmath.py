@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+from math import floor, gcd
+
 import pytest
 
 from lfpsolve import Dyadic, SingularMatrix, ceil_log2, rat, rat_str, round_down_dyadic, solve_linear
@@ -12,6 +16,7 @@ from lfpsolve.ratmath import (
     mat_vec_mul,
     parse_rat,
     rational_exceeds_pow2,
+    solve_integer,
     sqrt_bounds,
     sqrt_upper,
 )
@@ -242,3 +247,148 @@ class TestSolveLinear:
         a = [[rat(1), rat(2)], [rat(2), rat(4)]]
         with pytest.raises(SingularMatrix):
             solve_linear(a, [rat(1), rat(1)])
+
+
+def _dense_reference(a, b):
+    """Gauss-Jordan on Fractions with the first nonzero pivot in each column."""
+    n = len(a)
+    m = [[Fraction(v) for v in row] + [Fraction(bi)] for row, bi in zip(a, b)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if m[r][c])
+        m[c], m[p] = m[p], m[c]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c] / m[c][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+# The columns that _singular_family's matrices name, recorded with the
+# Fraction elimination that solve_integer replaced: scaling rows by nonzero
+# integers keeps every zero pattern, so both must pick the same pivots.
+SINGULAR_COLUMNS = (
+    "214.0.30510.060.06303...1132000103042004..0405.316.1.000.2...230010.00...5.003100.2....021.04100030"
+    ".201110311212.04.662.3006.0..01.12012000.054053.0.2.22.4...04.001.15020.2112000423.3...41.400.031302"
+    "01503.41103..3201211.0400..2111.1123..10.0.41300.30..2.61121.0110.12002033...2052044201406.110312000."
+)
+
+
+def _singular_family():
+    """Sparse rational matrices, half of them with one row a multiple of
+    another; the column each singular one names, or "." when it is regular."""
+    rng = random.Random(2024)
+    out = []
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        a = [{j: rat(rng.randint(-3, 3), rng.randint(1, 4)) for j in range(n) if rng.random() < 0.5} for _ in range(n)]
+        if n > 1 and rng.random() < 0.5:
+            i, k = rng.sample(range(n), 2)
+            a[i] = {j: -2 * v for j, v in a[k].items()}
+        a = [{j: v for j, v in row.items() if v} for row in a]
+        try:
+            solve_linear(a, [rat(rng.randint(-5, 5)) for _ in range(n)])
+            out.append(".")
+        except SingularMatrix as exc:
+            out.append(str(exc).removeprefix("no pivot in column "))
+    return "".join(out)
+
+
+def _random_integer_rows(rng, n, density=0.4):
+    rows = [{j: rng.randint(-9, 9) for j in range(n) if rng.random() < density} for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = rng.choice([-7, -3, 1, 2, 5])
+    return [{j: v for j, v in row.items() if v} for row in rows], [rng.randint(-20, 20) for _ in range(n)]
+
+
+class TestIntegerElimination:
+    def test_negative_solutions_and_determinant(self):
+        # det [[1, 2], [3, 4]] = -2; the solution of A x = (0, 1) is (1, -1/2).
+        pairs = solve_integer([{0: 1, 1: 2}, {0: 3, 1: 4}], [0, 1])
+        assert pairs == [(1, 1), (-1, 2)]
+        assert [p // q for p, q in pairs] == [1, -1]
+        # Negative pivots off the diagonal: -3 x1 = 1, -2 x0 = 5.
+        assert solve_integer([{1: -3}, {0: -2}], [1, 5]) == [(-5, 2), (-1, 3)]
+        assert solve_integer([{0: 2}], [-3]) == [(-3, 2)]
+
+    def test_pairs_are_exact_lowest_terms_with_positive_denominators(self, rng):
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            rows, rhs = _random_integer_rows(rng, n)
+            copies = [dict(row) for row in rows], list(rhs)
+            try:
+                pairs = solve_integer(*copies)
+            except SingularMatrix:
+                continue
+            for p, q in pairs:
+                assert q > 0 and gcd(p, q) == 1
+                assert p // q == floor(Fraction(p, q))
+            x = [Fraction(p, q) for p, q in pairs]
+            assert [sum(v * x[j] for j, v in row.items()) for row in rows] == rhs
+
+    def test_row_scaling_leaves_the_solution_unchanged(self, rng):
+        for _ in range(100):
+            n = rng.randint(1, 7)
+            rows, rhs = _random_integer_rows(rng, n)
+            scales = [rng.choice([-6, -1, 2, 9, 2**40]) for _ in range(n)]
+            scaled = [{j: k * v for j, v in row.items()} for row, k in zip(rows, scales)]
+            try:
+                expected = solve_integer([dict(row) for row in rows], list(rhs))
+            except SingularMatrix as exc:
+                with pytest.raises(SingularMatrix, match=str(exc)):
+                    solve_integer(scaled, [k * r for k, r in zip(scales, rhs)])
+                continue
+            assert solve_integer(scaled, [k * r for k, r in zip(scales, rhs)]) == expected
+
+    def test_updated_rows_lose_their_content(self, rng):
+        # Rows whose entries and right-hand side are coprime stay coprime
+        # through elimination: every updated row is divided by its content.
+        assert_rows = 0
+        for _ in range(100):
+            n = rng.randint(2, 8)
+            rows, rhs = _random_integer_rows(rng, n, density=0.6)
+            if any(gcd(r, *row.values()) != 1 for row, r in zip(rows, rhs)):
+                continue
+            try:
+                solve_integer(rows, rhs)
+            except SingularMatrix:
+                continue
+            for row, r in zip(rows, rhs):
+                assert gcd(r, *row.values()) == 1
+                assert_rows += 1
+        assert assert_rows > 200
+        # x0 + x1 = 1, x0 + 3 x1 = 3: the update leaves 2 x1 = 2, reduced to x1 = 1.
+        rows, rhs = [{0: 1, 1: 1}, {0: 1, 1: 3}], [1, 3]
+        assert solve_integer(rows, rhs) == [(0, 1), (1, 1)]
+        assert (rows[1], rhs[1]) == ({1: 1}, 1)
+
+    def test_singular_inputs_name_the_same_column(self):
+        assert _singular_family() == SINGULAR_COLUMNS
+        cases = [
+            ([[0]], "0"),
+            ([[1, 1, 0], [0, 1, 1], [1, 2, 1]], "2"),
+            ([{0: 1, 1: 1}, {0: 1, 1: 1}], "1"),
+            ([[1, 0, 0], [0, 1, 0], [1, 1, 0]], "2"),
+            ([{1: 1}, {2: 1}, {1: 2}], "0"),
+            ([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [2, 2, 2, 1]], "3"),
+        ]
+        for a, column in cases:
+            a = [{j: rat(v) for j, v in row.items()} if isinstance(row, dict) else [rat(v) for v in row] for row in a]
+            with pytest.raises(SingularMatrix, match=f"^no pivot in column {column}$"):
+                solve_linear(a, [rat(1)] * len(a))
+
+    def test_dict_and_dense_rows_match_a_dense_reference(self, rng):
+        solved = 0
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            dense = [[rand_rat(rng, 5, 12) if rng.random() < 0.6 else rat(0) for _ in range(n)] for _ in range(n)]
+            sparse = [{j: v for j, v in enumerate(row) if v != 0} for row in dense]
+            b = [rand_rat(rng, 9, 10) for _ in range(n)]
+            try:
+                x = solve_linear(dense, b)
+            except SingularMatrix as exc:
+                with pytest.raises(SingularMatrix, match=str(exc)):
+                    solve_linear(sparse, b)
+                continue
+            solved += 1
+            assert solve_linear(sparse, b) == x == _dense_reference(dense, b)
+        assert solved >= 40
