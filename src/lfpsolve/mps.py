@@ -249,11 +249,10 @@ class GridSystem(NamedTuple):
     equations: tuple  # per equation: (integer coefficient, exponents, shift) triples
 
 
-def grid_system(sys: MonotoneSystem, bits: int, degree: int | None = None) -> GridSystem:
-    """The integer form of P on the 2**-bits grid, built once per probe or
-    Newton run; ``degree`` (at least the system's) overrides D."""
+def grid_system(sys: MonotoneSystem, bits: int) -> GridSystem:
+    """The integer form of P on the 2**-bits grid, built once per probe or Newton run."""
     denominator = lcm(*(den(mono.coeff) for terms in sys.equations for mono in terms))
-    degree = degree or max(sys.degree(), 1)
+    degree = max(sys.degree(), 1)
     equations = tuple(
         tuple(
             (num(mono.coeff) * (denominator // den(mono.coeff)), mono.exponents, bits * (degree - mono.degree))

@@ -5,9 +5,8 @@ One Newton iteration at z is z + (I - B(z))^{-1} (P(z) - z), computed
 exactly; the rounded loop then snaps every coordinate down to the 2**-h
 grid (clamping at 0), which keeps iterate bit-sizes linear in h instead of
 doubling per step, while every iterate remains a lower bound on the least
-fixed point.  The rounded loop keeps each iterate as integer mantissas and
-computes its steps in integers only (``run_rnm``); ``newton_step`` is the
-exact operator on rationals, used for linear components.
+fixed point.  The rounded loop steps in integers (``_rounded_step``);
+``newton_step`` is the exact operator, used for linear components.
 """
 
 from __future__ import annotations
@@ -82,8 +81,8 @@ def _record(sys: MonotoneSystem, k: int, iterate) -> TraceRecord:
 def _rounded_step(grid: GridSystem, m: list) -> list:
     """Mantissas of round_down(x + (I - B(x))^-1 (P(x) - x), h) at x = m 2**-h.
 
-    With s = L 2**h (``grid.divisor`` at degree 2), N(m) = L 2**(2h) P(x) and
-    its integer Jacobian J(m) = s B(x), the rows A = s I - J(m) and r = N(m) -
+    With s = ``grid.divisor`` = L 2**((D-1)h), N(m) = L 2**(Dh) P(x) and its
+    integer Jacobian J(m) = s B(x), the rows A = s I - J(m) and r = N(m) -
     s m satisfy I - B(x) = A / s and P(x) - x = r / (s 2**h), so the rounded
     iterate is max(0, m + floor(A^-1 r)).  Zero patterns match the rational
     step's, and so does any SingularMatrix.
@@ -114,12 +113,10 @@ def _rounded_step(grid: GridSystem, m: list) -> list:
                 elif mv:
                     total += coeff * mv * mv
                     jac[v] = jac.get(v, 0) + 2 * coeff * mv
+        diagonal = s - jac.pop(i, 0)
         row = {j: -value for j, value in jac.items()}
-        diagonal = s - jac.get(i, 0)
         if diagonal:
             row[i] = diagonal
-        else:
-            del row[i]
         rows.append(row)
         rhs.append(total - s * m[i])
     return [max(0, mi + p // q) for mi, (p, q) in zip(m, solve_integer(rows, rhs))]
@@ -134,14 +131,12 @@ def run_rnm(
     """Rounded-down Newton from the all-zero vector.
 
     Each step computes the exact Newton iterate, then rounds every
-    coordinate down to the largest non-negative multiple of 2**-h.  The
-    iterate is kept as integer mantissas m with x = m 2**-h, and each step
-    is one integer elimination over the coefficients' common denominator
-    (``_rounded_step``), bit for bit the rational step followed by rounding.
-    Returns the final iterate and the trace: the number of Newton steps
-    computed and, with ``keep_trace``, one record per iterate (residuals are
-    recorded for diagnostics; they are never a stopping criterion, and cost
-    one extra evaluation of P per step).
+    coordinate down to the largest non-negative multiple of 2**-h, on
+    integer mantissas (``_rounded_step``).  Returns the final iterate and
+    the trace: the number of Newton steps computed and, with
+    ``keep_trace``, one record per iterate (residuals are recorded for
+    diagnostics; they are never a stopping criterion, and cost one extra
+    evaluation of P per step).
 
     When ``divergence_exponent`` is given, any iterate coordinate exceeding
     2**divergence_exponent raises DivergenceCertified: iterates of a system
@@ -150,7 +145,7 @@ def run_rnm(
     n, h = sys.n, cfg.h
     if sys.degree() > 2:
         eval_jacobian(sys, [ZERO] * n)  # raises DegreeTooHigh naming the equation
-    grid = grid_system(sys, h, degree=2)
+    grid = grid_system(sys, h)
     m = [0] * n
     x = tuple(Dyadic(0, h) for _ in range(n))
     records = [_record(sys, 0, x)] if keep_trace else []

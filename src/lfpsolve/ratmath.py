@@ -5,11 +5,11 @@ Every certificate in this package rests on intermediate values being exact,
 so this module offers no floating-point escape hatch.  Linear systems are
 solved by one fraction-free sparse elimination on integer rows with content
 reduction (``solve_integer``); ``solve_linear`` scales rational rows to
-integers and feeds it.  Rationals are
-arbitrary-precision fractions kept in lowest terms; gmpy2's ``mpq`` is used
-when present (same semantics as ``fractions.Fraction``, much faster
-normalization), with a pure-stdlib fallback.  All values are immutable and
-all functions are pure, so everything here is safe to share across threads.
+integers and feeds it.  Rationals are arbitrary-precision fractions kept in
+lowest terms; gmpy2's ``mpq`` is used when present (same semantics as
+``fractions.Fraction``, much faster normalization), with a pure-stdlib
+fallback.  All values are immutable and all functions are pure, so
+everything here is safe to share across threads.
 """
 
 from __future__ import annotations

@@ -115,7 +115,14 @@ class TestIntegerKernel:
         # At x = 11/8 > q* = 1 the exact step lands on 19/16 = 9.5 / 8, so
         # the mantissa floors to 9, not 10.
         assert round_down_dyadic(newton_step(CRITICAL, [rat(11, 8)])[0], 3).mantissa == 9
-        assert _rounded_step(grid_system(CRITICAL, 3, degree=2), [11]) == [9]
+        assert _rounded_step(grid_system(CRITICAL, 3), [11]) == [9]
+
+    def test_linear_system_steps_over_the_plain_denominator(self):
+        # x = x/2 + 1/3 has D = 1, so s = L = 6 and the step from 0 lands on
+        # q* = 2/3, whose mantissa at h = 5 is floor(64/3) = 21.
+        grid = grid_system(univariate(0, "1/2", "1/3"), 5)
+        assert grid.divisor == 6
+        assert _rounded_step(grid, [0]) == [21]
 
     def test_matches_the_rounded_exact_step_at_any_grid_point(self, rng):
         from conftest import random_substochastic
@@ -128,10 +135,10 @@ class TestIntegerKernel:
                 exact = newton_step(sys, [rat(mi, 1 << h) for mi in m])
             except SingularMatrix as exc:
                 with pytest.raises(SingularMatrix, match=str(exc)):
-                    _rounded_step(grid_system(sys, h, degree=2), m)
+                    _rounded_step(grid_system(sys, h), m)
                 continue
             expected = [round_down_dyadic(v, h).mantissa for v in exact]
-            assert _rounded_step(grid_system(sys, h, degree=2), m) == expected
+            assert _rounded_step(grid_system(sys, h), m) == expected
 
 
 class TestCertifyParams:
