@@ -1,12 +1,17 @@
 """Solving bottom-up over components, and why depth is expensive.
 
 The chain x_0 = x_0^2/2 + 1/2, x_i = x_i^2/2 + x_{i-1}/2 has one component
-per variable, all nonlinear, so its depth equals its size.  Each level takes
-a square root of the error left by the level below: to get even one correct
-bit at the top of a depth-d chain, the bottom component needs about 2^(d-1)
-Newton iterations.  The convergence theorem's parameters absorb that cost
-with a grid of thousands of bits; here q* = (1, 1, 1), so the solver instead
-certifies a much smaller grid with the exactly checked upper bound y = 1.
+per variable, all nonlinear, so its depth equals its size.  Its q* is all
+ones, and the solver proves that exactly before any Newton step: in every
+row P(1) = 1, and each component's I - B(1) passes exact elimination with
+diagonal pivots, so rho(B(1)) <= 1.
+
+The same chain under x -> 2x, x_0 = x_0^2/4 + 1 and x_i = x_i^2/4 +
+x_{i-1}/2, has q* all twos and P_0(1) = 5/4, so Newton has to do the work.
+Each level takes a square root of the error left by the level below: to
+get the top within 1 of its value, the bottom component needs about
+2^(d-1) Newton iterations.  The convergence theorem's parameters absorb
+that cost with a grid of thousands of bits.
 """
 
 from lfpsolve import (
@@ -21,12 +26,23 @@ from lfpsolve import (
 )
 
 
-def chain(k):
+def chain(k, square="1/2", constant="1/2", feed="1/2"):
     names = [f"x{i}" for i in range(k)]
-    eqs = [[("1/2", {"x0": 2}), ("1/2", {})]]
+    eqs = [[(square, {"x0": 2}), (constant, {})]]
     for i in range(1, k):
-        eqs.append([("1/2", {f"x{i}": 2}), ("1/2", {f"x{i-1}": 1})])
+        eqs.append([(square, {f"x{i}": 2}), (feed, {f"x{i-1}": 1})])
     return system_of(names, *eqs)
+
+
+def doubled_chain(k):
+    return chain(k, square="1/4", constant="1")
+
+
+def gap_below_two(d):
+    gap = 2 - d.value()
+    if gap == 0:
+        return "exactly 2"
+    return f"below 2 by about 2^-{gap.denominator.bit_length() - gap.numerator.bit_length()}"
 
 
 sys6 = chain(6)
@@ -36,34 +52,48 @@ for scc in decomp.sccs:
     print(f"  component {scc.vars}  nonlinear={scc.nonlinear}  height={scc.height}")
 print(f"  depth d = {decomp.depth}, nonlinear depth f = {decomp.nonlinear_depth}")
 
-print("\nHow many bottom iterations until the top is within 1/2 of its value?")
-print("Bottom error after g iterations is exactly 2^-g, and propagating it")
-print("up five levels leaves error 2^(-g/32), so g must reach 2^(d-1) = 32:")
-bottom = system_of(["x0"], [("1/2", {"x0": 2}), ("1/2", {})])
+print("\nq* = 1 is proved exactly, with no probability flag and no Newton step:")
+eps = rat(1, 2**16)
+for label, system in (("chain(3)", chain(3)), ("x = x^2/2 + 1/2", chain(1))):
+    report = solve(system, eps)
+    values = [str(d.value()) for d in report.approximation]
+    steps = [run.iterations for run in report.scc_runs]
+    print(f"  {label}: {report.status}, approximation {values}")
+    print(f"    proved exactly 1: {report.certificate.exact_one}; Newton steps per component {steps}")
+
+print("\nThe doubled chain: how many bottom iterations until the top of six")
+print("levels is within 1 of its value 2?  Rounded Newton on the bottom halves")
+print("its error each step, and each level above takes the square root of")
+print("half the error below, so the bottom error must fall to 2^-31, which takes")
+print("g = 2^(d-1) = 32 steps:")
+bottom = doubled_chain(1)
 threshold = rat(1, 2)
 for _ in range(5):
     threshold *= threshold  # 1/2 squared once per upper level
+threshold *= 2  # back on the doubled scale: an error 2 e on the chain's e
 for g in (8, 16, 31, 32):
     final, _ = run_rnm(bottom, RnmConfig(h=80, g=g))
-    a0 = rat(1) - final[0].value()
-    verdict = "top error <= 1/2" if a0 <= threshold else "top still off by more than 1/2"
-    print(f"  g={g:>2}: bottom error 2^-{g}  ->  {verdict}")
+    a0 = 2 - final[0].value()
+    verdict = "top error <= 1" if a0 <= threshold else "top still off by more than 1"
+    print(f"  g={g:>2}: bottom error {a0}  ->  {verdict}")
 
-print("\nCertified solve of the 3-variable chain (termination-probability flag")
-print("gives the q*max <= 1 bound that keeps parameters finite):")
-eps = rat(1, 2**16)
-report = solve(chain(3), eps, SolveOptions(assume_probabilistic=True))
-print(f"  status {report.status}; h={report.params.h}, g={report.params.g}")
+print("\nCertified solve of the depth-3 doubled chain under the asserted bound")
+print("q* <= 2 (no normal form, so u = 1): the grids tried for a witness fail at")
+print("the critical q*, and the theorem's grid runs, with the bottom component")
+print("taking every one of its g steps:")
+report = solve(doubled_chain(3), eps, SolveOptions(qmax_exponent_assert=1, use_snf=False))
 cert = report.certificate
-upper = [str(y) for y in cert.upper]
-print(f"  certificate {cert.kind} after grids {cert.attempted_h}: y = {upper}")
-print("  (P(y) <= y holds exactly, so q* <= y, and the answer is within eps of y)")
+print(f"  status {report.status}; certificate {cert.kind} after grids {cert.attempted_h}")
+print(f"  h = {report.params.h}, g = {report.params.g}")
+print(f"  Newton steps per component: {[run.iterations for run in report.scc_runs]}")
 for name, d in zip(report.names, report.approximation):
-    print(f"  {name}: below 1 by {float(1 - d.value()):.3e}  (eps = 2^-16)")
+    print(f"  {name}: {gap_below_two(d)}  (eps = 2^-16)")
 
 print("\nThe same solve in adaptive mode (no certificate; it doubles h until two")
 print("consecutive grids agree within eps/4):")
-report = solve(chain(3), eps, SolveOptions(mode="adaptive", assume_probabilistic=True))
+report = solve(
+    doubled_chain(3), eps, SolveOptions(mode="adaptive", qmax_exponent_assert=1, use_snf=False)
+)
 print(f"  status {report.status}; settled at h={report.params.h}")
 for name, d in zip(report.names, report.approximation):
-    print(f"  {name}: below 1 by {float(1 - d.value()):.3e}")
+    print(f"  {name}: {gap_below_two(d)}")

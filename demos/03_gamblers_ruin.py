@@ -4,8 +4,9 @@ A gambler bets one unit at a time: the counter is their bankroll, and the
 game ends on first hitting zero.  With up-probability 2/3 the ruin
 probability from bankroll 1 is the least root of x = (2/3) x^2 + 1/3,
 namely 1/2; with up-probability 1/3 ruin is certain.  The solver builds the
-pair-variable equation system, picks a polynomial-size rounding parameter,
-and certifies the answer.
+pair-variable equation system, proves exactly which probabilities are 1,
+picks a polynomial-size rounding parameter for the rest, and certifies the
+answer.
 """
 
 from lfpsolve import (
@@ -53,10 +54,11 @@ print(f"Computed G-matrix entry: {value}")
 print(f"  |value - 1/2| = {float(abs(value - rat(1, 2))):.3e} <= 2^-20")
 print(f"  status: {matrix.report.status}")
 
-print("\nUnfavourable odds (up-probability 1/3): ruin is certain.")
+print("\nUnfavourable odds (up-probability 1/3): ruin is certain.  Every row")
+print("has P(1) = 1 and B(1) = 2/3 <= 1, so an exact pre-pass proves q* = 1")
+print("before any Newton step:")
 matrix = termination_probabilities(gambler("1/3"), eps)
-value = matrix.entries[0][0].value()
-print(f"  entry = {value}  (below 1 by {float(1 - value):.3e})")
+print(f"  entry = {matrix.entries[0][0].value()}, proved exactly 1: {matrix.report.certificate.exact_one}")
 
 print("\nA two-state automaton with a zero row in its G-matrix:")
 model2 = P1CA(

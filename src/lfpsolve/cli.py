@@ -62,6 +62,8 @@ def _certificate_json(report: SolveReport) -> dict:
     input variable, which P(y) <= y re-checks with no solver code."""
     cert = report.certificate
     out = {"kind": cert.kind, "attempted_h": list(cert.attempted_h)}
+    if cert.exact_one:
+        out["exact_one"] = list(cert.exact_one)
     if cert.upper is not None:
         out["post_fixed_point"] = {
             name: rat_str(value) for name, value in zip(report.names, cert.upper)

@@ -1,7 +1,48 @@
-"""The decomposed solver: LFP bounds, rescaling, bottom-up per-component
-rounded Newton, post-fixed-point witnesses, and perturbation diagnostics.
+"""The decomposed solver: an exact q* = 1 pre-pass, LFP bounds, rescaling,
+bottom-up per-component rounded Newton, post-fixed-point witnesses, and
+perturbation diagnostics.
 
-Every mode runs one loop on the cleaned input system: rounded decomposed
+Every mode first proves which coordinates of the cleaned system have q* = 1
+(Etessami-Yannakakis, JACM 2009; Etessami-Stewart-Yannakakis, STOC 2012).
+Going through the components dependencies first, a component S is set to
+exactly 1 when (i) every variable outside S that S depends on is already
+set, (ii) P_i(1) = 1 exactly in every row i of S, and (iii) I - B_S(1)
+passes exact elimination with diagonal pivots only, the first |S| - 1 pivots
+> 0 and the last >= 0.  The pivots are ratios of leading principal minors,
+so for the Z-matrix I - B_S(1), with B_S(1) irreducible on a component,
+(iii) holds iff rho(B_S(1)) <= 1 (Berman-Plemmons, ch. 6).  Why q*_S = 1:
+with the inputs at their exact value 1, (ii) makes 1 a fixed point of S's
+equations, so q*_S <= 1.  If q*_i < 1 for some i in S, every row of S that
+uses x_i has q* = P(q*) < P(1) = 1 (q* > 0 after cleaning), so by strong
+connectivity q*_S < 1 throughout, and v = 1 - q*_S > 0 satisfies v = B_S(m)
+v at m = (1 + q*_S) / 2 (the mean value is exact for quadratics), so
+rho(B_S(m)) = 1.  A nonlinear S has B_S(m) <= B_S(1) with some entry
+strictly smaller, and irreducibility gives rho(B_S(1)) > 1, against (iii).
+A linear S has B_S(1) 1 + c = 1 with c = P_S(0); c = 0 would make q*_S = 0,
+which cleaning excludes, so c != 0, rho(B_S(1)) < 1, and 1 is the only fixed
+point.
+
+The set's variables are substituted by 1, and everything below runs on the
+reduced system of the other variables only.  Its LFP is q* there: q*
+restricted is a fixed point of it, and any fixed point of it, extended by
+1 on the set, is a fixed point of the cleaned system, by (ii) and because
+rows of the set use only set variables.  So rounded Newton on it still
+never overshoots q*.  A witness y of the reduced system, extended by 1 on
+the set and 0 on the zero variables, is a post-fixed point of the input:
+rows of the set give P_i(y) = 1 exactly, the reduced rows are the exact
+check P(y) <= y that accepted y, and rows of zero variables give 0.  The
+theorem's h_theorem is computed from the reduced system's own n, depth,
+coefficients and bounds, so it certifies that system as it would any
+input.  ``theorem_h`` (the p1CA closed form) is derived for decomposed
+rounded Newton on the whole system, where each component's bound holds for
+any inputs below their exact values within the analysed perturbation; the
+set feeds its dependents their exact values, which is perturbation zero,
+and the reduced components run the same subsystems on the same grids as
+the whole system's run would with those inputs, so the closed form still
+bounds their error.  When nothing is left, the answer (0 on zero variables,
+1 elsewhere) is exact and is itself a fixed point.
+
+Every mode then runs one loop on the reduced system: rounded decomposed
 Newton on a schedule of 2**-h grids, stopping at the first grid that
 settles.  Iterates never overshoot q*; the modes differ in what bounds q* -
 approx.
@@ -9,9 +50,10 @@ approx.
 - Certified runs grid h = H - u with g = H - 1 for H = (h0 + u) 2**k, k =
   0, 1, ... up to min(max_h, h_theorem / WITNESS_SHARE), h0 = ceil(log2(1 /
   eps)) + WITNESS_HEADROOM.  A grid settles when y = approx + (a small step
-  along (I - B(approx))^-1 1), or else the cap y = 1 (for critical systems
-  with q* = 1, where I - B(q*) is singular), is within epsilon of approx
-  and passes the exact check P(y) <= y, so q* <= y by Knaster-Tarski.
+  along (I - B(approx))^-1 1), or else the cap y = 1 (for q* within epsilon
+  of 1 but below it, where I - B(q*) is nearly singular), is within epsilon
+  of approx and passes the exact check P(y) <= y, so q* <= y by
+  Knaster-Tarski.
 - Adaptive doubles h from h0 up to max_h; a grid settles when it agrees
   with the one before within eps / 4, a heuristic that the report status
   names.
@@ -107,7 +149,7 @@ class DriverParams:
 class SccRun:
     names: tuple
     nonlinear: bool
-    iterations: int  # Newton steps computed; 1 for a linear component
+    iterations: int  # Newton steps computed; 1 for a linear component, 0 when q* = 1 is proved
     trace: IterationTrace | None
 
 
@@ -121,12 +163,15 @@ class Certificate:
     and approx <= q* because rounded Newton iterates never overshoot.  It is
     "theorem" when the convergence theorem's parameters were run, and
     "none" when nothing certifies the answer.  ``attempted_h`` lists the
-    grids tried for a witness, in order.
+    grids tried for a witness, in order.  ``exact_one`` names the input
+    variables that the exact pre-pass proved to have q* = 1; the answer is
+    exactly 1 there, whatever the kind.
     """
 
     kind: str
     upper: tuple | None
     attempted_h: tuple
+    exact_one: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -283,6 +328,64 @@ def perturbation_bound(scc_sys: MonotoneSystem, alpha, norm_p1, dy, linear: bool
     return sqrt_upper(4 * n * inv ** (3 * n + 1) * norm_p1 * dy)
 
 
+# --- the exact q* = 1 pre-pass ----------------------------------------------------
+
+
+def _rows_at_one(sys: MonotoneSystem, scc: Scc, ones: set):
+    """Sparse rows of I - B_S(1) for the component S, or None when S cannot
+    have q* = 1 on the pre-pass's test: a variable outside S that S depends
+    on is not in ``ones``, or some row has P_i(1) != 1."""
+    local = {v: i for i, v in enumerate(scc.vars)}
+    equations = [sys.equations[v] for v in scc.vars]
+    monomials = [mono for terms in equations for mono in terms]
+    if any(j not in local and j not in ones for mono in monomials for j, _ in mono.exponents):
+        return None
+    if any(sum(mono.coeff for mono in terms) != ONE for terms in equations):
+        return None
+    rows = []
+    for i, terms in enumerate(equations):
+        row = {i: ONE}
+        for mono in terms:
+            for j, e in mono.exponents:
+                if j in local:  # d/dx_j of c prod x^e at 1 is c e
+                    row[local[j]] = row.get(local[j], ZERO) - e * mono.coeff
+        rows.append(row)
+    return rows
+
+
+def _diagonal_pivots_pass(rows: list) -> bool:
+    """Exact elimination of a Z-matrix with diagonal pivots only, in order:
+    True when the first n - 1 pivots are > 0 and the last is >= 0."""
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row.get(k, ZERO)
+        if pivot < 0 or (pivot == 0 and k < len(rows) - 1):
+            return False
+        for row in rows[k + 1 :]:
+            factor = row.pop(k, None)
+            if factor is None:
+                continue
+            scale = factor / pivot
+            for j, a in pivot_row.items():
+                if j > k:
+                    value = row.get(j, ZERO) - scale * a
+                    if value:
+                        row[j] = value
+                    else:
+                        row.pop(j, None)
+    return True
+
+
+def _exact_ones(sys: MonotoneSystem, decomp: Decomposition) -> set:
+    """Indices of a cleaned system whose q* is exactly 1, proved component by
+    component, dependencies first (see the module docstring)."""
+    ones: set = set()
+    for scc in decomp.sccs:
+        rows = _rows_at_one(sys, scc, ones)
+        if rows is not None and _diagonal_pivots_pass(rows):
+            ones.update(scc.vars)
+    return ones
+
+
 # --- component-wise rounded Newton ---------------------------------------------
 
 
@@ -418,9 +521,10 @@ def post_fixed_point_witness(sys: MonotoneSystem, lower, epsilon, h: int):
       it passes once x is close enough to q*; at a critical q*, I - B(q*) is
       singular and it cannot pass;
     - the cap y = 1, when 1 - x_i <= epsilon for every i (checked first, so
-      iterates far from the cap never evaluate P(1)) and P(1) <= 1.  This
-      covers the critical systems whose q* is 1, such as critical chains and
-      almost surely terminating probabilistic systems.
+      iterates far from the cap never evaluate P(1)) and P(1) <= 1.  The
+      components with q* = 1 exactly never get here, because the pre-pass
+      sets them; this covers a q* within epsilon of 1 but below it, which
+      is nearly critical, such as a chain whose bottom row leaks 2**-200.
     """
     x = [dy.value() for dy in lower]
     y = _newton_direction_candidate(sys, x, epsilon, h)
@@ -572,12 +676,13 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
     """Approximate the least fixed point of x = P(x) to within epsilon.
 
     Pipeline: optional conversion to simple normal form, removal of zero
-    variables, SCC decomposition, bounds, the grid loop of the module
-    docstring, reinsertion of zeros, and projection back to the original
-    variables.  ``theorem_h`` replaces the formula's h_theorem.  The status
-    is "certified-eps" for a witness or the theorem's grid, "uncertified"
-    for an ``h_override`` grid without a witness, and "adaptive-heuristic"
-    in adaptive mode.
+    variables, SCC decomposition, the exact q* = 1 pre-pass, then on the
+    reduced system bounds and the grid loop of the module docstring, and
+    last reinsertion of the ones and zeros and projection back to the
+    original variables.  ``theorem_h`` replaces the formula's h_theorem.
+    The status is "certified-eps" for a witness or the theorem's grid,
+    "uncertified" for an ``h_override`` grid without a witness, and
+    "adaptive-heuristic" in adaptive mode.
 
     Raises SingularMatrix (Newton undefined), DivergenceCertified (no finite
     LFP below the working bound), or ParamsInfeasible (certified h above the
@@ -600,69 +705,87 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
     cleaned, kept = clean(work)
     kept_set = set(kept)
     removed = [name for i, name in enumerate(work.names) if i not in kept_set]
+    decomp = decompose(build_graph(cleaned), cleaned)
+    ones = _exact_ones(cleaned, decomp)
+    rest = tuple(v for v in range(cleaned.n) if v not in ones)
 
-    def to_input(values, zero) -> tuple:
-        """Cleaned-system values at the original variables: zeros reinserted,
-        normal-form product variables dropped."""
+    def to_input(values, zero, one) -> tuple:
+        """Values of the reduced system at the original variables: ``one``
+        on the proved q* = 1 set, zeros reinserted, normal-form product
+        variables dropped."""
         full = [zero] * work.n
-        for cleaned_index, work_index in enumerate(kept):
-            full[work_index] = values[cleaned_index]
+        for v in ones:
+            full[kept[v]] = one
+        for v, value in zip(rest, values):
+            full[kept[v]] = value
         if snf is not None:
             return tuple(full[snf.projection[i]] for i in range(sys.n))
         return tuple(full)
 
+    exact_one = tuple(name for name, one in zip(sys.names, to_input((), False, True)) if one)
+    exact_runs = tuple(
+        SccRun(tuple(cleaned.names[v] for v in scc.vars), scc.nonlinear, 0, None)
+        for scc in sorted(decomp.sccs, key=lambda scc: scc.height)
+        if scc.vars[0] in ones
+    )
     info = {
         "encoding_convention": _ENCODING_NOTE,
         "snf_applied": snf is not None,
         "removed_zero_variables": removed,
     }
 
-    if cleaned.n == 0:
-        # Everything was a zero variable; the answer is exact.
-        approx = tuple(Dyadic(0, 1) for _ in range(sys.n))
+    if not rest:
+        # Every coordinate is a zero variable or proved to be 1: the answer
+        # is exact, and it is itself a fixed point.
+        approx = to_input((), Dyadic(0, 1), Dyadic(2, 1))
         params = DriverParams(alpha=ONE, h=1, g=1, u=0, mode=options.mode)
-        bounds = LfpBounds(ONE, "value-iteration", 0, "probability-flag")
+        qmax_source = "probability-flag" if options.assume_probabilistic else "exact"
+        bounds = LfpBounds(ONE, "exact", 0, qmax_source)
         if options.mode == "certified":
-            # P(0) = 0 here, so 0 is itself a post-fixed point.
-            status, certificate = "certified-eps", Certificate("witness", (ZERO,) * sys.n, ())
+            status = "certified-eps"
+            certificate = Certificate("witness", to_input((), ZERO, ONE), (), exact_one)
         else:
-            status, certificate = "adaptive-heuristic", Certificate("none", None, ())
+            status, certificate = "adaptive-heuristic", Certificate("none", None, (), exact_one)
         return SolveReport(
-            approx, tuple(sys.names), params, bounds, (), status, epsilon, info, certificate
+            approx, tuple(sys.names), params, bounds, exact_runs, status, epsilon, info, certificate
         )
 
-    decomp = decompose(build_graph(cleaned), cleaned)
-    n, d, f = cleaned.n, decomp.depth, decomp.nonlinear_depth
-    bounds = compute_bounds(cleaned, options)
+    reduced = cleaned
+    if ones:
+        solved = [ONE if v in ones else None for v in range(cleaned.n)]
+        reduced = _scc_subsystem(cleaned, rest, solved)
+        decomp = decompose(build_graph(reduced), reduced)
+    n, d, f = reduced.n, decomp.depth, decomp.nonlinear_depth
+    bounds = compute_bounds(reduced, options)
     info.update(
         {
-            "encoding_bits": encoding_size(cleaned),
+            "encoding_bits": encoding_size(reduced),
             "variable_count": n,
             "depth": d,
             "nonlinear_depth": f,
-            "newton_rate": _newton_rate_info(n, d, f, encoding_size(cleaned), epsilon),
+            "newton_rate": _newton_rate_info(n, d, f, encoding_size(reduced), epsilon),
         }
     )
 
     params, dyadics, runs, kind, upper, attempted = _run_grids(
-        cleaned, decomp, epsilon, bounds, options
+        reduced, decomp, epsilon, bounds, options
     )
     if options.mode == "adaptive":
         status = "adaptive-heuristic"
     else:  # the theorem says nothing about an h_override grid; only a witness there certifies
         status = "uncertified" if kind == "none" else "certified-eps"
 
-    approx = to_input(dyadics, Dyadic(0, params.h))
+    approx = to_input(dyadics, Dyadic(0, params.h), Dyadic(1 << params.h, params.h))
     if upper is not None:
-        upper = to_input(upper, ZERO)
+        upper = to_input(upper, ZERO, ONE)
     return SolveReport(
         approximation=approx,
         names=tuple(sys.names),
         params=params,
         bounds=bounds,
-        scc_runs=runs,
+        scc_runs=exact_runs + runs,
         status=status,
         epsilon=epsilon,
         info=info,
-        certificate=Certificate(kind, upper, attempted),
+        certificate=Certificate(kind, upper, attempted, exact_one),
     )

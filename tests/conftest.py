@@ -23,6 +23,28 @@ def chain_system(k: int) -> MonotoneSystem:
     return system_of(names, *eqs)
 
 
+def doubled_chain(k: int) -> MonotoneSystem:
+    """chain_system(k) under x -> 2x: x_0 = x_0^2/4 + 1 and x_i = x_i^2/4 +
+    x_{i-1}/2.  The LFP is all twos and every component is critical, as in
+    the chain, but P_0(1) = 5/4, so no coordinate is proved to be 1."""
+    names = [f"x{i}" for i in range(k)]
+    eqs = [[("1/4", {"x0": 2}), ("1", {})]]
+    for i in range(1, k):
+        eqs.append([("1/4", {f"x{i}": 2}), ("1/2", {f"x{i-1}": 1})])
+    return system_of(names, *eqs)
+
+
+def leaky_chain(k: int, leak) -> MonotoneSystem:
+    """chain_system(k) with the bottom constant 1/2 - leak.  P_0(1) < 1, so
+    q* < 1 everywhere, yet each level takes a square root of the gap below
+    it: the top coordinate is about (2 leak)**(2**-k) below 1."""
+    names = [f"x{i}" for i in range(k)]
+    eqs = [[("1/2", {"x0": 2}), (rat(1, 2) - rat(leak), {})]]
+    for i in range(1, k):
+        eqs.append([("1/2", {f"x{i}": 2}), ("1/2", {f"x{i-1}": 1})])
+    return system_of(names, *eqs)
+
+
 def repeated_squaring(n: int, x0) -> MonotoneSystem:
     """x_0 = x0 (constant), x_i = x_{i-1}^2; LFP coordinate i is x0**(2**i)."""
     names = [f"s{i}" for i in range(n)]

@@ -15,7 +15,15 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from conftest import chain_system, gamblers_ruin, random_p1ca, random_substochastic, univariate
+from conftest import (
+    chain_system,
+    doubled_chain,
+    gamblers_ruin,
+    leaky_chain,
+    random_p1ca,
+    random_substochastic,
+    univariate,
+)
 
 from lfpsolve import (
     SolveOptions,
@@ -35,11 +43,13 @@ P1CA_EPS = rat(1, 2**20)
 SUBSTOCH_EPS = rat(1, 2**30)
 CHAIN_EPS = rat(1, 2**16)
 
-# SHA-256 of json.dumps([rat_str(x) for x in approximation]) for chain3 at
-# 2**-16 on the theorem's grid h = 4499, g = 4498.
-CHAIN3_THEOREM_ANSWER = "7cc04c8f9eea53678301ee9bfb8439de1641e447fe0962b76f7461bee375c42b"
-# The same digest for MIXED (below) at 2**-16 on its theorem grid h = 371.
-MIXED_THEOREM_ANSWER = "d666d89e06942763ffe50955f75ba4638d2afffcf6630dc4793e9ed72ae46e22"
+# SHA-256 of json.dumps([rat_str(x) for x in approximation]) for
+# doubled_chain(3) (q* = 2) at 2**-16 without normal form, under the
+# asserted bound q* <= 2, on the theorem's grid h = 2530, g = 2530.
+DOUBLED_CHAIN3_THEOREM_ANSWER = "57eb17d932d6d63a3e2030d35f0b29e54912d795d369b843186134d7cd79093c"
+# The same digest for MIXED2 (below) at 2**-16 under q* <= 4 on its theorem
+# grid h = 649.
+MIXED2_THEOREM_ANSWER = "8d1e74102b281e25e0b20854b05e147a3043d6dfe34910f4e4514ba1396c9134"
 # SHA-256 of random_outcomes() below: substochastic n = 8, seeds 0-19, in
 # certified and adaptive mode, and random_p1ca(Random(7), r) for r = 1..3.
 RANDOM_OUTCOMES = "fa51ea10fa3467c59eef1f994dfecd8db649c6020747f0c3f6f222b407fced98"
@@ -48,11 +58,16 @@ RANDOM_OUTCOMES = "fa51ea10fa3467c59eef1f994dfecd8db649c6020747f0c3f6f222b407fce
 # asserted q*_max bounds 2 and 4, so u = 1 and u = 2.
 RESCALED_OUTCOMES = "b812946f021551fb3e09c39ea32e942f646ded6c0edf92ad9afd1d1cdb73cbb8"
 
-# a = a^2/2 + 1/2, b = b/2 + a/4: q* = (1, 1/2).  a is critical, so the
-# Newton-direction witness fails, and b is far from the cap y = 1.
-MIXED = system_of(
-    ["a", "b"], [("1/2", {"a": 2}), ("1/2", {})], [("1/2", {"b": 1}), ("1/4", {"a": 1})]
+# a = a^2/4 + 1, b = b/2 + a/8: q* = (2, 1/2).  a is critical, so the
+# Newton-direction witness fails, and b is far from the cap y = 1.  P_a(1) =
+# 5/4, so the q* = 1 pre-pass leaves a alone.  (MIXED, its q* = 1 analogue,
+# is in test_exact_one.py.)
+MIXED2 = system_of(
+    ["a", "b"], [("1/4", {"a": 2}), ("1", {})], [("1/2", {"b": 1}), ("1/8", {"a": 1})]
 )
+# chain3 with the bottom constant 1/2 - 2**-200: q* < 1, P_0(1) < 1, yet every
+# coordinate is within 2**-24 of 1, so the cap y = 1 certifies it.
+LEAKY_CHAIN3 = leaky_chain(3, rat(1, 2**200))
 
 
 def answer_digest(report):
@@ -169,18 +184,20 @@ def test_random_substochastic_witnesses_recheck(n):
 
 @pytest.fixture(scope="module")
 def chain3_theorem_grid():
-    # At u = 0 the override runs the theorem's grid exactly as the fallback would.
+    # The certified route runs the theorem's grid h_theorem - u = 2530 with
+    # g = h_theorem - 1 = 2530 steps here (u = 1); the override runs exactly
+    # that grid.
     return solve(
-        chain_system(3),
+        doubled_chain(3),
         CHAIN_EPS,
-        SolveOptions(assume_probabilistic=True, h_override=4499, g_override=4498),
+        SolveOptions(qmax_exponent_assert=1, use_snf=False, h_override=2530, g_override=2530),
     )
 
 
 def test_chain3_theorem_grid_is_unchanged(chain3_theorem_grid):
     report = chain3_theorem_grid
-    assert report.params.h == 4499 and report.params.g == 4498
-    assert answer_digest(report) == CHAIN3_THEOREM_ANSWER
+    assert report.params.h == 2530 and report.params.g == 2530
+    assert answer_digest(report) == DOUBLED_CHAIN3_THEOREM_ANSWER
 
 
 def test_random_answers_are_unchanged():
@@ -190,15 +207,16 @@ def test_random_answers_are_unchanged():
 
 
 def test_steps_reported_are_steps_taken(chain3_theorem_grid):
-    # Each level of the chain pins well before g = 4498 Newton steps.
-    assert [run.iterations for run in chain3_theorem_grid.scc_runs] == [4498, 2260, 1136]
+    # The levels above the bottom pin well before g = 2530 Newton steps.
+    assert [run.iterations for run in chain3_theorem_grid.scc_runs] == [2530, 1275, 643]
 
 
 def test_chain3_is_certified_by_the_cap():
-    # q* = (1, 1, 1) is critical, so no Newton-direction witness exists, but
-    # P(1) <= 1 holds exactly: y = 1 certifies the first grid whose iterate
-    # is within eps of it, far below the theorem's h = 4499.
-    system = chain_system(3)
+    # q* is below 1 but within eps of it and nearly critical, so no
+    # Newton-direction witness passes; P(1) <= 1 holds exactly, and y = 1
+    # certifies the first grid whose iterate is within eps of it, far below
+    # the theorem's h = 4499.
+    system = LEAKY_CHAIN3
     report = solve(system, CHAIN_EPS, SolveOptions(assume_probabilistic=True))
     cert = report.certificate
     assert report.status == "certified-eps"
@@ -211,16 +229,17 @@ def test_chain3_is_certified_by_the_cap():
 
 
 def test_critical_chain_falls_back_to_theorem():
-    # A critical q* = 1 component below a q* = 1/2 one has neither witness,
-    # so the theorem's grid decides, bit for bit as before the cap witness.
-    report = solve(MIXED, CHAIN_EPS, SolveOptions(assume_probabilistic=True))
+    # A critical q* = 2 component below a q* = 1/2 one has neither witness,
+    # so the theorem's grid decides, bit for bit as before the pre-pass.
+    report = solve(MIXED2, CHAIN_EPS, SolveOptions(qmax_exponent_assert=2))
     cert = report.certificate
     assert report.status == "certified-eps"
     assert cert.kind == "theorem" and cert.upper is None
-    assert report.params.h == 371 and report.params.g == 370
-    assert cert.attempted_h == (24,)
+    assert (report.params.h, report.params.g, report.params.u) == (649, 650, 2)
+    assert cert.attempted_h == (24, 50)
     assert all(8 * h <= report.params.h for h in cert.attempted_h)
-    assert answer_digest(report) == MIXED_THEOREM_ANSWER
+    assert cert.exact_one == ()
+    assert answer_digest(report) == MIXED2_THEOREM_ANSWER
 
 
 def test_cap_requires_exact_post_fixed_point_check():
@@ -283,34 +302,38 @@ def test_witness_grids_keep_the_rescaled_schedule():
     # Under u = 3 the witness grids are H - u for H = 16 + 3 and 2 (16 + 3),
     # each with H - 1 steps, and the fallback grid is h_theorem - u with
     # g = h_theorem - 1: the grids and step budgets of x = 2**-3 P(2**3 x).
-    report = solve(MIXED, rat(1, 2**8), SolveOptions(qmax_exponent_assert=3, use_snf=False))
+    report = solve(MIXED2, rat(1, 2**8), SolveOptions(qmax_exponent_assert=3, use_snf=False))
     params = report.params
     assert report.certificate.kind == "theorem"
     assert report.certificate.attempted_h == (16, 35)
-    assert (params.h, params.g, params.u) == (492, 494, 3)
+    assert (params.h, params.g, params.u) == (532, 534, 3)
 
 
-# x = x^2/2 + 1/2, q* = 1 critical; its worst-case bound is u = 4800.
-CRITICAL = univariate("1/2", 0, "1/2")
+# x = x^2/2 + 1/2 - 2**-40: q* = 1 - 2**-19.5 (about), nearly critical and
+# within 2**-16 of 1.  Its worst-case bound is u = 16350, or u = 1880
+# without normal form.
+NEAR_CRITICAL = system_of(["x"], [("1/2", {"x": 2}), (rat(1, 2) - rat(1, 2**40), {})])
 
 
 def test_critical_cap_without_probability_flag():
-    # The cap y = 1 is checked on the input system, so q* = 1 is certified
-    # on the first grid whatever u is.
-    report = solve(CRITICAL, CHAIN_EPS)
+    # The cap y = 1 is checked on the input system, so a q* within eps of 1
+    # is certified on the first grid whatever u is.
+    report = solve(NEAR_CRITICAL, CHAIN_EPS)
     cert = report.certificate
-    assert report.params.u == 4800
+    assert report.params.u == 16350
     assert report.status == "certified-eps"
     assert cert.kind == "witness" and cert.upper == (1,)
     assert report.params.h == 24 and cert.attempted_h == (24,)
-    assert_witness(CRITICAL, [report.approximation[0].value()], cert.upper, CHAIN_EPS)
+    assert_witness(NEAR_CRITICAL, [report.approximation[0].value()], cert.upper, CHAIN_EPS)
 
 
 def test_cli_critical_cap_without_probability_flag(tmp_path):
-    code, doc = run_cli(["solve", "--epsilon", rat_str(CHAIN_EPS)], serialize_mps(CRITICAL), tmp_path)
+    # Without normal form u = 1880 keeps params.alpha printable.
+    argv = ["solve", "--no-snf", "--epsilon", rat_str(CHAIN_EPS)]
+    code, doc = run_cli(argv, serialize_mps(NEAR_CRITICAL), tmp_path)
     assert code == 0
     assert doc["status"] == "certified-eps"
-    assert doc["params"]["h"] == 24
+    assert (doc["params"]["h"], doc["params"]["u"]) == (24, 1880)
     assert doc["certificate"] == {"kind": "witness", "attempted_h": [24], "post_fixed_point": {"x": "1"}}
 
 
@@ -349,11 +372,11 @@ def test_rescaled_theorem_fallback_is_unchanged():
 
 
 def test_override_without_witness_is_uncertified():
-    # q* = (1, 1, 1), but the 2**-4 grid pins the iterates far below it.
+    # q* = (2, 2, 2), but the 2**-4 grid pins the iterates far below it.
     report = solve(
-        chain_system(3), CHAIN_EPS, SolveOptions(assume_probabilistic=True, h_override=4)
+        doubled_chain(3), CHAIN_EPS, SolveOptions(qmax_exponent_assert=2, h_override=4)
     )
-    assert [d.value() for d in report.approximation] == [rat(7, 8), rat(5, 8), rat(3, 8)]
+    assert [d.value() for d in report.approximation] == [rat(7, 4), rat(5, 4), rat(3, 4)]
     assert report.status == "uncertified"
     assert report.certificate.kind == "none"
     assert report.certificate.attempted_h == (4,)
@@ -426,10 +449,10 @@ def test_cli_p1ca_witness_rechecks(tmp_path):
 def test_cli_override_reports_uncertified(tmp_path):
     code, doc = run_cli(
         ["solve", "--assume-prob", "--epsilon", "1/65536", "--h", "4"],
-        serialize_mps(chain_system(3)),
+        serialize_mps(LEAKY_CHAIN3),
         tmp_path,
     )
     assert code == 0
     assert doc["status"] == "uncertified"
     assert doc["certificate"] == {"kind": "none", "attempted_h": [4]}
-    assert doc["approximation"] == ["7/8", "5/8", "3/8"]
+    assert doc["approximation"] == ["13/16", "9/16", "5/16"]

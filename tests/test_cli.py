@@ -8,8 +8,11 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from conftest import leaky_chain
 
+from lfpsolve import rat
 from lfpsolve.cli import main
+from lfpsolve.mps import serialize_mps
 
 CHAIN3 = json.dumps(
     {
@@ -21,6 +24,10 @@ CHAIN3 = json.dumps(
         ],
     }
 )
+
+# chain3 with the bottom constant 1/2 - 2**-200: P_0(1) < 1, so no
+# coordinate is proved to be exactly 1 and every grid runs Newton steps.
+LEAKY_CHAIN3 = serialize_mps(leaky_chain(3, rat(1, 2**200)))
 
 GAMBLER = json.dumps(
     {
@@ -60,7 +67,7 @@ def run_cli(args, path_content=None, tmp_path=None):
 class TestSolveCommand:
     def test_chain_solve_success(self, tmp_path):
         code, out, _ = run_cli(
-            ["solve", "--epsilon", "1/65536", "--assume-prob"], CHAIN3, tmp_path
+            ["solve", "--epsilon", "1/65536", "--assume-prob"], LEAKY_CHAIN3, tmp_path
         )
         assert code == 0
         doc = json.loads(out)
@@ -80,7 +87,7 @@ class TestSolveCommand:
     def test_trace_lines_on_stderr(self, tmp_path):
         code, out, err = run_cli(
             ["solve", "--epsilon", "1/16", "--assume-prob", "--no-snf", "--trace", "--h", "8"],
-            CHAIN3,
+            LEAKY_CHAIN3,
             tmp_path,
         )
         assert code == 0
@@ -115,7 +122,7 @@ class TestSolveCommand:
     def test_exit_params_infeasible(self, tmp_path):
         code, out, _ = run_cli(
             ["solve", "--epsilon", "1/65536", "--assume-prob", "--max-h", "16"],
-            CHAIN3,
+            LEAKY_CHAIN3,
             tmp_path,
         )
         assert code == 4
@@ -224,9 +231,9 @@ class TestTracePinned:
     CASES = {
         "chain3-h8": (
             ["solve", "--epsilon", "1/16", "--assume-prob", "--trace", "--h", "8"],
-            CHAIN3,
-            "61a92e784f2ddabf4a6e79a2e9a7532ffac6b0e510d4de364a410ae639054302",
-            "28374a49baefaaff8f2b50acfc819e43cffef8425045c7f5d38be42baafc23a2",
+            LEAKY_CHAIN3,
+            "5b9133909062c9d4ebfcedbdac1058928c4bd594dfe329897a93a99cd6215aed",
+            "29728799b63c86ef67abf6ee0c87c0ab17c60d68cfe691f6d40baf946ec2b932",
         ),
         "gambler": (
             ["p1ca-term", "--epsilon", "1/1024", "--trace"],

@@ -32,7 +32,14 @@ from lfpsolve.driver import _qmin_candidates, compute_bounds
 from lfpsolve.ratmath import identity_minus, rational_exceeds_pow2, zeros_vector
 from lfpsolve.mps import eval_jacobian
 
-from conftest import chain_system, random_substochastic, repeated_squaring, univariate
+from conftest import (
+    chain_system,
+    doubled_chain,
+    leaky_chain,
+    random_substochastic,
+    repeated_squaring,
+    univariate,
+)
 
 
 class TestQminLowerBound:
@@ -354,25 +361,32 @@ class TestSolveCertified:
             solve(univariate(0, "2", "1"), rat(1, 4), SolveOptions(assume_probabilistic=True))
 
     def test_params_infeasible_ceiling(self):
+        # The cap certifies this chain on grid 96 only; below it the
+        # theorem's h = 4499 is refused.
         with pytest.raises(ParamsInfeasible):
-            solve(chain_system(3), rat(1, 2**16), SolveOptions(assume_probabilistic=True, max_h=64))
+            solve(
+                leaky_chain(3, rat(1, 2**200)),
+                rat(1, 2**16),
+                SolveOptions(assume_probabilistic=True, max_h=64),
+            )
 
     def test_worst_case_params_infeasible_without_probability_flag(self):
         # Certified mode without any q*max knowledge takes an astronomical
         # exponent u: the theorem's grid and every witness grid h + u lie
         # above the ceiling, which must catch it.
         with pytest.raises(ParamsInfeasible):
-            solve(chain_system(3), rat(1, 2), SolveOptions(max_h=10_000))
+            solve(leaky_chain(3, rat(1, 2**200)), rat(1, 2), SolveOptions(max_h=10_000))
 
     def test_manual_override(self):
+        # x = x^2/4 + 1 is critical at q* = 2: one bit per step from 0.
         report = solve(
-            univariate("1/2", 0, "1/2"),
+            univariate("1/4", 0, "1"),
             rat(1, 4),
-            SolveOptions(h_override=12, g_override=11, use_snf=False, assume_probabilistic=True),
+            SolveOptions(h_override=12, g_override=11, use_snf=False, qmax_exponent_assert=1),
         )
         assert report.params.h == 12
         assert report.params.g == 11
-        assert report.approximation[0].value() == rat(2**11 - 1, 2**11)
+        assert report.approximation[0].value() == rat(2**11 - 1, 2**10)
 
 
 class TestSolveAdaptive:
@@ -391,9 +405,9 @@ class TestSolveAdaptive:
 
     def test_manual_override_reports_its_grid(self):
         report = solve(
-            chain_system(3),
+            doubled_chain(3),
             rat(1, 2**16),
-            SolveOptions(mode="adaptive", assume_probabilistic=True, h_override=30),
+            SolveOptions(mode="adaptive", qmax_exponent_assert=2, h_override=30),
         )
         assert report.status == "adaptive-heuristic"
         assert report.certificate.kind == "none"
@@ -403,9 +417,9 @@ class TestSolveAdaptive:
     def test_ceiling_raises(self):
         with pytest.raises(ParamsInfeasible):
             solve(
-                chain_system(2),
+                doubled_chain(2),
                 rat(1, 2**10),
-                SolveOptions(mode="adaptive", assume_probabilistic=True, max_h=8),
+                SolveOptions(mode="adaptive", qmax_exponent_assert=2, max_h=8),
             )
 
     def test_unknown_mode_rejected(self):
