@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="assert the LFP is a vector of probabilities (q* <= 1)",
     )
     p_solve.add_argument("--h", type=int, default=None, help="manual rounding parameter override")
-    p_solve.add_argument("--iters", type=int, default=None, help="manual iteration count override")
+    p_solve.add_argument("--iters", type=int, default=None, help="iteration count on the --h grid")
     p_solve.add_argument("--no-snf", action="store_true", help="skip simple-normal-form conversion")
     p_solve.add_argument("--trace", action="store_true", help="emit per-iteration JSON lines on stderr")
     p_solve.add_argument("--max-h", type=int, default=1_000_000, help="ceiling for the certified h")

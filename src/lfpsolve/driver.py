@@ -82,27 +82,27 @@ from .mps import (
     c_min,
     clean,
     encoding_size,
-    eval_jacobian,
     evaluate,
+    grid_system,
     norm_p_one,
     to_snf,
 )
-from .newton import IterationTrace, RnmConfig, newton_step, run_rnm
+from .newton import IterationTrace, RnmConfig, newton_rows, run_rnm
+from .newton import newton_step  # unused here; perfbench/spans.py times it at this import
 from .oracle import detect_divergence, value_iterate
 from .ratmath import (
     HALF,
     ONE,
     ZERO,
     Dyadic,
+    Rat,
     ceil_log2,
-    identity_minus,
     ones_vector,
     rat,
     rational_exceeds_pow2,
     round_down_dyadic,
-    solve_linear,
+    solve_integer,
     sqrt_upper,
-    zeros_vector,
 )
 
 DEFAULT_MAX_H = 1_000_000
@@ -208,38 +208,31 @@ class SolveOptions:
 _POWER_BIT_BUDGET = 1 << 21
 
 
-def _qmin_candidates(sys: MonotoneSystem, value_iteration_cap: int):
-    """Certified lower bounds on q*_min of a cleaned system, with source tags."""
+def _qmin_bound(sys: MonotoneSystem):
+    """A certified lower bound on q*_min of a cleaned system, with its source
+    tag.  The formula c**(2**n - 1), c = min{1, c_min}, never beats the
+    n-fold value iterate's floor (a coordinate first positive at step k is
+    >= c**(2**k - 1), and iterates only grow), so it is used only above
+    VALUE_ITERATION_CAP, where the iterate is not computed."""
     if sys.degree() > 2:  # c_min**(2**n - 1) bounds q*_min only for quadratic systems
         raise DegreeTooHigh("q*_min bounds require a quadratic system (use simple normal form)")
     n = sys.n
-    candidates = []
-    cmin = min(ONE, c_min(sys))
-    exponent = (1 << n) - 1 if n <= 60 else None
-    if exponent is not None:
-        coeff_bits = max(
-            int(cmin.numerator).bit_length(), int(cmin.denominator).bit_length()
-        )
-        if exponent * coeff_bits <= _POWER_BIT_BUDGET:
-            candidates.append((cmin**exponent, "worst-case-formula"))
-    if n <= value_iteration_cap:
+    if n <= VALUE_ITERATION_CAP:
         iterate = value_iterate(sys, n)
-        floor = min(iterate) if iterate else ONE
-        if floor > 0:
-            candidates.append((floor, "value-iteration"))
-    if not candidates:
+        return (min(iterate) if iterate else ONE), "value-iteration"
+    cmin = min(ONE, c_min(sys))
+    coeff_bits = max(int(cmin.numerator).bit_length(), int(cmin.denominator).bit_length())
+    if n > 60 or ((1 << n) - 1) * coeff_bits > _POWER_BIT_BUDGET:
         raise ParamsInfeasible("no computable lower bound on q*_min at this size")
-    return candidates
+    return cmin ** ((1 << n) - 1), "worst-case-formula"
 
 
-def qmin_lower_bound(sys: MonotoneSystem, value_iteration_cap: int = VALUE_ITERATION_CAP):
-    """Best available certified lower bound on the smallest LFP coordinate
-    of a quadratic system.
-
-    Takes the max of min{1, c_min}**(2**n - 1) and the smallest coordinate
-    of the n-fold value iterate (positive after cleaning, and always <= q*).
-    """
-    return max(value for value, _ in _qmin_candidates(sys, value_iteration_cap))
+def qmin_lower_bound(sys: MonotoneSystem):
+    """Certified lower bound on the smallest LFP coordinate of a quadratic
+    system: the smallest coordinate of the n-fold value iterate (positive
+    after cleaning, and always <= q*), or min{1, c_min}**(2**n - 1) above
+    VALUE_ITERATION_CAP variables."""
+    return _qmin_bound(sys)[0]
 
 
 def qmax_upper_exponent(sys: MonotoneSystem, assume_probabilistic: bool) -> int:
@@ -257,9 +250,7 @@ def qmax_upper_exponent(sys: MonotoneSystem, assume_probabilistic: bool) -> int:
 
 
 def compute_bounds(sys: MonotoneSystem, options: SolveOptions) -> LfpBounds:
-    candidates = _qmin_candidates(sys, VALUE_ITERATION_CAP)
-    # on ties prefer the value-iteration tag; it is the bound that actually binds
-    qmin, source = max(candidates, key=lambda pair: (pair[0], pair[1] == "value-iteration"))
+    qmin, source = _qmin_bound(sys)
     if options.qmax_exponent_assert is not None:
         exponent, tag = options.qmax_exponent_assert, "user-asserted"
     elif options.assume_probabilistic:
@@ -331,28 +322,6 @@ def perturbation_bound(scc_sys: MonotoneSystem, alpha, norm_p1, dy, linear: bool
 # --- the exact q* = 1 pre-pass ----------------------------------------------------
 
 
-def _rows_at_one(sys: MonotoneSystem, scc: Scc, ones: set):
-    """Sparse rows of I - B_S(1) for the component S, or None when S cannot
-    have q* = 1 on the pre-pass's test: a variable outside S that S depends
-    on is not in ``ones``, or some row has P_i(1) != 1."""
-    local = {v: i for i, v in enumerate(scc.vars)}
-    equations = [sys.equations[v] for v in scc.vars]
-    monomials = [mono for terms in equations for mono in terms]
-    if any(j not in local and j not in ones for mono in monomials for j, _ in mono.exponents):
-        return None
-    if any(sum(mono.coeff for mono in terms) != ONE for terms in equations):
-        return None
-    rows = []
-    for i, terms in enumerate(equations):
-        row = {i: ONE}
-        for mono in terms:
-            for j, e in mono.exponents:
-                if j in local:  # d/dx_j of c prod x^e at 1 is c e
-                    row[local[j]] = row.get(local[j], ZERO) - e * mono.coeff
-        rows.append(row)
-    return rows
-
-
 def _diagonal_pivots_pass(rows: list) -> bool:
     """Exact elimination of a Z-matrix with diagonal pivots only, in order:
     True when the first n - 1 pivots are > 0 and the last is >= 0."""
@@ -364,7 +333,7 @@ def _diagonal_pivots_pass(rows: list) -> bool:
             factor = row.pop(k, None)
             if factor is None:
                 continue
-            scale = factor / pivot
+            scale = Rat(factor, pivot)
             for j, a in pivot_row.items():
                 if j > k:
                     value = row.get(j, ZERO) - scale * a
@@ -377,11 +346,19 @@ def _diagonal_pivots_pass(rows: list) -> bool:
 
 def _exact_ones(sys: MonotoneSystem, decomp: Decomposition) -> set:
     """Indices of a cleaned system whose q* is exactly 1, proved component by
-    component, dependencies first (see the module docstring)."""
+    component, dependencies first (see the module docstring).  Row i of
+    L(I - B(1)) holds every variable P_i uses, all derivatives at 1 being
+    positive; scaling by L > 0 keeps the pivot signs."""
+    rows, rhs = newton_rows(grid_system(sys, 0), [1] * sys.n)
     ones: set = set()
     for scc in decomp.sccs:
-        rows = _rows_at_one(sys, scc, ones)
-        if rows is not None and _diagonal_pivots_pass(rows):
+        local = {v: k for k, v in enumerate(scc.vars)}
+        if any(rhs[i] for i in scc.vars) or any(
+            j not in local and j not in ones for i in scc.vars for j in rows[i]
+        ):
+            continue
+        own = [{local[j]: a for j, a in rows[i].items() if j in local} for i in scc.vars]
+        if _diagonal_pivots_pass(own):
             ones.update(scc.vars)
     return ones
 
@@ -428,20 +405,20 @@ def _solve_scc(
             sub, RnmConfig(h, g), divergence_exponent=threshold, keep_trace=keep_trace
         )
         return list(final), trace, trace.steps
-    # Linear component: one exact solve, then round down.
-    exact = newton_step(sub, zeros_vector(sub.n))
-    for value in exact:
-        if value < 0:
+    # Linear component: one exact Newton step from 0 gives 2**h q* = p / q.
+    rows, rhs = newton_rows(grid_system(sub, h), [0] * sub.n)
+    exact = solve_integer(rows, rhs)
+    for p, q in exact:
+        if p < 0:
             raise DivergenceCertified(
                 "linear component has no non-negative fixed point, "
                 "so the system has no finite least fixed point"
             )
-        if threshold is not None and rational_exceeds_pow2(value, threshold):
+        if threshold is not None and rational_exceeds_pow2(Rat(p, q << h), threshold):
             raise DivergenceCertified(
                 f"linear component solution exceeds the q*_max bound 2**{threshold}"
             )
-    final = [round_down_dyadic(value, h) for value in exact]
-    return final, None, 1
+    return [Dyadic(p // q, h) for p, q in exact], None, 1
 
 
 def _run_rdnm(
@@ -488,9 +465,11 @@ def _is_post_fixed_point(sys: MonotoneSystem, y) -> bool:
     return all(pi <= yi for pi, yi in zip(evaluate(sys, y), y))
 
 
-def _newton_direction_candidate(sys: MonotoneSystem, x, epsilon, h: int):
-    try:
-        d = solve_linear(identity_minus(eval_jacobian(sys, x)), ones_vector(sys.n))
+def _newton_direction_candidate(sys: MonotoneSystem, lower, x, epsilon, h: int):
+    grid = grid_system(sys, h)
+    rows, _ = newton_rows(grid, [dy.mantissa for dy in lower])
+    try:  # A = s (I - B(x)), so A^-1 (s 1) = (I - B(x))^-1 1
+        d = [Rat(p, q) for p, q in solve_integer(rows, [grid.divisor] * sys.n)]
     except SingularMatrix:
         return None
     if any(di <= 0 for di in d):
@@ -510,7 +489,8 @@ def _cap_candidate(sys: MonotoneSystem, x, epsilon):
 
 
 def post_fixed_point_witness(sys: MonotoneSystem, lower, epsilon, h: int):
-    """An exactly checked post-fixed point at most epsilon above ``lower``.
+    """An exactly checked post-fixed point at most epsilon above ``lower``
+    (Dyadics on the 2**-h grid).
 
     Returns y as rationals when P(y) <= y and y - x <= epsilon hold exactly
     for x = lower, otherwise None.  Two candidates are tried in order:
@@ -527,7 +507,7 @@ def post_fixed_point_witness(sys: MonotoneSystem, lower, epsilon, h: int):
       is nearly critical, such as a chain whose bottom row leaks 2**-200.
     """
     x = [dy.value() for dy in lower]
-    y = _newton_direction_candidate(sys, x, epsilon, h)
+    y = _newton_direction_candidate(sys, lower, x, epsilon, h)
     return y if y is not None else _cap_candidate(sys, x, epsilon)
 
 
@@ -692,6 +672,8 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
     epsilon = rat(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
+    if options.g_override is not None and options.h_override is None:
+        raise ValueError("an iteration count override needs an h override")
     if options.mode not in ("certified", "adaptive"):
         raise ValueError(f"unknown mode {options.mode!r}")
 

@@ -5,8 +5,9 @@ One Newton iteration at z is z + (I - B(z))^{-1} (P(z) - z), computed
 exactly; the rounded loop then snaps every coordinate down to the 2**-h
 grid (clamping at 0), which keeps iterate bit-sizes linear in h instead of
 doubling per step, while every iterate remains a lower bound on the least
-fixed point.  The rounded loop steps in integers (``_rounded_step``);
-``newton_step`` is the exact operator, used for linear components.
+fixed point.  Every linear solve of the solver runs on the integer rows of
+``newton_rows``; ``newton_step`` is the exact rational operator, kept as
+public API and as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -78,14 +79,14 @@ def _record(sys: MonotoneSystem, k: int, iterate) -> TraceRecord:
     return TraceRecord(k, tuple(iterate), residual)
 
 
-def _rounded_step(grid: GridSystem, m: list) -> list:
-    """Mantissas of round_down(x + (I - B(x))^-1 (P(x) - x), h) at x = m 2**-h.
+def newton_rows(grid: GridSystem, m: list) -> tuple:
+    """Integer rows A = s I - J(m) and r = N(m) - s m at x = m 2**-h, the one
+    place the solver builds I - B rows.
 
     With s = ``grid.divisor`` = L 2**((D-1)h), N(m) = L 2**(Dh) P(x) and its
-    integer Jacobian J(m) = s B(x), the rows A = s I - J(m) and r = N(m) -
-    s m satisfy I - B(x) = A / s and P(x) - x = r / (s 2**h), so the rounded
-    iterate is max(0, m + floor(A^-1 r)).  Zero patterns match the rational
-    step's, and so does any SingularMatrix.
+    integer Jacobian J(m) = s B(x), I - B(x) = A / s and P(x) - x = r / (s
+    2**h).  Zero patterns match the rational rows', and so does any
+    SingularMatrix.
     """
     s = grid.divisor
     rows, rhs = [], []
@@ -119,6 +120,13 @@ def _rounded_step(grid: GridSystem, m: list) -> list:
             row[i] = diagonal
         rows.append(row)
         rhs.append(total - s * m[i])
+    return rows, rhs
+
+
+def _rounded_step(grid: GridSystem, m: list) -> list:
+    """Mantissas of round_down(x + (I - B(x))^-1 (P(x) - x), h) at x = m 2**-h:
+    max(0, m + floor(A^-1 r)) for the rows of ``newton_rows``."""
+    rows, rhs = newton_rows(grid, m)
     return [max(0, mi + p // q) for mi, (p, q) in zip(m, solve_integer(rows, rhs))]
 
 

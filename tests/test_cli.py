@@ -128,6 +128,15 @@ class TestSolveCommand:
         assert code == 4
         assert json.loads(out)["error"]["type"] == "ParamsInfeasible"
 
+    @pytest.mark.parametrize("iters", ["0", "5"])
+    def test_iters_without_h_is_refused(self, tmp_path, iters):
+        # An iteration count means nothing on the doubling schedule.
+        code, out, _ = run_cli(
+            ["solve", "--epsilon", "1/16", "--assume-prob", "--iters", iters], LEAKY_CHAIN3, tmp_path
+        )
+        assert code == 1
+        assert "h override" in json.loads(out)["error"]["message"]
+
     def test_rejects_decimal_epsilon(self, tmp_path):
         code, out, _ = run_cli(["solve", "--epsilon", "0.5"], CHAIN3, tmp_path)
         assert code == 1

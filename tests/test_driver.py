@@ -13,6 +13,7 @@ from lfpsolve import (
     SingularMatrix,
     SolveOptions,
     build_graph,
+    c_min,
     clean,
     decompose,
     encoding_size,
@@ -28,7 +29,7 @@ from lfpsolve import (
     system_of,
     univariate_quadratic_lfp,
 )
-from lfpsolve.driver import _qmin_candidates, compute_bounds
+from lfpsolve.driver import VALUE_ITERATION_CAP, _qmin_bound, compute_bounds
 from lfpsolve.ratmath import identity_minus, rational_exceeds_pow2, zeros_vector
 from lfpsolve.mps import eval_jacobian
 
@@ -44,14 +45,21 @@ from conftest import (
 
 class TestQminLowerBound:
     def test_repeated_squaring_formula_bound(self):
-        sys = repeated_squaring(2, "1/2")
-        candidates = dict()
-        for value, tag in _qmin_candidates(sys, 12):
-            candidates.setdefault(tag, []).append(value)
-        assert rat(1, 8) in candidates["worst-case-formula"]  # (1/2)^(2^2 - 1)
-        bound = qmin_lower_bound(sys)
-        assert bound >= rat(1, 8)
+        # Above VALUE_ITERATION_CAP variables the bound is (1/2)^(2^n - 1).
+        n = VALUE_ITERATION_CAP + 1
+        formula = rat(1, 2) ** (2**n - 1)
+        assert _qmin_bound(repeated_squaring(n, "1/2")) == (formula, "worst-case-formula")
+        bound = qmin_lower_bound(repeated_squaring(2, "1/2"))
+        assert bound >= rat(1, 8)  # (1/2)^(2^2 - 1)
         assert bound <= rat(1, 4)  # true q*_min
+
+    def test_value_iteration_floor_never_below_the_formula(self, rng):
+        # Every coordinate first positive at value iteration step k is at
+        # least min(1, c_min)^(2^k - 1), so the floor dominates the formula.
+        for _ in range(40):
+            sys = random_substochastic(rng, rng.randint(1, VALUE_ITERATION_CAP))
+            formula = min(rat(1), c_min(sys)) ** (2**sys.n - 1)
+            assert qmin_lower_bound(sys) >= formula
 
     def test_value_iteration_floor_dominates(self):
         sys = univariate("1/2", 0, "1/2")
@@ -359,6 +367,15 @@ class TestSolveCertified:
         monkeypatch.setattr("lfpsolve.driver.detect_divergence", lambda *args, **kwargs: False)
         with pytest.raises(DivergenceCertified, match="linear component"):
             solve(univariate(0, "2", "1"), rat(1, 4), SolveOptions(assume_probabilistic=True))
+
+    def test_linear_component_above_the_qmax_bound(self, monkeypatch):
+        # x = x/2 + 1 + 2^-41 solves to 2 + 2^-40 > 2^1.  Grid 24 floors it
+        # to exactly 2, so only a check on the exact solution catches it.
+        monkeypatch.setattr("lfpsolve.driver.detect_divergence", lambda *args, **kwargs: False)
+        sys = univariate(0, "1/2", 1 + rat(1, 2**41))
+        expected = "linear component solution exceeds the q\\*_max bound 2\\*\\*1"
+        with pytest.raises(DivergenceCertified, match=expected):
+            solve(sys, rat(1, 2**16), SolveOptions(h_override=24, qmax_exponent_assert=1))
 
     def test_params_infeasible_ceiling(self):
         # The cap certifies this chain on grid 96 only; below it the

@@ -17,8 +17,9 @@ from lfpsolve import (
     run_rnm,
     univariate_quadratic_lfp,
 )
-from lfpsolve.mps import grid_system
-from lfpsolve.newton import _rounded_step
+from lfpsolve.mps import eval_jacobian, grid_system
+from lfpsolve.newton import _rounded_step, newton_rows
+from lfpsolve.ratmath import identity_minus, ones_vector, solve_integer, solve_linear
 
 from conftest import univariate
 
@@ -125,20 +126,37 @@ class TestIntegerKernel:
         assert _rounded_step(grid, [0]) == [21]
 
     def test_matches_the_rounded_exact_step_at_any_grid_point(self, rng):
+        # Both right-hand sides the solver gives newton_rows' A: r for the
+        # rounded step, and s 1 for the witness direction (I - B(x))^-1 1.
+        # I - B(1) = 0 for CRITICAL, so x = 1 = 8 / 2**3 is singular.
         from conftest import random_substochastic
 
+        cases = [(CRITICAL, 3, [8])]
         for _ in range(100):
             sys = random_substochastic(rng, rng.randint(1, 5))
             h = rng.randint(1, 30)
-            m = [rng.randint(0, 3 << h) for _ in range(sys.n)]  # some points lie above q*
+            cases.append((sys, h, [rng.randint(0, 3 << h) for _ in range(sys.n)]))  # some above q*
+        for sys, h, m in cases:
+            x = [rat(mi, 1 << h) for mi in m]
+            grid = grid_system(sys, h)
+            rows, _ = newton_rows(grid, m)
             try:
-                exact = newton_step(sys, [rat(mi, 1 << h) for mi in m])
+                direction = solve_linear(identity_minus(eval_jacobian(sys, x)), ones_vector(sys.n))
+                expected = [(d.numerator, d.denominator) for d in direction]
+            except SingularMatrix as exc:
+                expected = str(exc)
+            try:
+                assert solve_integer(rows, [grid.divisor] * sys.n) == expected
+            except SingularMatrix as exc:
+                assert str(exc) == expected
+            try:
+                exact = newton_step(sys, x)
             except SingularMatrix as exc:
                 with pytest.raises(SingularMatrix, match=str(exc)):
-                    _rounded_step(grid_system(sys, h), m)
+                    _rounded_step(grid, m)
                 continue
             expected = [round_down_dyadic(v, h).mantissa for v in exact]
-            assert _rounded_step(grid_system(sys, h), m) == expected
+            assert _rounded_step(grid, m) == expected
 
 
 class TestCertifyParams:
