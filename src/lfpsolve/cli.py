@@ -31,7 +31,7 @@ from .errors import (
     SingularMatrix,
     StructureViolation,
 )
-from .mps import clean, parse_mps, system_to_json, to_snf
+from .mps import clean, json_text, parse_mps, system_to_json, to_snf
 from .oracle import value_iterate
 from .p1ca import parse_p1ca, termination_probabilities, validate
 from .ratmath import parse_rat, rat_str
@@ -47,7 +47,7 @@ def _read_input(path: str) -> str:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    sys.stdout.write(json_text(obj) + "\n")
 
 
 def _epsilon(args):

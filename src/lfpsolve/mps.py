@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
 from math import lcm
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DegreeTooHigh, NotMonotone, ParseError
@@ -144,6 +146,7 @@ def system_from_json(doc) -> MonotoneSystem:
     if not isinstance(eqs, list) or len(eqs) != len(names):
         raise ParseError('"eqs" must list exactly one equation per variable')
     index = {name: i for i, name in enumerate(names)}
+    coeffs = {}  # coefficient string -> its positive rational, parsed once
     equations = []
     for pos, eq in enumerate(eqs):
         if not isinstance(eq, list):
@@ -152,14 +155,18 @@ def system_from_json(doc) -> MonotoneSystem:
         for term in eq:
             if not isinstance(term, dict) or set(term) != {"c", "m"}:
                 raise ParseError(f'terms must be objects with exactly "c" and "m" (equation {pos})')
-            if not isinstance(term["c"], str):
+            text = term["c"]
+            if not isinstance(text, str):
                 raise ParseError(f'coefficient must be a "p/q" string (equation {pos})')
-            try:
-                coeff = rat(term["c"])
-            except ValueError as exc:
-                raise ParseError(str(exc)) from None
-            if coeff <= 0:
-                raise NotMonotone(f"coefficient {term['c']} in equation {pos} is not positive")
+            coeff = coeffs.get(text)
+            if coeff is None:
+                try:
+                    coeff = rat(text)
+                except ValueError as exc:
+                    raise ParseError(str(exc)) from None
+                if coeff <= 0:
+                    raise NotMonotone(f"coefficient {text} in equation {pos} is not positive")
+                coeffs[text] = coeff
             powers_raw = term["m"]
             if not isinstance(powers_raw, dict):
                 raise ParseError(f'"m" must be an object (equation {pos})')
@@ -170,32 +177,55 @@ def system_from_json(doc) -> MonotoneSystem:
                 if not isinstance(exp, int) or isinstance(exp, bool) or exp < 1:
                     raise ParseError(f"exponent of {name!r} in equation {pos} must be an integer >= 1")
                 powers[index[name]] = exp
-            terms.append(make_monomial(coeff, powers))
+            terms.append(Monomial(coeff, tuple(sorted(powers.items()))))
         equations.append(tuple(terms))
     return MonotoneSystem(tuple(names), tuple(equations))
 
 
-def _term_key(sys: MonotoneSystem, mono: Monomial):
-    named = tuple(sorted((sys.names[v], e) for v, e in mono.exponents))
-    return (-mono.degree, named, rat_str(mono.coeff))
-
-
 def system_to_json(sys: MonotoneSystem) -> dict:
+    names = sys.names
     eqs = []
     for terms in sys.equations:
-        entries = []
-        for mono in sorted(terms, key=lambda m: _term_key(sys, m)):
-            powers = {
-                name: e
-                for name, e in sorted((sys.names[v], e) for v, e in mono.exponents)
-            }
-            entries.append({"c": rat_str(mono.coeff), "m": powers})
-        eqs.append(entries)
-    return {"vars": list(sys.names), "eqs": eqs}
+        keyed = []
+        for mono in terms:
+            named = sorted([(names[v], e) for v, e in mono.exponents])
+            c = rat_str(mono.coeff)
+            keyed.append(((-mono.degree, named, c), {"c": c, "m": dict(named)}))
+        if len(keyed) > 1:
+            keyed.sort(key=itemgetter(0))
+        eqs.append([entry for _, entry in keyed])
+    return {"vars": list(names), "eqs": eqs}
 
 
 def serialize_mps(sys: MonotoneSystem) -> str:
-    return json.dumps(system_to_json(sys), indent=2)
+    return json_text(system_to_json(sys))
+
+
+def json_text(obj, pad: str = "\n") -> str:
+    """Exactly ``json.dumps(obj, indent=2)`` for dicts with string keys
+    (any other key raises ``TypeError``), without the pure-Python encoder
+    that ``json`` falls back to whenever ``indent`` is set.  Strings and
+    plain ints are written as ``json`` writes them; every other leaf goes
+    to ``json.dumps``, which raises for values JSON cannot hold."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_encode_str(v) if type(v) is str else json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            _encode_str(k) + ": " + (_encode_str(v) if type(v) is str else json_text(v, inner))
+            for k, v in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return json.dumps(obj)
 
 
 # --- measurement and evaluation -----------------------------------------------
@@ -440,24 +470,34 @@ def to_snf(sys: MonotoneSystem) -> SnfSystem:
 def detect_zero_variables(sys: MonotoneSystem) -> frozenset:
     """Indices i with least-fixed-point coordinate exactly 0.
 
-    Marks a variable "positive" once some monomial of its equation has all
-    of its variables already marked (constants are vacuously so), iterating
-    to a fixpoint; the unmarked variables are exactly the zero set of the
-    n-fold value iterate from 0.
+    Variable i is positive once some monomial of its equation has all of
+    its variables positive (constants vacuously).  Each monomial counts
+    its variables not yet positive; a worklist of monomials at count 0
+    marks each one's variable and counts down the monomials mentioning it,
+    so the least fixpoint takes one pass over the terms.  The unmarked
+    variables are exactly the zero set of the n-fold value iterate from 0.
     """
-    positive: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for i, terms in enumerate(sys.equations):
-            if i in positive:
-                continue
-            for mono in terms:
-                if all(v in positive for v, _ in mono.exponents):
-                    positive.add(i)
-                    changed = True
-                    break
-    return frozenset(range(sys.n)) - positive
+    positive = [False] * sys.n
+    owner = []  # monomial id -> the variable whose equation holds it
+    missing = []  # monomial id -> count of its variables not yet positive
+    uses = [[] for _ in range(sys.n)]  # variable -> ids of the monomials mentioning it
+    for i, terms in enumerate(sys.equations):
+        for mono in terms:
+            for v, _ in mono.exponents:
+                uses[v].append(len(owner))
+            owner.append(i)
+            missing.append(len(mono.exponents))
+    worklist = [m for m, count in enumerate(missing) if not count]
+    while worklist:
+        i = owner[worklist.pop()]
+        if positive[i]:
+            continue
+        positive[i] = True
+        for m in uses[i]:
+            missing[m] -= 1
+            if not missing[m]:
+                worklist.append(m)
+    return frozenset(i for i, mark in enumerate(positive) if not mark)
 
 
 def clean(sys: MonotoneSystem):

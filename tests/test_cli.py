@@ -233,6 +233,33 @@ class TestOtherSubcommands:
         assert code == 1
 
 
+class TestCanonicalOutput:
+    """Every subcommand, and an error exit, writes indent-2 JSON exactly as
+    ``json.dumps(..., indent=2)`` writes it."""
+
+    ZERO = '{"vars":["a","b"],"eqs":[[{"c":"1","m":{"b":1}}],[{"c":"1","m":{"a":1}}]]}'
+    CASES = {
+        "solve": (["solve", "--epsilon", "1/256", "--assume-prob", "--no-snf"], CHAIN3, 0),
+        "solve-witness": (["solve", "--epsilon", "1/65536", "--assume-prob"], LEAKY_CHAIN3, 0),
+        "clean": (["clean"], ZERO, 0),
+        "snf": (["snf"], CHAIN3, 0),
+        "decompose": (["decompose"], CHAIN3, 0),
+        "decompose-empty": (["decompose"], ZERO, 0),
+        "bounds": (["bounds"], CHAIN3, 0),
+        "value-iter": (["value-iter", "--steps", "3"], CHAIN3, 0),
+        "p1ca-term": (["p1ca-term", "--epsilon", "1/1024"], GAMBLER, 0),
+        "p1ca-validate": (["p1ca-validate"], BAD_P1CA, 1),
+        "error": (["solve", "--epsilon", "1/2"], '{"vars":["x"],"eqs":[[{"c":"-1","m":{}}]]}', 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_stdout_is_indent_2_json(self, case, tmp_path):
+        args, model, expected_code = self.CASES[case]
+        code, out, _ = run_cli(args, model, tmp_path)
+        assert code == expected_code
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 class TestTracePinned:
     """``--trace`` lines and the JSON report, byte for byte: the rounded
     Newton kernel builds the iterates that the trace prints."""

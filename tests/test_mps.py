@@ -3,12 +3,15 @@ normal form, size measure, zero detection, and cleaning."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 
 from lfpsolve import (
     DegreeTooHigh,
+    Monomial,
+    MonotoneSystem,
     NotMonotone,
     ParseError,
     RnmConfig,
@@ -73,6 +76,32 @@ class TestParsing:
     def test_rejects_malformed_documents(self, doc):
         with pytest.raises(ParseError):
             parse_mps(doc)
+
+    @pytest.mark.parametrize(
+        ("bad", "error", "message"),
+        [
+            ("0.5", ParseError, "not a rational literal: '0.5'"),
+            ("1 /2", ParseError, "not a rational literal: '1 /2'"),
+            ("-1/2", NotMonotone, "coefficient -1/2 in equation 1 is not positive"),
+            ("0", NotMonotone, "coefficient 0 in equation 1 is not positive"),
+            (" -1/2 ", NotMonotone, "coefficient  -1/2  in equation 1 is not positive"),
+        ],
+    )
+    def test_repeated_bad_coefficient_names_its_first_equation(self, bad, error, message):
+        # Coefficient strings are parsed once per document; a bad one must
+        # still fail where it first appears, with the same message.
+        terms = [{"c": bad, "m": {"x": 1}}, {"c": bad, "m": {}}]
+        doc = {"vars": ["x", "y", "z"], "eqs": [[{"c": "1/2", "m": {}}], terms, terms]}
+        with pytest.raises(error) as exc:
+            parse_mps(json.dumps(doc))
+        assert str(exc.value) == message
+
+    def test_coefficient_with_surrounding_whitespace_parses(self):
+        terms = [{"c": " 1/4 ", "m": {"x": 2}}, {"c": "\t1/4\n", "m": {}}, {"c": "1/4", "m": {"x": 1}}]
+        doc = {"vars": ["x"], "eqs": [terms]}
+        sys = parse_mps(json.dumps(doc))
+        assert [m.coeff for m in sys.equations[0]] == [rat(1, 4)] * 3
+        assert [t["c"] for t in json.loads(serialize_mps(sys))["eqs"][0]] == ["1/4"] * 3
 
     def test_round_trip_on_fixtures(self, rng):
         fixtures = [parse_mps(UNIVARIATE_DOC)]
@@ -300,6 +329,18 @@ class TestZeroDetection:
         for _ in range(120):
             sys = random_with_zero_variables(rng, rng.randint(1, 6))
             assert detect_zero_variables(sys) == zero_set_oracle(sys)
+
+    @pytest.mark.parametrize("constant", [True, False])
+    def test_long_descending_chain(self, constant):
+        # x_i = x_{i+1}/2 with the only constant, if any, at the last
+        # variable: each pass of a repeat-until-stable loop marks one more
+        # variable, so that loop is quadratic in n here.
+        n = 20_000
+        half = rat(1, 2)
+        eqs = [(Monomial(half, ((i + 1, 1),)),) for i in range(n - 1)]
+        eqs.append((Monomial(half, ()),) if constant else (Monomial(half, ((0, 1),)),))
+        sys = MonotoneSystem(tuple(f"x{i}" for i in range(n)), tuple(eqs))
+        assert detect_zero_variables(sys) == (frozenset() if constant else frozenset(range(n)))
 
 
 class TestClean:
