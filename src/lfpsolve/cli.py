@@ -172,11 +172,7 @@ def _cmd_decompose(args) -> int:
     system = parse_mps(_read_input(args.input))
     cleaned, kept = clean(system)
     removed = _removed_names(system, kept)
-    decomp = (
-        decompose(build_graph(cleaned), cleaned)
-        if cleaned.n
-        else None
-    )
+    decomp = decompose(build_graph(cleaned), cleaned)
     _emit(
         {
             "removed_zero_variables": removed,
@@ -187,10 +183,10 @@ def _cmd_decompose(args) -> int:
                     "height": scc.height,
                     "nonlinear_height": scc.nonlinear_height,
                 }
-                for scc in (decomp.sccs if decomp else ())
+                for scc in decomp.sccs
             ],
-            "depth": decomp.depth if decomp else 0,
-            "nonlinear_depth": decomp.nonlinear_depth if decomp else 0,
+            "depth": decomp.depth,
+            "nonlinear_depth": decomp.nonlinear_depth,
         }
     )
     return 0

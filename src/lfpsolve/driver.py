@@ -85,6 +85,7 @@ from .mps import (
     evaluate,
     grid_system,
     norm_p_one,
+    restrict,
     to_snf,
 )
 from .newton import IterationTrace, RnmConfig, newton_rows, run_rnm
@@ -366,37 +367,6 @@ def _exact_ones(sys: MonotoneSystem, decomp: Decomposition) -> set:
 # --- component-wise rounded Newton ---------------------------------------------
 
 
-def _scc_subsystem(sys: MonotoneSystem, members: tuple, solved: list) -> MonotoneSystem:
-    """Equations of one component with solved lower variables substituted in.
-
-    Monomials touching a lower variable fold its value into the coefficient;
-    a zero value kills the whole monomial (never the constant terms).
-    """
-    local = {v: i for i, v in enumerate(members)}
-    equations = []
-    for v in members:
-        terms = []
-        for mono in sys.equations[v]:
-            coeff = mono.coeff
-            kept = []
-            dead = False
-            for j, e in mono.exponents:
-                if j in local:
-                    kept.append((local[j], e))
-                    continue
-                value = solved[j]
-                if value is None:
-                    raise AssertionError("dependency solved out of order")
-                if value == 0:
-                    dead = True
-                    break
-                coeff = coeff * (value if e == 1 else value**e)
-            if not dead:
-                terms.append(Monomial(coeff, tuple(kept)))
-        equations.append(tuple(terms))
-    return MonotoneSystem(tuple(sys.names[v] for v in members), tuple(equations))
-
-
 def _solve_scc(
     sub: MonotoneSystem, scc: Scc, h: int, g: int, threshold: int | None, keep_trace: bool
 ):
@@ -439,7 +409,7 @@ def _run_rdnm(
     dyadics: list = [None] * sys.n
     runs = []
     for scc in sorted(decomp.sccs, key=lambda scc: scc.height):
-        sub = _scc_subsystem(sys, scc.vars, solved)
+        sub = restrict(sys, scc.vars, solved)
         final, trace, iterations = _solve_scc(sub, scc, h, g, threshold, keep_traces)
         for v, d in zip(scc.vars, final):
             dyadics[v] = d
@@ -719,44 +689,36 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
     if not rest:
         # Every coordinate is a zero variable or proved to be 1: the answer
         # is exact, and it is itself a fixed point.
-        approx = to_input((), Dyadic(0, 1), Dyadic(2, 1))
         params = DriverParams(alpha=ONE, h=1, g=1, u=0, mode=options.mode)
         qmax_source = "probability-flag" if options.assume_probabilistic else "exact"
         bounds = LfpBounds(ONE, "exact", 0, qmax_source)
-        if options.mode == "certified":
-            status = "certified-eps"
-            certificate = Certificate("witness", to_input((), ZERO, ONE), (), exact_one)
-        else:
-            status, certificate = "adaptive-heuristic", Certificate("none", None, (), exact_one)
-        return SolveReport(
-            approx, tuple(sys.names), params, bounds, exact_runs, status, epsilon, info, certificate
+        dyadics, runs, attempted = (), (), ()
+        kind, upper = ("witness", ()) if options.mode == "certified" else ("none", None)
+    else:
+        reduced = cleaned
+        if ones:  # every variable outside rest is in the proved set
+            reduced = restrict(cleaned, rest, [ONE] * cleaned.n)
+            decomp = decompose(build_graph(reduced), reduced)
+        n, d, f = reduced.n, decomp.depth, decomp.nonlinear_depth
+        bounds = compute_bounds(reduced, options)
+        bits = encoding_size(reduced)
+        info.update(
+            {
+                "encoding_bits": bits,
+                "variable_count": n,
+                "depth": d,
+                "nonlinear_depth": f,
+                "newton_rate": _newton_rate_info(n, d, f, bits, epsilon),
+            }
+        )
+        params, dyadics, runs, kind, upper, attempted = _run_grids(
+            reduced, decomp, epsilon, bounds, options
         )
 
-    reduced = cleaned
-    if ones:
-        solved = [ONE if v in ones else None for v in range(cleaned.n)]
-        reduced = _scc_subsystem(cleaned, rest, solved)
-        decomp = decompose(build_graph(reduced), reduced)
-    n, d, f = reduced.n, decomp.depth, decomp.nonlinear_depth
-    bounds = compute_bounds(reduced, options)
-    info.update(
-        {
-            "encoding_bits": encoding_size(reduced),
-            "variable_count": n,
-            "depth": d,
-            "nonlinear_depth": f,
-            "newton_rate": _newton_rate_info(n, d, f, encoding_size(reduced), epsilon),
-        }
-    )
-
-    params, dyadics, runs, kind, upper, attempted = _run_grids(
-        reduced, decomp, epsilon, bounds, options
-    )
     if options.mode == "adaptive":
         status = "adaptive-heuristic"
     else:  # the theorem says nothing about an h_override grid; only a witness there certifies
         status = "uncertified" if kind == "none" else "certified-eps"
-
     approx = to_input(dyadics, Dyadic(0, params.h), Dyadic(1 << params.h, params.h))
     if upper is not None:
         upper = to_input(upper, ZERO, ONE)

@@ -402,17 +402,6 @@ class SnfSystem:
     forms: tuple
     projection: tuple
 
-    def __post_init__(self):
-        for terms, form in zip(self.system.equations, self.forms):
-            if form == "star":
-                if len(terms) != 1 or terms[0].coeff != ONE or terms[0].degree != 2:
-                    raise ValueError("star equations must be one unit-coefficient degree-2 product")
-            elif form == "plus":
-                if any(mono.degree > 1 for mono in terms):
-                    raise ValueError("plus equations must be linear")
-            else:
-                raise ValueError(f"unknown form tag {form!r}")
-
 
 def to_snf(sys: MonotoneSystem) -> SnfSystem:
     """Rewrite to simple normal form with fresh product variables.
@@ -500,6 +489,39 @@ def detect_zero_variables(sys: MonotoneSystem) -> frozenset:
     return frozenset(i for i, mark in enumerate(positive) if not mark)
 
 
+def restrict(sys: MonotoneSystem, members: Sequence[int], values: Sequence) -> MonotoneSystem:
+    """The equations of ``members`` (increasing indices), reindexed in that
+    order, with every other variable v replaced by the exact value
+    ``values[v]``.
+
+    A value of 0 deletes each monomial that mentions v (never a constant
+    term); any other value is folded into the coefficient.  The entries of
+    ``values`` at the members are never read.  Removing zero variables,
+    substituting the proved q* = 1 set, and handing each component its
+    solved lower variables are all this one substitution.
+    """
+    local = {v: i for i, v in enumerate(members)}
+    equations = []
+    for v in members:
+        terms = []
+        for mono in sys.equations[v]:
+            coeff = mono.coeff
+            kept = []
+            for j, e in mono.exponents:
+                k = local.get(j)
+                if k is not None:
+                    kept.append((k, e))
+                    continue
+                value = values[j]
+                if value == 0:
+                    break
+                coeff = coeff * (value if e == 1 else value**e)
+            else:
+                terms.append(Monomial(coeff, tuple(kept)))
+        equations.append(tuple(terms))
+    return MonotoneSystem(tuple(sys.names[v] for v in members), tuple(equations))
+
+
 def clean(sys: MonotoneSystem):
     """Remove zero variables; returns (cleaned system, kept original indices).
 
@@ -510,17 +532,5 @@ def clean(sys: MonotoneSystem):
     empty system.
     """
     zeros = detect_zero_variables(sys)
-    kept = [i for i in range(sys.n) if i not in zeros]
-    remap = {old: new for new, old in enumerate(kept)}
-    equations = []
-    for i in kept:
-        terms = []
-        for mono in sys.equations[i]:
-            if any(v in zeros for v, _ in mono.exponents):
-                continue
-            terms.append(
-                Monomial(mono.coeff, tuple((remap[v], e) for v, e in mono.exponents))
-            )
-        equations.append(tuple(terms))
-    cleaned = MonotoneSystem(tuple(sys.names[i] for i in kept), tuple(equations))
-    return cleaned, tuple(kept)
+    kept = tuple(i for i in range(sys.n) if i not in zeros)
+    return restrict(sys, kept, [0] * sys.n), kept

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from .decomposition import build_graph, decompose
 from .driver import SolveOptions, SolveReport, solve
 from .errors import InvalidModel, ParseError, StructureViolation
-from .mps import Monomial, MonotoneSystem, clean, detect_zero_variables
+from .mps import Monomial, MonotoneSystem, clean
+from .mps import detect_zero_variables  # unused here; perfbench/spans.py times it at this import
 from .ratmath import ONE, ceil_log2, den, num, rat, rat_str
 
 PAIR_SEP = "→"  # arrow in generated variable names "u->v"
@@ -258,21 +259,17 @@ def termination_probabilities(
     included: when no witness is found below it and the closed-form h is
     above it, ParamsInfeasible is raised.
     """
-    require_valid(model)
+    system = build_termination_mps(model)  # validates the model first
     eps = rat(epsilon)
     if not 0 < eps < 1:
         raise ValueError("epsilon must be in (0, 1)")
-    system = build_termination_mps(model)
-    zeros = detect_zero_variables(system)
-
-    cleaned, _ = clean(system)
-    if cleaned.n:
-        f = decompose(build_graph(cleaned), cleaned).nonlinear_depth
-        if f > 1:
-            raise StructureViolation(
-                f"termination system has nonlinear depth {f} > 1; "
-                "this cannot happen for a one-counter automaton"
-            )
+    cleaned, kept = clean(system)
+    f = decompose(build_graph(cleaned), cleaned).nonlinear_depth
+    if f > 1:
+        raise StructureViolation(
+            f"termination system has nonlinear depth {f} > 1; "
+            "this cannot happen for a one-counter automaton"
+        )
 
     params = rounding_params(model, eps)
     options = SolveOptions(
@@ -289,8 +286,9 @@ def termination_probabilities(
     entries = tuple(
         tuple(report.approximation[u * r + v] for v in range(r)) for u in range(r)
     )
+    nonzero = set(kept)
     mask = tuple(
-        tuple((u * r + v) in zeros for v in range(r)) for u in range(r)
+        tuple((u * r + v) not in nonzero for v in range(r)) for u in range(r)
     )
     return GMatrix(
         states=tuple(model.states),

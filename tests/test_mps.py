@@ -1,12 +1,15 @@
 """System representation: parsing, serialization, evaluation, Jacobians,
-normal form, size measure, zero detection, and cleaning."""
+normal form, size measure, zero detection, substitution, and cleaning."""
 
 from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfpsolve import (
     DegreeTooHigh,
@@ -31,7 +34,7 @@ from lfpsolve import (
     value_iterate,
     zero_set_oracle,
 )
-from lfpsolve.mps import evaluate_on_grid, grid_system
+from lfpsolve.mps import evaluate_on_grid, grid_system, restrict
 from lfpsolve.ratmath import mat_vec_mul, vec_sub
 
 from conftest import random_substochastic, random_with_zero_variables, univariate
@@ -379,3 +382,50 @@ class TestClean:
             if cleaned.n:
                 floor = value_iterate(cleaned, cleaned.n)
                 assert all(x > 0 for x in floor)
+
+
+@st.composite
+def restriction_cases(draw):
+    """A system of any degree with repeated monomials, a member subset,
+    exact non-negative values (zeros included) on the other variables, and
+    a point on the members."""
+    n = draw(st.integers(1, 6))
+    coefficient = st.builds(Fraction, st.integers(1, 2**40), st.integers(1, 2**40))
+    value = st.just(Fraction(0)) | st.builds(Fraction, st.integers(0, 2**20), st.integers(1, 2**20))
+    powers = st.dictionaries(st.integers(0, n - 1), st.integers(1, 4), max_size=3)
+    equations = []
+    for _ in range(n):
+        terms = draw(st.lists(st.tuples(coefficient, powers), max_size=4))
+        terms += terms[: draw(st.integers(0, len(terms)))]  # repeated monomials
+        equations.append(tuple(Monomial(c, tuple(sorted(p.items()))) for c, p in terms))
+    system = MonotoneSystem(tuple(f"x{i}" for i in range(n)), tuple(equations))
+    members = sorted(draw(st.sets(st.integers(0, n - 1))))
+    values = [None if v in members else draw(value) for v in range(n)]
+    point = draw(st.lists(value, min_size=len(members), max_size=len(members)))
+    return system, tuple(members), values, point
+
+
+class TestRestrict:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(restriction_cases())
+    def test_evaluates_as_the_full_system_on_the_members(self, case):
+        system, members, values, point = case
+        full = list(values)
+        for v, y in zip(members, point):
+            full[v] = y
+        restricted = restrict(system, members, values)
+        assert restricted.names == tuple(system.names[v] for v in members)
+        whole = evaluate(system, full)
+        assert evaluate(restricted, point) == [whole[v] for v in members]
+
+    def test_a_zero_value_deletes_the_monomial_not_the_constant(self):
+        sys = system_of(
+            ["x", "z", "w"],
+            [("1/4", {"x": 1, "z": 1}), ("1/3", {"x": 1, "w": 2}), ("1/8", {})],
+            [("1", {})],
+            [("1", {})],
+        )
+        restricted = restrict(sys, (0,), [None, rat(0), rat(1, 2)])
+        assert restricted.equations == (
+            (Monomial(rat(1, 12), ((0, 1),)), Monomial(rat(1, 8), ())),
+        )
