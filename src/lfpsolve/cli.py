@@ -336,10 +336,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, NotMonotone, InvalidModel, DegreeTooHigh, StructureViolation) as exc:
-        _fail(exc)
-        return 1
-    except ValueError as exc:
+    except (
+        ParseError, NotMonotone, InvalidModel, DegreeTooHigh, StructureViolation, ValueError, OSError
+    ) as exc:
         _fail(exc)
         return 1
     except (DivergenceCertified, NoFiniteLfp) as exc:
@@ -351,9 +350,6 @@ def main(argv=None) -> int:
     except ParamsInfeasible as exc:
         _fail(exc)
         return 4
-    except OSError as exc:
-        _fail(exc)
-        return 1
 
 
 def _fail(exc: Exception, status: str | None = None) -> None:

@@ -20,11 +20,12 @@ from .ratmath import (
     ONE,
     ZERO,
     Dyadic,
+    Rat,
     ceil_log2,
-    dyadic_exceeds_pow2,
     identity_minus,
     inf_norm,
     rat,
+    rational_exceeds_pow2,
     round_down_dyadic,  # unused here; perfbench/spans.py times it at this import
     solve_integer,
     solve_linear,
@@ -73,10 +74,11 @@ def newton_step(sys: MonotoneSystem, z) -> list:
     return [zi + di for zi, di in zip(z, delta)]
 
 
-def _record(sys: MonotoneSystem, k: int, iterate) -> TraceRecord:
+def _record(sys: MonotoneSystem, k: int, m: list, h: int) -> TraceRecord:
+    iterate = tuple(Dyadic(mi, h) for mi in m)
     values = [d.value() for d in iterate]
     residual = inf_norm(vec_sub(evaluate(sys, values), values))
-    return TraceRecord(k, tuple(iterate), residual)
+    return TraceRecord(k, iterate, residual)
 
 
 def newton_rows(grid: GridSystem, m: list) -> tuple:
@@ -155,8 +157,7 @@ def run_rnm(
         eval_jacobian(sys, [ZERO] * n)  # raises DegreeTooHigh naming the equation
     grid = grid_system(sys, h)
     m = [0] * n
-    x = tuple(Dyadic(0, h) for _ in range(n))
-    records = [_record(sys, 0, x)] if keep_trace else []
+    records = [_record(sys, 0, m, h)] if keep_trace else []
     steps = cfg.g
     for k in range(1, cfg.g + 1):
         rounded = _rounded_step(grid, m)
@@ -167,17 +168,16 @@ def run_rnm(
             steps = k
             break
         m = rounded
-        x = tuple(Dyadic(mi, h) for mi in m)
         if divergence_exponent is not None:
-            for d in x:
-                if dyadic_exceeds_pow2(d, divergence_exponent):
-                    raise DivergenceCertified(
-                        f"iterate {k} exceeds the q*_max bound 2**{divergence_exponent}; "
-                        "no finite least fixed point below it exists"
-                    )
+            # The crossing test is monotone in the mantissa: the largest decides.
+            if rational_exceeds_pow2(Rat(max(m), 1 << h), divergence_exponent):
+                raise DivergenceCertified(
+                    f"iterate {k} exceeds the q*_max bound 2**{divergence_exponent}; "
+                    "no finite least fixed point below it exists"
+                )
         if keep_trace:
-            records.append(_record(sys, k, x))
-    return x, IterationTrace(tuple(records), steps)
+            records.append(_record(sys, k, m, h))
+    return tuple(Dyadic(mi, h) for mi in m), IterationTrace(tuple(records), steps)
 
 
 def certify_params_scc(n: int, alpha, epsilon) -> RnmConfig:

@@ -1,8 +1,15 @@
-"""Independent verification engines.
+"""Value iteration, the divergence probe, and the closed-form univariate
+solver.
 
-Nothing here shares code paths with the Newton solver: value iteration and
-the closed-form univariate solver are the cross-checks the test suite holds
-the solver against, so they must stay independent of it.
+``zero_set_oracle``, ``univariate_quadratic_lfp`` and ``AlgebraicRoot``
+are independent oracles: they share no code path with the Newton solver,
+and the test suite holds the solver against them.  ``value_iterate`` is
+also the solver's q*_min bound, which ``driver`` computes for every
+reduced system of up to ``driver.VALUE_ITERATION_CAP`` variables.
+``detect_divergence`` is the solver's divergence probe (``driver`` runs it
+in the grid loop of most solves); it steps on ``mps.grid_system``, the
+integer grid form of the Newton kernel, so it is no independent check of
+that kernel.
 """
 
 from __future__ import annotations
@@ -14,12 +21,12 @@ from .mps import MonotoneSystem, evaluate, evaluate_on_grid, grid_system
 from .ratmath import (
     ONE,
     ZERO,
-    Dyadic,
+    Rat,
     den,
-    dyadic_exceeds_pow2,
     is_perfect_square,
     num,
     rat,
+    rational_exceeds_pow2,
     sqrt_bounds,
     sqrt_exact,
     zeros_vector,
@@ -80,7 +87,7 @@ def detect_divergence(
     for _ in range(max_steps):
         nxt = evaluate_on_grid(grid, x)
         # The crossing test is monotone in the mantissa: the largest decides.
-        if nxt and dyadic_exceeds_pow2(Dyadic(max(nxt), PROBE_GRID_BITS), qmax_exponent):
+        if nxt and rational_exceeds_pow2(Rat(max(nxt), 1 << PROBE_GRID_BITS), qmax_exponent):
             return True
         if nxt == x:
             return False

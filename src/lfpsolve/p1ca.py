@@ -17,12 +17,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .decomposition import build_graph, decompose
 from .driver import SolveOptions, SolveReport, solve
 from .errors import InvalidModel, ParseError, StructureViolation
-from .mps import Monomial, MonotoneSystem, clean
-from .mps import detect_zero_variables  # unused here; perfbench/spans.py times it at this import
+from .mps import Monomial, MonotoneSystem
 from .ratmath import ONE, ceil_log2, den, num, rat, rat_str
+
+# Unused here; perfbench/spans.py times these at this module's imports.
+from .decomposition import build_graph, decompose
+from .mps import clean, detect_zero_variables
 
 PAIR_SEP = "→"  # arrow in generated variable names "u->v"
 
@@ -257,20 +259,13 @@ def termination_probabilities(
     q*_min is at worst c_min**(r^3)); adaptive mode is the escape hatch when
     neither is affordable.  ``max_h`` bounds every grid, the closed-form one
     included: when no witness is found below it and the closed-form h is
-    above it, ParamsInfeasible is raised.
+    above it, ParamsInfeasible is raised.  The zero mask and the nonlinear
+    depth guard read the report of ``solve``, which derives both.
     """
     system = build_termination_mps(model)  # validates the model first
     eps = rat(epsilon)
     if not 0 < eps < 1:
         raise ValueError("epsilon must be in (0, 1)")
-    cleaned, kept = clean(system)
-    f = decompose(build_graph(cleaned), cleaned).nonlinear_depth
-    if f > 1:
-        raise StructureViolation(
-            f"termination system has nonlinear depth {f} > 1; "
-            "this cannot happen for a one-counter automaton"
-        )
-
     params = rounding_params(model, eps)
     options = SolveOptions(
         mode=mode,
@@ -281,14 +276,20 @@ def termination_probabilities(
         keep_traces=keep_traces,
     )
     report = solve(system, eps, options)
+    f = report.info.get("nonlinear_depth", 0)  # absent when nothing is left to iterate
+    if f > 1:
+        raise StructureViolation(
+            f"termination system has nonlinear depth {f} > 1; "
+            "this cannot happen for a one-counter automaton"
+        )
 
     r = len(model.states)
     entries = tuple(
         tuple(report.approximation[u * r + v] for v in range(r)) for u in range(r)
     )
-    nonzero = set(kept)
+    zeros = set(report.info["removed_zero_variables"])  # pair names are unique
     mask = tuple(
-        tuple((u * r + v) not in nonzero for v in range(r)) for u in range(r)
+        tuple(system.names[u * r + v] in zeros for v in range(r)) for u in range(r)
     )
     return GMatrix(
         states=tuple(model.states),

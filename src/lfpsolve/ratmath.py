@@ -85,20 +85,10 @@ def ceil_log2(q) -> int:
     """
     if q <= 0:
         raise ValueError("ceil_log2 requires a positive argument")
-    a, b = num(q), den(q)
-    # a/b > 2**(bitlen(a) - bitlen(b) - 1) always, so start just below and
-    # step up; at most two increments are needed.
-    level = a.bit_length() - b.bit_length() - 1
-    while not _le_pow2(a, b, level):
-        level += 1
-    return level
-
-
-def _le_pow2(a: int, b: int, level: int) -> bool:
-    """a/b <= 2**level for positive integers a, b."""
-    if level >= 0:
-        return a <= (b << level)
-    return (a << -level) <= b
+    # With gap = bitlen(num) - bitlen(den), 2**(gap - 1) < q < 2**(gap + 1),
+    # so the answer is gap or gap + 1.
+    gap = num(q).bit_length() - den(q).bit_length()
+    return gap + 1 if rational_exceeds_pow2(q, gap) else gap
 
 
 def rational_exceeds_pow2(q, exponent: int) -> bool:
@@ -184,20 +174,6 @@ def round_down_dyadic(v, h: int) -> Dyadic:
     if v <= 0:
         return Dyadic(0, h)
     return Dyadic((num(v) << h) // den(v), h)
-
-
-def dyadic_exceeds_pow2(d: Dyadic, exponent: int) -> bool:
-    """Exact test of d > 2**exponent without materializing the threshold."""
-    m = d.mantissa
-    if m <= 0:
-        return False
-    total = exponent + d.scale  # d > 2**exponent  <=>  m > 2**total
-    top = m.bit_length() - 1
-    if top > total:
-        return True
-    if top < total:
-        return False
-    return (m & (m - 1)) != 0  # m has 2**total as its top bit; more bits => greater
 
 
 # --- sparse linear algebra ----------------------------------------------------

@@ -3,11 +3,14 @@ wrapper, and its structural guarantees."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from lfpsolve import (
     InvalidModel,
     P1CA,
+    StructureViolation,
     Transition,
     build_graph,
     build_termination_mps,
@@ -19,6 +22,7 @@ from lfpsolve import (
     parse_p1ca,
     rat,
     rounding_params,
+    solve,
     termination_probabilities,
     univariate_quadratic_lfp,
     validate,
@@ -208,6 +212,31 @@ class TestTerminationProbabilities:
                         assert value == 0
                     row_sum += value
                 assert row_sum <= 1
+
+    def test_certified_mask_is_the_zero_set_of_clean(self):
+        masked = unmasked = 0
+        for seed in range(12):
+            rng = random.Random(seed)
+            model = random_p1ca(rng, rng.randint(1, 3))
+            matrix = termination_probabilities(model, rat(1, 2**10))
+            kept = set(clean(build_termination_mps(model))[1])
+            r = len(model.states)
+            for u in range(r):
+                for v in range(r):
+                    assert matrix.zero_mask[u][v] == ((u * r + v) not in kept)
+                    masked += matrix.zero_mask[u][v]
+                    unmasked += not matrix.zero_mask[u][v]
+        assert masked and unmasked
+
+    def test_depth_guard_reads_the_report(self, monkeypatch):
+        def reporting_depth_two(system, epsilon, options):
+            report = solve(system, epsilon, options)
+            report.info["nonlinear_depth"] = 2
+            return report
+
+        monkeypatch.setattr("lfpsolve.p1ca.solve", reporting_depth_two)
+        with pytest.raises(StructureViolation, match="nonlinear depth 2"):
+            termination_probabilities(gamblers_ruin("2/3"), rat(1, 2**10))
 
     def test_decreasing_epsilon_never_hurts_on_analytic_fixture(self):
         truth = univariate_quadratic_lfp("2/3", 0, "1/3")

@@ -10,7 +10,6 @@ import pytest
 
 from lfpsolve import Dyadic, SingularMatrix, ceil_log2, rat, rat_str, round_down_dyadic, solve_linear
 from lfpsolve.ratmath import (
-    dyadic_exceeds_pow2,
     identity_minus,
     is_perfect_square,
     mat_vec_mul,
@@ -73,6 +72,16 @@ class TestCeilLog2:
             assert q <= rat(2) ** level
             assert q > rat(2) ** (level - 1)
 
+    def test_is_least_upper_exponent_on_wide_rationals(self, rng):
+        for _ in range(300):
+            q = rat(rng.getrandbits(rng.randint(1, 200)) + 1, rng.getrandbits(rng.randint(1, 200)) + 1)
+            level = ceil_log2(q)
+            assert rat(2) ** (level - 1) < q <= rat(2) ** level
+
+    def test_exact_on_powers_of_two(self):
+        for k in range(-300, 301):
+            assert ceil_log2(rat(2) ** k) == k
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ceil_log2(rat(0))
@@ -105,12 +114,12 @@ class TestRoundDownDyadic:
 
 class TestThresholdComparisons:
     def test_dyadic_window_cases(self):
-        assert not dyadic_exceeds_pow2(Dyadic(4, 2), 0)  # exactly 1
-        assert dyadic_exceeds_pow2(Dyadic(5, 2), 0)
-        assert not dyadic_exceeds_pow2(Dyadic(0, 5), 0)
-        assert dyadic_exceeds_pow2(Dyadic(3, 1), 0)
-        assert not dyadic_exceeds_pow2(Dyadic(7, 3), 0)
-        assert not dyadic_exceeds_pow2(Dyadic(1, 0), 10**9)  # astronomically large threshold
+        assert not rational_exceeds_pow2(Dyadic(4, 2).value(), 0)  # exactly 1
+        assert rational_exceeds_pow2(Dyadic(5, 2).value(), 0)
+        assert not rational_exceeds_pow2(Dyadic(0, 5).value(), 0)
+        assert rational_exceeds_pow2(Dyadic(3, 1).value(), 0)
+        assert not rational_exceeds_pow2(Dyadic(7, 3).value(), 0)
+        assert not rational_exceeds_pow2(Dyadic(1, 0).value(), 10**9)  # astronomically large threshold
 
     def test_rational_window_cases(self):
         assert not rational_exceeds_pow2(rat(1), 0)

@@ -1,0 +1,171 @@
+"""Replay a fixed corpus of command-line runs against one source tree and
+print a digest of every byte they write.
+
+    python3 tools/replay.py TREE
+
+TREE is a checkout of this repository; lfpsolve is imported from TREE/src
+and from nowhere else.  The corpus comes from the checkout this file is in,
+so running the same file against two trees compares their output on the
+same inputs.  The corpus:
+
+- every operation of the four benchmark workloads at seed 1, built by
+  ``perfbench/workloads.py`` (imported, not changed);
+- each ``solve`` operation also with ``--trace``, with ``--h 40``, and with
+  ``--mode adaptive --max-h 80``;
+- each ``p1ca-term`` operation also with ``--trace`` and with ``--mode
+  adaptive``;
+- ``random_p1ca`` models with r = 1..6 states at three seeds;
+- ``clean``, ``decompose``, ``snf``, ``bounds`` and ``solve`` on every file
+  of ``demos/data``;
+- two systems that diverge under ``--assume-prob``, one caught by the
+  divergence probe and one by the first Newton iterate;
+- a missing file, a parse error and a bad epsilon;
+- the standard output of every demo.
+
+Every solve here passes ``--assume-prob`` or has q* <= 1: a certified solve
+of a q* > 1 system without it can run for minutes.
+
+Each run is one in-process call of ``lfpsolve.cli.main`` (or one demo
+script), and its record is its arguments, exit code, standard output and
+standard error, with the temporary directory and this checkout written as
+``<tmp>`` and ``<root>``.  The tool prints the record count, a histogram
+of exit codes and the SHA-256 of all records.  A run takes a few
+seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import random
+import runpy
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
+EPS = "1/65536"
+P1CA_EPS = "1/1048576"
+P1CA_SEEDS = (1, 2, 3)
+P1CA_STATES = range(1, 7)
+DATA = ROOT / "demos" / "data"
+VARIANTS = {  # extra flags each workload operation also runs with, by command
+    "solve": (["--trace"], ["--h", "40"], ["--mode", "adaptive", "--max-h", "80"]),
+    "p1ca-term": (["--trace"], ["--mode", "adaptive"]),
+}
+# Systems with no least fixed point below 1, solved under --assume-prob: the
+# first escapes 1 only after thousands of value iterates, so the probe
+# misses it and the first Newton iterate certifies divergence; the second
+# is linear with q* = 2, which the probe catches.
+DIVERGENT = {
+    "slow-escape": [
+        [{"c": "1/1024", "m": {"x": 2}}, {"c": "1023/1024", "m": {"x": 1}}, {"c": "1/512", "m": {}}]
+    ],
+    "linear-escape": [[{"c": "1/2", "m": {"x": 1}}, {"c": "1", "m": {}}]],
+}
+
+
+def _captured(call) -> tuple:
+    """Exit code, standard output and standard error of call()."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as exc:  # argparse errors and --version
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cli_runs(tmp: Path, workloads, models) -> list:
+    """(label, argv) of every command-line run, in a fixed order; writes the
+    input files under tmp."""
+    runs = []
+    for name, build in workloads.WORKLOADS.items():
+        workdir = tmp / name
+        workdir.mkdir()
+        for op in build(SEED, workdir):
+            command, rest = op.argv[:1], op.argv[1:]
+            for extra in ([], *VARIANTS.get(command[0], ())):
+                runs.append((f"{name}/{op.label}", command + extra + rest))
+    for seed in P1CA_SEEDS:
+        for r in P1CA_STATES:
+            path = tmp / f"p1ca_{seed}_r{r}.json"
+            path.write_text(json.dumps(models.random_p1ca(random.Random(seed), r)), encoding="utf-8")
+            runs.append((f"random_p1ca/{seed}/r{r}", ["p1ca-term", "--epsilon", P1CA_EPS, str(path)]))
+    for path in sorted(DATA.glob("*.json")):
+        for command in (["clean"], ["decompose"], ["snf"], ["bounds"], ["solve", "--epsilon", EPS]):
+            runs.append((f"demos/data/{path.name}", command + [str(path)]))
+    for name, eqs in DIVERGENT.items():
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps({"vars": ["x"], "eqs": eqs}), encoding="utf-8")
+        for extra in ([], ["--h", "40"], ["--mode", "adaptive"]):
+            argv = ["solve", "--assume-prob", "--epsilon", EPS, *extra, str(path)]
+            runs.append((f"divergent/{name}", argv))
+    runs += [
+        ("error/missing-file", ["solve", "--epsilon", EPS, str(tmp / "missing.json")]),
+        ("error/parse", ["p1ca-term", "--epsilon", EPS, str(DATA / "chain3.json")]),
+        ("error/epsilon", ["solve", "--epsilon", "2", str(DATA / "chain3.json")]),
+    ]
+    return runs
+
+
+def _records(tmp: Path, workloads, models, cli) -> list:
+    records = []
+    for label, argv in _cli_runs(tmp, workloads, models):
+        code, out, err = _captured(lambda: cli.main(argv))
+        if label == "structure-wide/snf" and code == 0:
+            # decompose and clean read the snf output, as in the benchmark
+            (tmp / "structure-wide" / "wide_snf.json").write_text(
+                json.dumps(json.loads(out)["system"]), encoding="utf-8"
+            )
+        records.append({"label": label, "argv": argv, "exit": code, "stdout": out, "stderr": err})
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        code, out, err = _captured(lambda: _run_demo(demo))
+        record = {"label": f"demos/{demo.name}", "argv": [], "exit": code, "stdout": out, "stderr": err}
+        records.append(record)
+    return records
+
+
+def _run_demo(path: Path) -> int:
+    runpy.run_path(str(path), run_name="__main__")
+    return 0
+
+
+def _normalized(record: dict, tmp: Path) -> str:
+    """The record as one JSON line, with the temporary directory and this
+    checkout written as ``<tmp>`` and ``<root>``."""
+    line = json.dumps(record, sort_keys=True)
+    return line.replace(json.dumps(str(tmp))[1:-1], "<tmp>").replace(json.dumps(str(ROOT))[1:-1], "<root>")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tree", type=Path, help="checkout whose src/ is replayed")
+    args = parser.parse_args()
+    src = args.tree.resolve() / "src"
+    if not (src / "lfpsolve").is_dir():
+        parser.error(f"no lfpsolve package under {src}")
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    import models
+    import workloads
+    from lfpsolve import cli
+
+    print(f"lfpsolve: {Path(cli.__file__).parent}")
+    with tempfile.TemporaryDirectory() as tmp:
+        records = _records(Path(tmp), workloads, models, cli)
+        lines = [_normalized(record, Path(tmp)) for record in records]
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    exits = Counter(record["exit"] for record in records)
+    print(f"records: {len(records)}")
+    print("exit codes: " + ", ".join(f"{code}: {count}" for code, count in sorted(exits.items(), key=str)))
+    print(f"sha256: {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
