@@ -31,7 +31,8 @@ from .errors import (
     SingularMatrix,
     StructureViolation,
 )
-from .mps import clean, json_text, parse_mps, system_to_json, to_snf
+from .mps import clean, json_text, parse_mps, to_snf
+from .mps import system_to_json  # unused here; perfbench/spans.py times it at this import
 from .oracle import value_iterate
 from .p1ca import parse_p1ca, termination_probabilities, validate
 from .ratmath import parse_rat, rat_str
@@ -147,7 +148,7 @@ def _cmd_clean(args) -> int:
     removed = _removed_names(system, kept)
     _emit(
         {
-            "system": system_to_json(cleaned),
+            "system": cleaned,
             "removed": removed,
             "kept_indices": list(kept),
         }
@@ -160,7 +161,7 @@ def _cmd_snf(args) -> int:
     snf = to_snf(system)
     _emit(
         {
-            "system": system_to_json(snf.system),
+            "system": snf.system,
             "forms": list(snf.forms),
             "projection": {system.names[i]: snf.system.names[snf.projection[i]] for i in range(system.n)},
         }

@@ -72,7 +72,7 @@ input with g = h_theorem - 1, and the witness grids count H the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .decomposition import Decomposition, Scc, build_graph, decompose
 from .errors import DegreeTooHigh, DivergenceCertified, ParamsInfeasible, SingularMatrix
@@ -201,7 +201,7 @@ class SolveOptions:
     theorem_h: int | None = None  # h_theorem (a grid of the rescaled system) in place of the formula
     max_h: int = DEFAULT_MAX_H
     keep_traces: bool = False
-    qmax_exponent_assert: int | None = None  # user-asserted bound on log2(q*_max)
+    qmax_exponent_assert: int | None = None  # user-asserted bound on log2(q*_max) of the input
 
 
 # --- bounds on the least fixed point -----------------------------------------
@@ -700,6 +700,11 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
             reduced = restrict(cleaned, rest, [ONE] * cleaned.n)
             decomp = decompose(build_graph(reduced), reduced)
         n, d, f = reduced.n, decomp.depth, decomp.nonlinear_depth
+        k = options.qmax_exponent_assert
+        if snf is not None and k is not None and k > 0:
+            # q* <= 2**k on the input puts a product variable of degree D
+            # at most 2**(k D).
+            options = replace(options, qmax_exponent_assert=k * max(sys.degree(), 1))
         bounds = compute_bounds(reduced, options)
         bits = encoding_size(reduced)
         info.update(

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import lcm
-from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DegreeTooHigh, NotMonotone, ParseError
@@ -27,7 +26,10 @@ class Monomial:
 
     ``exponents`` is a tuple of (variable index, exponent) pairs with
     strictly increasing indices and exponents >= 1; the empty tuple is a
-    constant term.
+    constant term.  ``Monomial(...)`` checks all of that and raises
+    ``NotMonotone`` or ``ValueError``.  Code in this module that builds a
+    monomial from parts it has already checked (parsing, normal form,
+    substitution) uses ``_monomial``, which checks nothing.
     """
 
     coeff: object
@@ -56,6 +58,15 @@ class Monomial:
                 return ZERO
             value = value * (zv if e == 1 else zv**e)
         return value
+
+
+def _monomial(coeff, exponents: tuple) -> Monomial:
+    """A ``Monomial`` from a positive coefficient and valid exponents,
+    without ``__post_init__``'s checks."""
+    mono = object.__new__(Monomial)
+    object.__setattr__(mono, "coeff", coeff)
+    object.__setattr__(mono, "exponents", exponents)
+    return mono
 
 
 def make_monomial(coeff, powers: Mapping[int, int] | None = None) -> Monomial:
@@ -153,7 +164,7 @@ def system_from_json(doc) -> MonotoneSystem:
             raise ParseError(f"equation {pos} must be a list of terms")
         terms = []
         for term in eq:
-            if not isinstance(term, dict) or set(term) != {"c", "m"}:
+            if not isinstance(term, dict) or len(term) != 2 or "c" not in term or "m" not in term:
                 raise ParseError(f'terms must be objects with exactly "c" and "m" (equation {pos})')
             text = term["c"]
             if not isinstance(text, str):
@@ -170,47 +181,84 @@ def system_from_json(doc) -> MonotoneSystem:
             powers_raw = term["m"]
             if not isinstance(powers_raw, dict):
                 raise ParseError(f'"m" must be an object (equation {pos})')
-            powers = {}
+            powers = []
             for name, exp in powers_raw.items():
-                if name not in index:
+                v = index.get(name)
+                if v is None:
                     raise ParseError(f"unknown variable {name!r} in equation {pos}")
                 if not isinstance(exp, int) or isinstance(exp, bool) or exp < 1:
                     raise ParseError(f"exponent of {name!r} in equation {pos} must be an integer >= 1")
-                powers[index[name]] = exp
-            terms.append(Monomial(coeff, tuple(sorted(powers.items()))))
+                powers.append((v, exp))
+            if len(powers) > 1:
+                powers.sort()
+            terms.append(_monomial(coeff, tuple(powers)))
         equations.append(tuple(terms))
     return MonotoneSystem(tuple(names), tuple(equations))
 
 
+def _wire_terms(names: Sequence[str], terms) -> list:
+    """One equation's terms in wire order, as (-degree, sorted (name,
+    exponent) pairs, coefficient text) triples: descending degree, then the
+    named exponents, then the coefficient text."""
+    keyed = [
+        (-mono.degree, sorted([(names[v], e) for v, e in mono.exponents]), rat_str(mono.coeff))
+        for mono in terms
+    ]
+    if len(keyed) > 1:
+        keyed.sort()
+    return keyed
+
+
 def system_to_json(sys: MonotoneSystem) -> dict:
     names = sys.names
-    eqs = []
-    for terms in sys.equations:
-        keyed = []
-        for mono in terms:
-            named = sorted([(names[v], e) for v, e in mono.exponents])
-            c = rat_str(mono.coeff)
-            keyed.append(((-mono.degree, named, c), {"c": c, "m": dict(named)}))
-        if len(keyed) > 1:
-            keyed.sort(key=itemgetter(0))
-        eqs.append([entry for _, entry in keyed])
+    eqs = [[{"c": c, "m": dict(named)} for _, named, c in _wire_terms(names, terms)] for terms in sys.equations]
     return {"vars": list(names), "eqs": eqs}
 
 
 def serialize_mps(sys: MonotoneSystem) -> str:
-    return json_text(system_to_json(sys))
+    return json_text(sys)
+
+
+def _system_text(sys: MonotoneSystem, pad: str) -> str:
+    """``json_text(system_to_json(sys), pad)``, written from the monomials
+    without building a dict per term."""
+    p1, p2, p3, p4, p5 = (pad + "  " * depth for depth in range(1, 6))
+    quoted = {name: _encode_str(name) for name in sys.names}
+    eqs = []
+    for terms in sys.equations:
+        items = []
+        for _, named, c in _wire_terms(sys.names, terms):
+            m = "{}"
+            if named:
+                exps = (quoted[name] + ": " + (int.__repr__(e) if type(e) is int else json_text(e)) for name, e in named)
+                m = "{" + p5 + ("," + p5).join(exps) + p4 + "}"
+            items.append("{" + p4 + '"c": ' + _encode_str(c) + "," + p4 + '"m": ' + m + p3 + "}")
+        eqs.append("[" + p3 + ("," + p3).join(items) + p2 + "]" if items else "[]")
+    vars_text = "[" + p2 + ("," + p2).join(quoted.values()) + p1 + "]" if quoted else "[]"
+    eqs_text = "[" + p2 + ("," + p2).join(eqs) + p1 + "]" if eqs else "[]"
+    return "{" + p1 + '"vars": ' + vars_text + "," + p1 + '"eqs": ' + eqs_text + pad + "}"
 
 
 def json_text(obj, pad: str = "\n") -> str:
     """Exactly ``json.dumps(obj, indent=2)`` for dicts with string keys
     (any other key raises ``TypeError``), without the pure-Python encoder
-    that ``json`` falls back to whenever ``indent`` is set.  Strings and
-    plain ints are written as ``json`` writes them; every other leaf goes
-    to ``json.dumps``, which raises for values JSON cannot hold."""
+    that ``json`` falls back to whenever ``indent`` is set.  Strings, plain
+    ints, ``True``, ``False`` and ``None`` are written as ``json`` writes
+    them, and a ``MonotoneSystem`` as its ``system_to_json`` dict; every
+    other leaf goes to ``json.dumps``, which raises for values JSON cannot
+    hold."""
     if isinstance(obj, str):
         return _encode_str(obj)
     if type(obj) is int:
         return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, MonotoneSystem):
+        return _system_text(obj, pad)
     inner = pad + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -439,10 +487,10 @@ def to_snf(sys: MonotoneSystem) -> SnfSystem:
                 else:
                     exps = tuple(sorted(((current, 1), (nxt, 1))))
                 index = n0 + len(aux_eqs)
-                aux_eqs.append((Monomial(ONE, exps),))
+                aux_eqs.append((_monomial(ONE, exps),))
                 aux_names.append(fresh_name())
                 current = index
-            new_terms.append(Monomial(mono.coeff, ((current, 1),)))
+            new_terms.append(_monomial(mono.coeff, ((current, 1),)))
         rewritten.append(tuple(new_terms))
 
     snf = MonotoneSystem(
@@ -491,8 +539,8 @@ def detect_zero_variables(sys: MonotoneSystem) -> frozenset:
 
 def restrict(sys: MonotoneSystem, members: Sequence[int], values: Sequence) -> MonotoneSystem:
     """The equations of ``members`` (increasing indices), reindexed in that
-    order, with every other variable v replaced by the exact value
-    ``values[v]``.
+    order, with every other variable v replaced by the exact non-negative
+    value ``values[v]`` (the monomials are built unchecked).
 
     A value of 0 deletes each monomial that mentions v (never a constant
     term); any other value is folded into the coefficient.  The entries of
@@ -517,7 +565,7 @@ def restrict(sys: MonotoneSystem, members: Sequence[int], values: Sequence) -> M
                     break
                 coeff = coeff * (value if e == 1 else value**e)
             else:
-                terms.append(Monomial(coeff, tuple(kept)))
+                terms.append(_monomial(coeff, tuple(kept)))
         equations.append(tuple(terms))
     return MonotoneSystem(tuple(sys.names[v] for v in members), tuple(equations))
 

@@ -47,16 +47,17 @@ CHAIN_EPS = rat(1, 2**16)
 # doubled_chain(3) (q* = 2) at 2**-16 without normal form, under the
 # asserted bound q* <= 2, on the theorem's grid h = 2530, g = 2530.
 DOUBLED_CHAIN3_THEOREM_ANSWER = "57eb17d932d6d63a3e2030d35f0b29e54912d795d369b843186134d7cd79093c"
-# The same digest for MIXED2 (below) at 2**-16 under q* <= 4 on its theorem
-# grid h = 649.
-MIXED2_THEOREM_ANSWER = "8d1e74102b281e25e0b20854b05e147a3043d6dfe34910f4e4514ba1396c9134"
+# The same digest for MIXED2 (below) at 2**-16 under q* <= 4, which bounds
+# its normal form's product variable by 2**4, on its theorem grid h = 871.
+MIXED2_THEOREM_ANSWER = "691d8dd0e793e30124e5a6fd186f17c969685b1ffea03eb98b5281f31195f13e"
 # SHA-256 of random_outcomes() below: substochastic n = 8, seeds 0-19, in
 # certified and adaptive mode, and random_p1ca(Random(7), r) for r = 1..3.
 RANDOM_OUTCOMES = "fa51ea10fa3467c59eef1f994dfecd8db649c6020747f0c3f6f222b407fced98"
 
 # SHA-256 of rescaled_outcomes() below: small substochastic systems under
-# asserted q*_max bounds 2 and 4, so u = 1 and u = 2.
-RESCALED_OUTCOMES = "b812946f021551fb3e09c39ea32e942f646ded6c0edf92ad9afd1d1cdb73cbb8"
+# asserted q*_max bounds 2 and 4, so u = 1 and u = 2 without normal form and
+# twice that with it (its product variables are quadratic in the input's).
+RESCALED_OUTCOMES = "78e645c351dc5dbba437da317797506cd1a2a93f124a27580c3d7a13a34279d1"
 
 # a = a^2/4 + 1, b = b/2 + a/8: q* = (2, 1/2).  a is critical, so the
 # Newton-direction witness fails, and b is far from the cap y = 1.  P_a(1) =
@@ -235,8 +236,8 @@ def test_critical_chain_falls_back_to_theorem():
     cert = report.certificate
     assert report.status == "certified-eps"
     assert cert.kind == "theorem" and cert.upper is None
-    assert (report.params.h, report.params.g, report.params.u) == (649, 650, 2)
-    assert cert.attempted_h == (24, 50)
+    assert (report.params.h, report.params.g, report.params.u) == (871, 874, 4)
+    assert cert.attempted_h == (24, 52)
     assert all(8 * h <= report.params.h for h in cert.attempted_h)
     assert cert.exact_one == ()
     assert answer_digest(report) == MIXED2_THEOREM_ANSWER

@@ -377,6 +377,19 @@ class TestSolveCertified:
         with pytest.raises(DivergenceCertified, match=expected):
             solve(sys, rat(1, 2**16), SolveOptions(h_override=24, qmax_exponent_assert=1))
 
+    def test_qmax_assertion_covers_normal_form_products(self):
+        # doubled_chain(1) is x = x^2/4 + 1 with q* = 2 <= 2**1, but its
+        # normal form's product variable x^2 is 4.  The assertion bounds
+        # that system by 2**(1 * 2); read as 2**1 it certified divergence.
+        eps = rat(1, 2**8)
+        report = solve(doubled_chain(1), eps, SolveOptions(qmax_exponent_assert=1))
+        assert report.status == "certified-eps"
+        assert report.certificate.kind == "theorem"
+        assert (report.params.h, report.params.u, report.bounds.qmax_exponent) == (163, 2, 2)
+        assert 0 <= 2 - report.approximation[0].value() <= eps
+        plain = solve(doubled_chain(1), eps, SolveOptions(qmax_exponent_assert=1, use_snf=False))
+        assert plain.bounds.qmax_exponent == 1
+
     def test_params_infeasible_ceiling(self):
         # The cap certifies this chain on grid 96 only; below it the
         # theorem's h = 4499 is refused.

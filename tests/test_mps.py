@@ -405,6 +405,28 @@ def restriction_cases(draw):
     return system, tuple(members), values, point
 
 
+def assert_checked(system):
+    """Every monomial is one that the validating constructor accepts as is."""
+    for terms in system.equations:
+        for mono in terms:
+            assert type(mono) is Monomial
+            assert mono == Monomial(mono.coeff, mono.exponents)
+
+
+class TestUncheckedConstruction:
+    # Parsing, normal form and substitution build their monomials without
+    # Monomial's checks, from parts they have already checked.
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(restriction_cases())
+    def test_builds_only_monomials_that_pass_the_checks(self, case):
+        system, members, values, _ = case
+        snf = to_snf(system).system
+        built = [parse_mps(serialize_mps(system)), snf, clean(system)[0], clean(snf)[0]]
+        built.append(restrict(system, members, values))
+        for result in built:
+            assert_checked(result)
+
+
 class TestRestrict:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(restriction_cases())

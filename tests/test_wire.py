@@ -1,6 +1,8 @@
 """Property tests for the JSON wire path: ``json_text`` writes exactly what
-``json.dumps(..., indent=2)`` writes, an MPS system serializes to the same
-bytes after a parse round trip or with its terms reordered, and
+``json.dumps(..., indent=2)`` writes, a system written directly from its
+monomials reads as its ``system_to_json`` dict would, an MPS system
+serializes to the same bytes after a parse round trip or with its terms
+reordered, and
 ``detect_zero_variables`` finds the least fixpoint of the "some monomial is
 all positive" rule."""
 
@@ -13,7 +15,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lfpsolve import Monomial, MonotoneSystem, detect_zero_variables, parse_mps, serialize_mps
+from lfpsolve import (
+    Monomial,
+    MonotoneSystem,
+    detect_zero_variables,
+    parse_mps,
+    serialize_mps,
+    system_of,
+    system_to_json,
+)
 from lfpsolve.mps import json_text
 
 # Control characters, escapes, non-ASCII, an astral character and a lone
@@ -46,6 +56,7 @@ json_values = st.recursive(
 @example({"": {"": []}})
 @example([float("nan"), float("inf"), float("-inf"), -0.0, 1e300])
 @example([True, False, None, 0, -1, 2**200])
+@example({"t": True, "f": False, "n": None, "deep": [[None, {"": False}], (True,)]})
 def test_emitter_matches_indented_dumps(value):
     assert json_text(value) == json.dumps(value, indent=2)
 
@@ -81,6 +92,36 @@ def test_serialization_is_canonical(system):
     reordered = MonotoneSystem(system.names, tuple(terms[::-1] for terms in system.equations))
     assert serialize_mps(reordered) == text
     assert text == json.dumps(json.loads(text), indent=2)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(systems())
+@example(MonotoneSystem((), ()))
+@example(system_of(["x", "y"], [], [("1/3", {}), ("2", {})]))
+@example(
+    system_of(
+        ["a", "b"],
+        [("1/2", {"a": 2}), ("1/4", {"a": 1, "b": 1}), ("1/8", {"b": 2}), ("1", {})],
+        [("1/3", {"a": 1, "b": 1}), ("1/5", {"a": 1, "b": 1}), ("3", {"b": 1}), ("2", {"b": 1})],
+    )
+)
+@example(
+    system_of(
+        ["é", '"q\\', "\n\x00", "😀", "a b", "\ud800"],
+        [("1/7", {"é": 1, "😀": 2, "\ud800": 1})],
+        [("1", {'"q\\': 3})],
+        [("2/3", {"\n\x00": 1}), ("1/9", {})],
+        [],
+        [("5", {"a b": 1, "é": 1})],
+        [("1/2", {"\ud800": 2})],
+    )
+)
+def test_system_writer_matches_the_dict_form(system):
+    as_dict = system_to_json(system)
+    assert serialize_mps(system) == json.dumps(as_dict, indent=2)
+    doc = {"system": system, "more": [system, {"inner": system, "flag": True}], "none": None}
+    as_dicts = {"system": as_dict, "more": [as_dict, {"inner": as_dict, "flag": True}], "none": None}
+    assert json_text(doc) == json.dumps(as_dicts, indent=2)
 
 
 def fixpoint_zero_set(system) -> frozenset:
