@@ -8,7 +8,7 @@ stops it, without ever overshooting.
 
 from lfpsolve import (
     RnmConfig,
-    certify_params_scc,
+    ceil_log2,
     evaluate,
     newton_step,
     rat,
@@ -48,7 +48,12 @@ print("  iterates:", [str(r.iterate[0].value()) for r in trace.records])
 print("  final error:", rat(1) - final[0].value())
 
 print("\ncertify_params_scc picks (h, g) so the final error is provably <= eps.")
-cfg = certify_params_scc(n=1, alpha=rat(1, 4), epsilon=rat(1, 2**10))
+# certify_params_scc (tests/reference.py) is the convergence theorem for one
+# component with q* <= 1, every logarithm rounded up:
+# h = 2 + n log2(1/alpha) + log2(1/eps), g = h - 1.
+n, alpha, eps = 1, rat(1, 4), rat(1, 2**10)
+h = 2 + n * ceil_log2(1 / alpha) + ceil_log2(1 / eps)
+cfg = RnmConfig(h=h, g=h - 1)
 print(f"  n=1, alpha=1/4, eps=2^-10  ->  h={cfg.h}, g={cfg.g}")
 final, _ = run_rnm(sys1, cfg)
 err = rat(1) - final[0].value()

@@ -9,10 +9,10 @@ point by 2^u and commutes with the rounded iteration bit for bit.
 
 from lfpsolve import (
     RnmConfig,
+    SolveOptions,
+    compute_bounds,
     qmax_upper_exponent,
-    qmin_lower_bound,
     rat,
-    rescale,
     run_rnm,
     serialize_mps,
     system_of,
@@ -33,7 +33,7 @@ print("Repeated squaring, s0 = 1/2, s_i = s_{i-1}^2:")
 for n in (2, 4, 8):
     sysn = squaring(n, "1/2")
     truth = rat(1, 2) ** (2 ** (n - 1))
-    lower = qmin_lower_bound(sysn)
+    lower = compute_bounds(sysn, SolveOptions()).qmin_lower
     print(f"  n={n}: q*_min = 2^-{2**(n-1)}, certified lower bound {lower}"
           f"  (valid: {lower <= truth})")
 
@@ -46,7 +46,8 @@ for n in (2, 4, 8):
 
 print("\nRescaling the critical equation x = x^2/2 + 1/2 by u = 1:")
 sys1 = system_of(["x"], [("1/2", {"x": 2}), ("1/2", {})])
-scaled = rescale(sys1, 1)
+# degree-k coefficients times 2^(u(k-1)): 1/2 x^2 -> x^2, and 1/2 -> 1/4
+scaled = system_of(["x"], [("1", {"x": 2}), ("1/4", {})])
 print(serialize_mps(scaled))
 print("New least fixed point:", univariate_quadratic_lfp("1", 0, "1/4"),
       "(half of the original 1)")

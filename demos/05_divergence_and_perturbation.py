@@ -10,17 +10,26 @@ lower components are solved approximately, and the error the upper
 component inherits can be the square root of what it was fed.
 """
 
+from math import isqrt
+
 from lfpsolve import (
     DivergenceCertified,
     NoFiniteLfp,
     SingularMatrix,
-    perturbation_bound,
     rat,
     solve,
     system_of,
     univariate_quadratic_lfp,
     value_iterate,
 )
+
+
+def sqrt_upper(q):
+    """A rational upper bound on sqrt(q), exact on perfect squares."""
+    p, s = q.numerator, q.denominator
+    r = isqrt(p * s)
+    return rat(r if r * r == p * s else r + 1, s)
+
 
 print("x = x^2 + 1 has no real fixed point (discriminant < 0):")
 try:
@@ -52,14 +61,14 @@ for k in (8, 12):
     hi = root.enclosure(64)[1] if hasattr(root, "enclosure") else root
     shift = 1 - float(hi)
     print(f"  dy = 2^-{k}: measured shift ~ {shift:.6f}  (sqrt(dy) = 2^-{k//2})")
-    upper = system_of(["x"], [("1/2", {"x": 2}), ("1/2", {})])  # the component's shape
     alpha = rat(1, 2) * rat(1, 2)  # min(1, c_min) * min(y_min, q*_min / 2)
-    bound = perturbation_bound(upper, alpha, rat(1), dy, linear=False)
+    # sqrt(4 n alpha^-(3n+1) ||P(1,1)|| dy) with n = 1 and ||P(1,1)|| = 1
+    bound = sqrt_upper(4 * (1 / alpha) ** 4 * dy)
     print(f"      certified over-approximation: {float(bound):.6f}"
           f"  (contains the shift: {rat(1) - hi <= bound})")
 
 print("\nLinear components degrade only linearly:")
-linear = system_of(["x"], [("1/2", {"x": 1}), ("1/2", {})])
 dy = rat(1, 16)
-bound = perturbation_bound(linear, rat(1, 4), rat(1), dy, linear=True)
+# 2 n alpha^-(n+2) ||P(1,1)|| dy for x = x/2 + 1/2: n = 1, ||P(1,1)|| = 1
+bound = 2 * (1 / rat(1, 4)) ** 3 * dy
 print(f"  dy = 1/16 with alpha = 1/4: bound {bound}")

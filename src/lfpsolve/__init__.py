@@ -17,10 +17,7 @@ from .driver import (
     SolveOptions,
     SolveReport,
     compute_bounds,
-    perturbation_bound,
     qmax_upper_exponent,
-    qmin_lower_bound,
-    rescale,
     solve,
 )
 from .errors import (
@@ -54,13 +51,12 @@ from .mps import (
     system_to_json,
     to_snf,
 )
-from .newton import IterationTrace, RnmConfig, certify_params_scc, newton_step, run_rnm
+from .newton import IterationTrace, RnmConfig, newton_step, run_rnm
 from .oracle import (
     AlgebraicRoot,
     detect_divergence,
     univariate_quadratic_lfp,
     value_iterate,
-    zero_set_oracle,
 )
 from .p1ca import (
     GMatrix,
@@ -119,7 +115,6 @@ __all__ = [
     "build_termination_mps",
     "c_min",
     "ceil_log2",
-    "certify_params_scc",
     "clean",
     "compute_bounds",
     "decompose",
@@ -134,12 +129,9 @@ __all__ = [
     "p1ca_to_json",
     "parse_mps",
     "parse_p1ca",
-    "perturbation_bound",
     "qmax_upper_exponent",
-    "qmin_lower_bound",
     "rat",
     "rat_str",
-    "rescale",
     "round_down_dyadic",
     "rounding_params",
     "run_rnm",
@@ -154,5 +146,4 @@ __all__ = [
     "univariate_quadratic_lfp",
     "validate",
     "value_iterate",
-    "zero_set_oracle",
 ]

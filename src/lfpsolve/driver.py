@@ -1,6 +1,5 @@
-"""The decomposed solver: an exact q* = 1 pre-pass, LFP bounds, rescaling,
-bottom-up per-component rounded Newton, post-fixed-point witnesses, and
-perturbation diagnostics.
+"""The decomposed solver: an exact q* = 1 pre-pass, LFP bounds, bottom-up
+per-component rounded Newton, and post-fixed-point witnesses.
 
 Every mode first proves which coordinates of the cleaned system have q* = 1
 (Etessami-Yannakakis, JACM 2009; Etessami-Stewart-Yannakakis, STOC 2012).
@@ -68,6 +67,8 @@ LFP is at most 1, every logarithm over-approximated by an exact integer
 ceiling.  Rounded Newton commutes with that rescaling bit for bit (grid H
 there is grid H - u here), so the fallback runs grid h_theorem - u of the
 input with g = h_theorem - 1, and the witness grids count H the same way.
+The rescaled system itself is never built; the test suite builds it to
+check that equivariance.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ from dataclasses import dataclass, replace
 from .decomposition import Decomposition, Scc, build_graph, decompose
 from .errors import DegreeTooHigh, DivergenceCertified, ParamsInfeasible, SingularMatrix
 from .mps import (
-    Monomial,
     MonotoneSystem,
     c_min,
     clean,
@@ -98,12 +98,10 @@ from .ratmath import (
     Dyadic,
     Rat,
     ceil_log2,
-    ones_vector,
     rat,
     rational_exceeds_pow2,
     round_down_dyadic,
     solve_integer,
-    sqrt_upper,
 )
 
 DEFAULT_MAX_H = 1_000_000
@@ -228,14 +226,6 @@ def _qmin_bound(sys: MonotoneSystem):
     return cmin ** ((1 << n) - 1), "worst-case-formula"
 
 
-def qmin_lower_bound(sys: MonotoneSystem):
-    """Certified lower bound on the smallest LFP coordinate of a quadratic
-    system: the smallest coordinate of the n-fold value iterate (positive
-    after cleaning, and always <= q*), or min{1, c_min}**(2**n - 1) above
-    VALUE_ITERATION_CAP variables."""
-    return _qmin_bound(sys)[0]
-
-
 def qmax_upper_exponent(sys: MonotoneSystem, assume_probabilistic: bool) -> int:
     """log2 of a certified upper bound on the largest LFP coordinate.
 
@@ -266,58 +256,6 @@ def compute_bounds(sys: MonotoneSystem, options: SolveOptions) -> LfpBounds:
             f"q*_max bound 2**{exponent}"
         )
     return LfpBounds(qmin, source, exponent, tag)
-
-
-# --- rescaling ----------------------------------------------------------------
-
-
-def rescale(sys: MonotoneSystem, u: int) -> MonotoneSystem:
-    """The system x = 2**-u P(2**u x), whose LFP is 2**-u q*.
-
-    Concretely the coefficient of every degree-k monomial is multiplied by
-    2**(u(k-1)); the variable support is untouched, so the decomposition of
-    the original system carries over verbatim.
-    """
-    if u < 0:
-        raise ValueError("u must be non-negative")
-    if u == 0:
-        return sys
-    equations = []
-    for terms in sys.equations:
-        scaled = []
-        for mono in terms:
-            shift = u * (mono.degree - 1)
-            if shift >= 0:
-                coeff = mono.coeff * (1 << shift)
-            else:
-                coeff = mono.coeff / (1 << -shift)
-            scaled.append(Monomial(coeff, mono.exponents))
-        equations.append(tuple(scaled))
-    return MonotoneSystem(sys.names, tuple(equations))
-
-
-# --- perturbation diagnostics ---------------------------------------------------
-
-
-def perturbation_bound(scc_sys: MonotoneSystem, alpha, norm_p1, dy, linear: bool):
-    """Predicted LFP shift of a component when its inputs move down by dy.
-
-    Nonlinear components get sqrt(4 n alpha^-(3n+1) ||P(1,1)|| dy) (square
-    root over-approximated by a rational upper bound); linear components get
-    2 n alpha^-(n+2) ||P(1,1)|| dy.
-    """
-    alpha, norm_p1, dy = rat(alpha), rat(norm_p1), rat(dy)
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
-    if dy < 0:
-        raise ValueError("dy must be non-negative")
-    if dy == 0:
-        return ZERO
-    n = scc_sys.n
-    inv = ONE / alpha
-    if linear:
-        return 2 * n * inv ** (n + 2) * norm_p1 * dy
-    return sqrt_upper(4 * n * inv ** (3 * n + 1) * norm_p1 * dy)
 
 
 # --- the exact q* = 1 pre-pass ----------------------------------------------------
@@ -454,7 +392,7 @@ def _newton_direction_candidate(sys: MonotoneSystem, lower, x, epsilon, h: int):
 def _cap_candidate(sys: MonotoneSystem, x, epsilon):
     if any(ONE - xi > epsilon for xi in x):
         return None
-    y = ones_vector(sys.n)
+    y = [ONE] * sys.n
     return y if _is_post_fixed_point(sys, y) else None
 
 
@@ -644,6 +582,10 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
         raise ValueError("epsilon must be in (0, 1)")
     if options.g_override is not None and options.h_override is None:
         raise ValueError("an iteration count override needs an h override")
+    if (options.h_override is not None and options.h_override < 1) or (
+        options.g_override is not None and options.g_override < 1
+    ):
+        raise ValueError("need h >= 1 and g >= 1")
     if options.mode not in ("certified", "adaptive"):
         raise ValueError(f"unknown mode {options.mode!r}")
 

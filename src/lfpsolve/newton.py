@@ -1,13 +1,14 @@
-"""Single Newton steps, the rounded-down Newton loop, and per-component
-certified parameters.
+"""Single Newton steps and the rounded-down Newton loop.
 
 One Newton iteration at z is z + (I - B(z))^{-1} (P(z) - z), computed
 exactly; the rounded loop then snaps every coordinate down to the 2**-h
 grid (clamping at 0), which keeps iterate bit-sizes linear in h instead of
 doubling per step, while every iterate remains a lower bound on the least
 fixed point.  Every linear solve of the solver runs on the integer rows of
-``newton_rows``; ``newton_step`` is the exact rational operator, kept as
-public API and as the reference the tests compare against.
+``newton_rows``.  ``newton_step`` is the exact rational operator, which no
+solve calls: it stays because the benchmark's traced spans
+(``perfbench/spans.py``) name it, and the tests compare the integer kernel
+against it.
 """
 
 from __future__ import annotations
@@ -17,14 +18,11 @@ from dataclasses import dataclass
 from .errors import DivergenceCertified
 from .mps import GridSystem, MonotoneSystem, eval_jacobian, evaluate, grid_system
 from .ratmath import (
-    ONE,
     ZERO,
     Dyadic,
     Rat,
-    ceil_log2,
     identity_minus,
     inf_norm,
-    rat,
     rational_exceeds_pow2,
     round_down_dyadic,  # unused here; perfbench/spans.py times it at this import
     solve_integer,
@@ -178,23 +176,3 @@ def run_rnm(
         if keep_trace:
             records.append(_record(sys, k, m, h))
     return tuple(Dyadic(mi, h) for mi in m), IterationTrace(tuple(records), steps)
-
-
-def certify_params_scc(n: int, alpha, epsilon) -> RnmConfig:
-    """Certified (h, g) for one strongly connected system with LFP <= 1.
-
-    h = ceil(2 + n*log2(1/alpha) + log2(1/epsilon)) with each logarithm
-    over-approximated by its exact integer ceiling (never under), g = h - 1.
-    With these parameters the final rounded iterate is within epsilon of the
-    component's least fixed point.
-    """
-    alpha = rat(alpha)
-    epsilon = rat(epsilon)
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must be in (0, 1)")
-    if n < 1:
-        raise ValueError("need at least one variable")
-    h = 2 + n * ceil_log2(ONE / alpha) + ceil_log2(ONE / epsilon)
-    return RnmConfig(h=h, g=h - 1)

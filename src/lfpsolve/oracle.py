@@ -1,11 +1,11 @@
 """Value iteration, the divergence probe, and the closed-form univariate
 solver.
 
-``zero_set_oracle``, ``univariate_quadratic_lfp`` and ``AlgebraicRoot``
-are independent oracles: they share no code path with the Newton solver,
-and the test suite holds the solver against them.  ``value_iterate`` is
-also the solver's q*_min bound, which ``driver`` computes for every
-reduced system of up to ``driver.VALUE_ITERATION_CAP`` variables.
+``univariate_quadratic_lfp`` and ``AlgebraicRoot`` are independent
+oracles: they share no code path with the Newton solver, and the test
+suite holds the solver against them.  ``value_iterate`` is the solver's
+q*_min bound, which ``driver`` computes for every reduced system of up to
+``driver.VALUE_ITERATION_CAP`` variables.
 ``detect_divergence`` is the solver's divergence probe (``driver`` runs it
 in the grid loop of most solves); it steps on ``mps.grid_system``, the
 integer grid form of the Newton kernel, so it is no independent check of
@@ -29,7 +29,6 @@ from .ratmath import (
     rational_exceeds_pow2,
     sqrt_bounds,
     sqrt_exact,
-    zeros_vector,
 )
 
 PROBE_GRID_BITS = 64  # the divergence probe rounds down to multiples of 2**-64
@@ -44,16 +43,10 @@ def value_iterate(sys: MonotoneSystem, k: int) -> list:
     """
     if k < 0:
         raise ValueError("step count must be >= 0")
-    x = zeros_vector(sys.n)
+    x = [ZERO] * sys.n
     for _ in range(k):
         x = evaluate(sys, x)
     return x
-
-
-def zero_set_oracle(sys: MonotoneSystem) -> frozenset:
-    """Indices with P^n(0) coordinate exactly 0 == the zero set of the LFP."""
-    x = value_iterate(sys, sys.n)
-    return frozenset(i for i, xi in enumerate(x) if xi == 0)
 
 
 def detect_divergence(

@@ -127,17 +127,6 @@ def sqrt_exact(q):
     return Rat(isqrt(p), isqrt(s))
 
 
-def sqrt_upper(q):
-    """A rational upper bound on sqrt(q), exact when q is a perfect square."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    p, s = num(q), den(q)
-    r = isqrt(p * s)
-    if r * r == p * s:
-        return Rat(r, s)
-    return Rat(r + 1, s)
-
-
 def sqrt_bounds(q, bits: int = 64):
     """Rational bracket (lo, hi) with lo <= sqrt(q) <= hi and hi - lo <= 2**-bits."""
     if q < 0:
@@ -186,14 +175,6 @@ def round_down_dyadic(v, h: int) -> Dyadic:
 # need them.
 
 
-def zeros_vector(n: int) -> list:
-    return [ZERO] * n
-
-
-def ones_vector(n: int) -> list:
-    return [ONE] * n
-
-
 def identity_minus(b: Sequence[dict]) -> list:
     """I - B for a square matrix B given as sparse rows."""
     out = []
@@ -205,20 +186,6 @@ def identity_minus(b: Sequence[dict]) -> list:
         else:
             del neg[i]
         out.append(neg)
-    return out
-
-
-def mat_vec_mul(a: Sequence, x: Sequence) -> list:
-    """A x for sparse rows, or for dense list rows."""
-    out = []
-    for row in a:
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        acc = ZERO
-        for j, coeff in items:
-            xv = x[j]
-            if coeff != 0 and xv != 0:
-                acc = acc + coeff * xv
-        out.append(acc)
     return out
 
 

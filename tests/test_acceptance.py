@@ -23,23 +23,17 @@ from lfpsolve import (
     build_termination_mps,
     c_min,
     clean,
+    compute_bounds,
     detect_zero_variables,
     newton_step,
-    perturbation_bound,
-    qmax_upper_exponent,
-    qmin_lower_bound,
     rat,
-    rescale,
     run_rnm,
     solve,
-    solve_linear,
     system_of,
     termination_probabilities,
     univariate_quadratic_lfp,
-    zero_set_oracle,
 )
-from lfpsolve.mps import eval_jacobian, evaluate
-from lfpsolve.ratmath import identity_minus, rational_exceeds_pow2, zeros_vector
+from lfpsolve.ratmath import rational_exceeds_pow2
 
 from conftest import (
     chain_system,
@@ -49,6 +43,7 @@ from conftest import (
     repeated_squaring,
     univariate,
 )
+from reference import linear_lfp, perturbation_bound, rescale, zero_set_oracle
 
 
 @contextmanager
@@ -193,14 +188,11 @@ def test_7_bound_validity():
             [("1/2", {"q": 1}), ("1/4", {})],
             [("1/3", {"p": 1}), ("1/3", {})],
         )
-        truth = solve_linear(
-            identity_minus(eval_jacobian(lin, zeros_vector(2))), evaluate(lin, zeros_vector(2))
-        )
-        fixtures.append((lin, truth))
+        fixtures.append((lin, linear_lfp(lin)))
 
         for sysm, exact in fixtures:
-            lower = qmin_lower_bound(sysm)
-            exponent = qmax_upper_exponent(sysm, False)
+            bounds = compute_bounds(sysm, SolveOptions())
+            lower, exponent = bounds.qmin_lower, bounds.qmax_exponent
             for q in exact:
                 if hasattr(q, "compare"):  # irrational coordinate
                     assert q.compare(lower) >= 0

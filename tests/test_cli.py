@@ -40,6 +40,9 @@ GAMBLER = json.dumps(
     }
 )
 
+LINEAR = json.dumps({"vars": ["x"], "eqs": [[{"c": "1/2", "m": {"x": 1}}, {"c": "1/4", "m": {}}]]})
+QUADRATIC = json.dumps({"vars": ["x"], "eqs": [[{"c": "1/4", "m": {"x": 2}}, {"c": "1/2", "m": {}}]]})
+
 BAD_P1CA = json.dumps(
     {
         "states": ["s"],
@@ -136,6 +139,18 @@ class TestSolveCommand:
         )
         assert code == 1
         assert "h override" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize("system", [LINEAR, QUADRATIC], ids=["linear", "quadratic"])
+    @pytest.mark.parametrize(
+        "grid",
+        [["--h", "-3"], ["--h", "0"], ["--h", "5", "--iters", "0"], ["--h", "5", "--iters", "-2"]],
+        ids=["h-3", "h0", "iters0", "iters-2"],
+    )
+    def test_grid_override_below_one_is_refused(self, tmp_path, system, grid):
+        # Refused before any work, whether or not a component is nonlinear.
+        code, out, _ = run_cli(["solve", "--epsilon", "1/1024", *grid], system, tmp_path)
+        assert code == 1
+        assert json.loads(out)["error"] == {"type": "ValueError", "message": "need h >= 1 and g >= 1"}
 
     def test_rejects_decimal_epsilon(self, tmp_path):
         code, out, _ = run_cli(["solve", "--epsilon", "0.5"], CHAIN3, tmp_path)

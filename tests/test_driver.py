@@ -1,5 +1,5 @@
-"""The decomposed solver: bounds, rescaling, parameter selection, the full
-pipeline, and perturbation diagnostics."""
+"""The decomposed solver: bounds, parameter selection and the full pipeline;
+and the paper's rescaling map and perturbation bound it rests on."""
 
 from __future__ import annotations
 
@@ -17,21 +17,15 @@ from lfpsolve import (
     clean,
     decompose,
     encoding_size,
-    evaluate,
-    perturbation_bound,
     qmax_upper_exponent,
-    qmin_lower_bound,
     rat,
-    rescale,
     run_rnm,
     solve,
-    solve_linear,
     system_of,
     univariate_quadratic_lfp,
 )
 from lfpsolve.driver import VALUE_ITERATION_CAP, _qmin_bound, compute_bounds
-from lfpsolve.ratmath import identity_minus, rational_exceeds_pow2, zeros_vector
-from lfpsolve.mps import eval_jacobian
+from lfpsolve.ratmath import rational_exceeds_pow2
 
 from conftest import (
     chain_system,
@@ -41,6 +35,7 @@ from conftest import (
     repeated_squaring,
     univariate,
 )
+from reference import linear_lfp, perturbation_bound, rescale
 
 
 class TestQminLowerBound:
@@ -49,7 +44,7 @@ class TestQminLowerBound:
         n = VALUE_ITERATION_CAP + 1
         formula = rat(1, 2) ** (2**n - 1)
         assert _qmin_bound(repeated_squaring(n, "1/2")) == (formula, "worst-case-formula")
-        bound = qmin_lower_bound(repeated_squaring(2, "1/2"))
+        bound, _ = _qmin_bound(repeated_squaring(2, "1/2"))
         assert bound >= rat(1, 8)  # (1/2)^(2^2 - 1)
         assert bound <= rat(1, 4)  # true q*_min
 
@@ -59,22 +54,22 @@ class TestQminLowerBound:
         for _ in range(40):
             sys = random_substochastic(rng, rng.randint(1, VALUE_ITERATION_CAP))
             formula = min(rat(1), c_min(sys)) ** (2**sys.n - 1)
-            assert qmin_lower_bound(sys) >= formula
+            assert _qmin_bound(sys)[0] >= formula
 
     def test_value_iteration_floor_dominates(self):
         sys = univariate("1/2", 0, "1/2")
-        assert qmin_lower_bound(sys) == rat(1, 2)  # P(0) = 1/2, vs (1/2)^1 formula
+        assert _qmin_bound(sys)[0] == rat(1, 2)  # P(0) = 1/2, vs (1/2)^1 formula
 
     def test_constant_system_exact(self):
         sys = univariate(0, 0, "1")
-        assert qmin_lower_bound(sys) == rat(1)
+        assert _qmin_bound(sys)[0] == rat(1)
 
     def test_cubic_system_is_refused(self):
         # a = 1/2, b = a^3/2: q*_min = 1/16, but c_min**(2**n - 1) = 1/8 is
         # a bound only for quadratic systems.
         sys = system_of(["a", "b"], [("1/2", {})], [("1/2", {"a": 3})])
         with pytest.raises(DegreeTooHigh):
-            qmin_lower_bound(sys)
+            _qmin_bound(sys)
         with pytest.raises(DegreeTooHigh):
             compute_bounds(sys, SolveOptions(assume_probabilistic=True))
         # its normal form is quadratic, and solve bounds q*_min soundly there
@@ -86,7 +81,7 @@ class TestQminLowerBound:
         for n in range(2, 9):
             sys = repeated_squaring(n, "1/2")
             truth = rat(1, 2) ** (2 ** (n - 1))
-            assert qmin_lower_bound(sys) <= truth
+            assert _qmin_bound(sys)[0] <= truth
 
 
 class TestQmaxUpperExponent:
@@ -484,22 +479,10 @@ class TestCertifiedSoundness:
         fixtures.append((univariate("1/2", 0, "1/2"), [rat(1)]))
         for _ in range(5):
             sys = random_substochastic(rng, rng.randint(1, 3))
-            truth = _linear_or_iterated_truth(sys)
-            if truth is not None:
-                fixtures.append((sys, truth))
+            if sys.degree() <= 1:
+                fixtures.append((sys, linear_lfp(sys)))
         for sys, truth in fixtures:
-            lower = qmin_lower_bound(sys)
+            lower, _ = _qmin_bound(sys)
             assert lower <= min(truth)
             exponent = qmax_upper_exponent(sys, False)
             assert not rational_exceeds_pow2(max(truth), exponent)
-
-
-def _linear_or_iterated_truth(sys):
-    """Exact LFP for linear systems; None when the fixture is nonlinear."""
-    if sys.degree() > 1:
-        return None
-    jac = eval_jacobian(sys, zeros_vector(sys.n))
-    try:
-        return solve_linear(identity_minus(jac), evaluate(sys, zeros_vector(sys.n)))
-    except SingularMatrix:
-        return None

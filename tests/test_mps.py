@@ -32,12 +32,12 @@ from lfpsolve import (
     system_of,
     to_snf,
     value_iterate,
-    zero_set_oracle,
 )
 from lfpsolve.mps import evaluate_on_grid, grid_system, restrict
-from lfpsolve.ratmath import mat_vec_mul, vec_sub
+from lfpsolve.ratmath import vec_sub
 
 from conftest import random_substochastic, random_with_zero_variables, univariate
+from reference import mat_vec_mul, zero_set_oracle
 
 UNIVARIATE_DOC = '{"vars":["x"],"eqs":[[{"c":"1/2","m":{"x":2}},{"c":"1/2","m":{}}]]}'
 

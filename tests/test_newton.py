@@ -10,7 +10,6 @@ from lfpsolve import (
     DivergenceCertified,
     RnmConfig,
     SingularMatrix,
-    certify_params_scc,
     newton_step,
     rat,
     round_down_dyadic,
@@ -19,9 +18,10 @@ from lfpsolve import (
 )
 from lfpsolve.mps import eval_jacobian, grid_system
 from lfpsolve.newton import _rounded_step, newton_rows
-from lfpsolve.ratmath import identity_minus, ones_vector, solve_integer, solve_linear
+from lfpsolve.ratmath import identity_minus, solve_integer, solve_linear
 
 from conftest import univariate
+from reference import certify_params_scc
 
 CRITICAL = univariate("1/2", 0, "1/2")  # x = x^2/2 + 1/2, LFP 1
 
@@ -141,7 +141,7 @@ class TestIntegerKernel:
             grid = grid_system(sys, h)
             rows, _ = newton_rows(grid, m)
             try:
-                direction = solve_linear(identity_minus(eval_jacobian(sys, x)), ones_vector(sys.n))
+                direction = solve_linear(identity_minus(eval_jacobian(sys, x)), [rat(1)] * sys.n)
                 expected = [(d.numerator, d.denominator) for d in direction]
             except SingularMatrix as exc:
                 expected = str(exc)

@@ -17,10 +17,10 @@ from lfpsolve import (
     system_of,
     univariate_quadratic_lfp,
     value_iterate,
-    zero_set_oracle,
 )
 
 from conftest import random_with_zero_variables, univariate
+from reference import zero_set_oracle
 
 CRITICAL = univariate("1/2", 0, "1/2")
 

@@ -12,13 +12,13 @@ from lfpsolve import Dyadic, SingularMatrix, ceil_log2, rat, rat_str, round_down
 from lfpsolve.ratmath import (
     identity_minus,
     is_perfect_square,
-    mat_vec_mul,
     parse_rat,
     rational_exceeds_pow2,
     solve_integer,
     sqrt_bounds,
-    sqrt_upper,
 )
+
+from reference import mat_vec_mul, sqrt_upper
 
 
 def rand_rat(rng, span=50, den_span=50):
