@@ -4,6 +4,12 @@ The dependency graph has an edge i -> j exactly when x_j occurs in some
 monomial of P_i.  Its SCC condensation, in an order where dependencies
 precede dependents, drives the bottom-up solver; per-component linearity is
 judged with lower-component variables treated as constants.
+
+Tarjan's algorithm emits each SCC after every SCC it depends on, so one
+pass in that emission order gives each component its dependencies,
+linearity, height and nonlinear height.  A heap then puts the components
+in the reported order: of those whose dependencies are all placed, the one
+with the smallest variable first.
 """
 
 from __future__ import annotations
@@ -47,51 +53,48 @@ class Decomposition:
 
 
 def _tarjan(graph: DependencyGraph):
-    """Iterative Tarjan; returns SCCs as lists of variable indices."""
+    """Iterative Tarjan.  Returns the SCCs as lists of variable indices, each
+    one after every SCC it depends on, and the SCC number of each variable."""
     n = graph.n
+    successors = graph.successors
     index = [-1] * n
     lowlink = [0] * n
-    on_stack = [False] * n
+    comp_of = [-1] * n  # -1 while the variable is unvisited or on the stack
     stack: list[int] = []
     counter = 0
     components = []
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(successors[root]))]
         while work:
-            node, child_pos = work.pop()
-            if child_pos == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            succ = graph.successors[node]
-            for pos in range(child_pos, len(succ)):
-                nxt = succ[pos]
+            node, children = work[-1]
+            for nxt in children:
                 if index[nxt] == -1:
-                    work.append((node, pos + 1))
-                    work.append((nxt, 0))
-                    advanced = True
+                    index[nxt] = lowlink[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    work.append((nxt, iter(successors[nxt])))
                     break
-                if on_stack[nxt]:
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            if advanced:
-                continue
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    top = stack.pop()
-                    on_stack[top] = False
-                    component.append(top)
-                    if top == node:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return components
+                if comp_of[nxt] == -1 and index[nxt] < lowlink[node]:  # nxt is on the stack
+                    lowlink[node] = index[nxt]
+            else:
+                work.pop()
+                if lowlink[node] == index[node]:
+                    component = []
+                    while True:
+                        top = stack.pop()
+                        comp_of[top] = len(components)
+                        component.append(top)
+                        if top == node:
+                            break
+                    components.append(component)
+                elif lowlink[node] < lowlink[work[-1][0]]:  # not a root, so it has a parent
+                    lowlink[work[-1][0]] = lowlink[node]
+    return components, comp_of
 
 
 def _is_nonlinear(sys: MonotoneSystem, members: set) -> bool:
@@ -107,56 +110,49 @@ def _is_nonlinear(sys: MonotoneSystem, members: set) -> bool:
 def decompose(graph: DependencyGraph, sys: MonotoneSystem) -> Decomposition:
     if graph.n != sys.n:
         raise ValueError("graph and system disagree on dimension")
-    raw = _tarjan(graph)
-    member_of = {}
-    for cid, comp in enumerate(raw):
-        for v in comp:
-            member_of[v] = cid
+    components, comp_of = _tarjan(graph)
+    successors = graph.successors
 
-    # Condensation edges: component of i depends on component of j for i -> j.
-    depends: list[set] = [set() for _ in raw]
-    for i in range(graph.n):
-        for j in graph.successors[i]:
-            if member_of[i] != member_of[j]:
-                depends[member_of[i]].add(member_of[j])
-
-    # Deterministic topological order (dependencies first): among components
-    # whose dependencies are all placed, take the smallest contained variable.
-    dependents: list[set] = [set() for _ in raw]
-    for cid, deps in enumerate(depends):
+    # One pass in Tarjan's order, where every dependency comes first; it also
+    # counts the dependencies and lists the dependents that the heap needs.
+    built = []
+    heights = []
+    nl_heights = []
+    dependents: list[list] = [[] for _ in components]
+    outstanding = []
+    for cid, comp in enumerate(components):
+        if len(comp) == 1:  # own degree > 1 needs a self-loop first
+            (v,) = comp
+            members = (v,)
+            deps = {comp_of[j] for j in successors[v]}
+            nonlinear = v in successors[v] and _is_nonlinear(sys, {v})
+        else:
+            members = tuple(sorted(comp))
+            deps = {comp_of[j] for i in comp for j in successors[i]}
+            nonlinear = _is_nonlinear(sys, set(comp))
+        deps.discard(cid)
+        h = f = 0
         for d in deps:
-            dependents[d].add(cid)
-    outstanding = [len(deps) for deps in depends]
-    heap = [(min(comp), cid) for cid, comp in enumerate(raw) if outstanding[cid] == 0]
+            dependents[d].append(cid)
+            if heights[d] > h:
+                h = heights[d]
+            if nl_heights[d] > f:
+                f = nl_heights[d]
+        heights.append(h + 1)
+        nl_heights.append(f + nonlinear)
+        outstanding.append(len(deps))
+        built.append(Scc(members, nonlinear, h + 1, f + nonlinear))
+
+    heap = [(scc.vars[0], cid) for cid, scc in enumerate(built) if not outstanding[cid]]
     heapq.heapify(heap)
-    order = []
+    sccs = []
     while heap:
         _, cid = heapq.heappop(heap)
-        order.append(cid)
+        sccs.append(built[cid])
         for parent in dependents[cid]:
             outstanding[parent] -= 1
-            if outstanding[parent] == 0:
-                heapq.heappush(heap, (min(raw[parent]), parent))
-    if len(order) != len(raw):
+            if not outstanding[parent]:
+                heapq.heappush(heap, (built[parent].vars[0], parent))
+    if len(sccs) != len(built):
         raise AssertionError("condensation is not acyclic")
-
-    heights = [0] * len(raw)
-    nl_heights = [0] * len(raw)
-    sccs = []
-    for cid in order:
-        members = set(raw[cid])
-        nonlinear = _is_nonlinear(sys, members)
-        h = 1 + max((heights[d] for d in depends[cid]), default=0)
-        f = (1 if nonlinear else 0) + max((nl_heights[d] for d in depends[cid]), default=0)
-        heights[cid] = h
-        nl_heights[cid] = f
-        scc = Scc(
-            vars=tuple(sorted(members)),
-            nonlinear=nonlinear,
-            height=h,
-            nonlinear_height=f,
-        )
-        sccs.append(scc)
-    depth = max((s.height for s in sccs), default=0)
-    nl_depth = max((s.nonlinear_height for s in sccs), default=0)
-    return Decomposition(tuple(sccs), depth, nl_depth)
+    return Decomposition(tuple(sccs), max(heights, default=0), max(nl_heights, default=0))

@@ -28,8 +28,9 @@ class Monomial:
     strictly increasing indices and exponents >= 1; the empty tuple is a
     constant term.  ``Monomial(...)`` checks all of that and raises
     ``NotMonotone`` or ``ValueError``.  Code in this module that builds a
-    monomial from parts it has already checked (parsing, normal form,
-    substitution) uses ``_monomial``, which checks nothing.
+    monomial or a system from parts it has already checked (parsing, normal
+    form, substitution) uses ``_monomial`` and ``_system``, which check
+    nothing.
     """
 
     coeff: object
@@ -104,6 +105,15 @@ class MonotoneSystem:
         )
 
 
+def _system(names: tuple, equations: tuple) -> MonotoneSystem:
+    """A ``MonotoneSystem`` from names and equations that are valid by
+    construction, without ``__post_init__``'s checks."""
+    sys = object.__new__(MonotoneSystem)
+    object.__setattr__(sys, "names", names)
+    object.__setattr__(sys, "equations", equations)
+    return sys
+
+
 def system_of(names: Sequence[str], *equations) -> MonotoneSystem:
     """Build a system from (coefficient, {variable name: exponent}) pairs.
 
@@ -141,7 +151,11 @@ def parse_mps(text: str) -> MonotoneSystem:
 
 
 def system_from_json(doc) -> MonotoneSystem:
-    if not isinstance(doc, dict):
+    """The system of a parsed wire document.  Only the exact types that
+    ``json.loads`` returns are accepted: a subclass of ``dict``, ``list``,
+    ``str`` or ``int`` anywhere in ``doc`` is refused like any other wrong
+    type."""
+    if type(doc) is not dict:
         raise ParseError("top level must be an object")
     extra = set(doc) - {"vars", "eqs"}
     if extra:
@@ -150,24 +164,24 @@ def system_from_json(doc) -> MonotoneSystem:
         raise ParseError('both "vars" and "eqs" are required')
     names = doc["vars"]
     eqs = doc["eqs"]
-    if not isinstance(names, list) or any(not isinstance(s, str) or not s for s in names):
+    if type(names) is not list or any(type(s) is not str or not s for s in names):
         raise ParseError('"vars" must be a list of non-empty strings')
     if len(set(names)) != len(names):
         raise ParseError("variable names must be unique")
-    if not isinstance(eqs, list) or len(eqs) != len(names):
+    if type(eqs) is not list or len(eqs) != len(names):
         raise ParseError('"eqs" must list exactly one equation per variable')
     index = {name: i for i, name in enumerate(names)}
     coeffs = {}  # coefficient string -> its positive rational, parsed once
     equations = []
     for pos, eq in enumerate(eqs):
-        if not isinstance(eq, list):
+        if type(eq) is not list:
             raise ParseError(f"equation {pos} must be a list of terms")
         terms = []
         for term in eq:
-            if not isinstance(term, dict) or len(term) != 2 or "c" not in term or "m" not in term:
+            if type(term) is not dict or len(term) != 2 or "c" not in term or "m" not in term:
                 raise ParseError(f'terms must be objects with exactly "c" and "m" (equation {pos})')
             text = term["c"]
-            if not isinstance(text, str):
+            if type(text) is not str:
                 raise ParseError(f'coefficient must be a "p/q" string (equation {pos})')
             coeff = coeffs.get(text)
             if coeff is None:
@@ -179,40 +193,58 @@ def system_from_json(doc) -> MonotoneSystem:
                     raise NotMonotone(f"coefficient {text} in equation {pos} is not positive")
                 coeffs[text] = coeff
             powers_raw = term["m"]
-            if not isinstance(powers_raw, dict):
+            if type(powers_raw) is not dict:
                 raise ParseError(f'"m" must be an object (equation {pos})')
             powers = []
             for name, exp in powers_raw.items():
                 v = index.get(name)
                 if v is None:
                     raise ParseError(f"unknown variable {name!r} in equation {pos}")
-                if not isinstance(exp, int) or isinstance(exp, bool) or exp < 1:
+                if type(exp) is not int or exp < 1:
                     raise ParseError(f"exponent of {name!r} in equation {pos} must be an integer >= 1")
                 powers.append((v, exp))
             if len(powers) > 1:
                 powers.sort()
             terms.append(_monomial(coeff, tuple(powers)))
         equations.append(tuple(terms))
-    return MonotoneSystem(tuple(names), tuple(equations))
+    # Every check of MonotoneSystem has been made above, with its ParseError.
+    return _system(tuple(names), tuple(equations))
 
 
-def _wire_terms(names: Sequence[str], terms) -> list:
-    """One equation's terms in wire order, as (-degree, sorted (name,
+def _wire_equations(sys: MonotoneSystem):
+    """Yield each equation's terms in wire order, as (-degree, sorted (name,
     exponent) pairs, coefficient text) triples: descending degree, then the
-    named exponents, then the coefficient text."""
-    keyed = [
-        (-mono.degree, sorted([(names[v], e) for v, e in mono.exponents]), rat_str(mono.coeff))
-        for mono in terms
-    ]
-    if len(keyed) > 1:
-        keyed.sort()
-    return keyed
+    named exponents, then the coefficient text.
+
+    Coefficient texts are memoized by object identity, which holds while
+    the system holds its coefficients; many terms share one object (the
+    parser reads each coefficient text once, and ``restrict`` shares what
+    it does not change).
+    """
+    names = sys.names
+    texts = {}
+    for terms in sys.equations:
+        keyed = []
+        for mono in terms:
+            c = texts.get(id(mono.coeff))
+            if c is None:
+                c = texts[id(mono.coeff)] = rat_str(mono.coeff)
+            exps = mono.exponents
+            if len(exps) > 1:
+                keyed.append((-mono.degree, sorted([(names[v], e) for v, e in exps]), c))
+            elif exps:
+                ((v, e),) = exps
+                keyed.append((-e, [(names[v], e)], c))
+            else:
+                keyed.append((0, [], c))
+        if len(keyed) > 1:
+            keyed.sort()
+        yield keyed
 
 
 def system_to_json(sys: MonotoneSystem) -> dict:
-    names = sys.names
-    eqs = [[{"c": c, "m": dict(named)} for _, named, c in _wire_terms(names, terms)] for terms in sys.equations]
-    return {"vars": list(names), "eqs": eqs}
+    eqs = [[{"c": c, "m": dict(named)} for _, named, c in keyed] for keyed in _wire_equations(sys)]
+    return {"vars": list(sys.names), "eqs": eqs}
 
 
 def serialize_mps(sys: MonotoneSystem) -> str:
@@ -223,18 +255,20 @@ def _system_text(sys: MonotoneSystem, pad: str) -> str:
     """``json_text(system_to_json(sys), pad)``, written from the monomials
     without building a dict per term."""
     p1, p2, p3, p4, p5 = (pad + "  " * depth for depth in range(1, 6))
-    quoted = {name: _encode_str(name) for name in sys.names}
+    quoted = [_encode_str(name) for name in sys.names]
+    keys = {name: p5 + text + ": " for name, text in zip(sys.names, quoted)}  # each line of "m" up to its value
+    head, tail = "{" + p4 + '"c": "', '",' + p4 + '"m": '  # a coefficient text needs no escaping
     eqs = []
-    for terms in sys.equations:
+    for keyed in _wire_equations(sys):
         items = []
-        for _, named, c in _wire_terms(sys.names, terms):
+        for _, named, c in keyed:
             m = "{}"
             if named:
-                exps = (quoted[name] + ": " + (int.__repr__(e) if type(e) is int else json_text(e)) for name, e in named)
-                m = "{" + p5 + ("," + p5).join(exps) + p4 + "}"
-            items.append("{" + p4 + '"c": ' + _encode_str(c) + "," + p4 + '"m": ' + m + p3 + "}")
+                exps = [keys[name] + (int.__repr__(e) if type(e) is int else json_text(e)) for name, e in named]
+                m = "{" + ",".join(exps) + p4 + "}"
+            items.append(head + c + tail + m + p3 + "}")
         eqs.append("[" + p3 + ("," + p3).join(items) + p2 + "]" if items else "[]")
-    vars_text = "[" + p2 + ("," + p2).join(quoted.values()) + p1 + "]" if quoted else "[]"
+    vars_text = "[" + p2 + ("," + p2).join(quoted) + p1 + "]" if quoted else "[]"
     eqs_text = "[" + p2 + ("," + p2).join(eqs) + p1 + "]" if eqs else "[]"
     return "{" + p1 + '"vars": ' + vars_text + "," + p1 + '"eqs": ' + eqs_text + pad + "}"
 
@@ -247,33 +281,41 @@ def json_text(obj, pad: str = "\n") -> str:
     them, and a ``MonotoneSystem`` as its ``system_to_json`` dict; every
     other leaf goes to ``json.dumps``, which raises for values JSON cannot
     hold."""
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if type(obj) is int:
-        return int.__repr__(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, MonotoneSystem):
-        return _system_text(obj, pad)
-    inner = pad + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_encode_str(v) if type(v) is str else json_text(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            _encode_str(k) + ": " + (_encode_str(v) if type(v) is str else json_text(v, inner))
-            for k, v in obj.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    return json.dumps(obj)
+        values, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        values, brackets = obj, "[]"
+    elif isinstance(obj, MonotoneSystem):
+        return _system_text(obj, pad)
+    elif isinstance(obj, str):
+        return _encode_str(obj)
+    elif type(obj) is int:
+        return int.__repr__(obj)
+    elif obj is None:
+        return "null"
+    elif obj is True:
+        return "true"
+    elif obj is False:
+        return "false"
+    else:
+        return json.dumps(obj)
+    if not obj:
+        return brackets
+    inner = pad + "  "
+    texts = []
+    for v in values:  # strings, plain ints and booleans inline, the rest by a call
+        kind = type(v)
+        if kind is str:
+            texts.append(_encode_str(v))
+        elif kind is int:
+            texts.append(int.__repr__(v))
+        elif kind is bool:
+            texts.append("true" if v else "false")
+        else:
+            texts.append(json_text(v, inner))
+    if values is not obj:
+        texts = [_encode_str(k) + ": " + text for k, text in zip(obj, texts)]
+    return brackets[0] + inner + ("," + inner).join(texts) + pad + brackets[1]
 
 
 # --- measurement and evaluation -----------------------------------------------
@@ -475,8 +517,10 @@ def to_snf(sys: MonotoneSystem) -> SnfSystem:
     rewritten = []
     for terms in sys.equations:
         new_terms = []
+        before = len(aux_eqs)
         for mono in terms:
-            if mono.degree <= 1:
+            exps = mono.exponents
+            if len(exps) < 2 and (not exps or exps[0][1] == 1):  # degree <= 1
                 new_terms.append(mono)
                 continue
             flat = [v for v, e in mono.exponents for _ in range(e)]
@@ -491,12 +535,9 @@ def to_snf(sys: MonotoneSystem) -> SnfSystem:
                 aux_names.append(fresh_name())
                 current = index
             new_terms.append(_monomial(mono.coeff, ((current, 1),)))
-        rewritten.append(tuple(new_terms))
+        rewritten.append(tuple(new_terms) if len(aux_eqs) > before else terms)  # unsplit: shared
 
-    snf = MonotoneSystem(
-        tuple(sys.names) + tuple(aux_names),
-        tuple(rewritten) + tuple(aux_eqs),
-    )
+    snf = _system(tuple(sys.names) + tuple(aux_names), tuple(rewritten) + tuple(aux_eqs))
     forms = ("plus",) * n0 + ("star",) * len(aux_eqs)
     return SnfSystem(snf, forms, tuple(range(n0)))
 
@@ -540,19 +581,31 @@ def detect_zero_variables(sys: MonotoneSystem) -> frozenset:
 def restrict(sys: MonotoneSystem, members: Sequence[int], values: Sequence) -> MonotoneSystem:
     """The equations of ``members`` (increasing indices), reindexed in that
     order, with every other variable v replaced by the exact non-negative
-    value ``values[v]`` (the monomials are built unchecked).
+    value ``values[v]``.
 
     A value of 0 deletes each monomial that mentions v (never a constant
     term); any other value is folded into the coefficient.  The entries of
     ``values`` at the members are never read.  Removing zero variables,
     substituting the proved q* = 1 set, and handing each component its
-    solved lower variables are all this one substitution.
+    solved lower variables are all this one substitution.  A monomial whose
+    variables all keep their index is returned as it is, and so is an
+    equation of such monomials; the rest are built unchecked, and so is the
+    system.
     """
     local = {v: i for i, v in enumerate(members)}
     equations = []
     for v in members:
+        eq = sys.equations[v]
         terms = []
-        for mono in sys.equations[v]:
+        changed = False
+        for mono in eq:
+            for j, _ in mono.exponents:
+                if local.get(j) != j:
+                    break
+            else:
+                terms.append(mono)
+                continue
+            changed = True
             coeff = mono.coeff
             kept = []
             for j, e in mono.exponents:
@@ -566,8 +619,8 @@ def restrict(sys: MonotoneSystem, members: Sequence[int], values: Sequence) -> M
                 coeff = coeff * (value if e == 1 else value**e)
             else:
                 terms.append(_monomial(coeff, tuple(kept)))
-        equations.append(tuple(terms))
-    return MonotoneSystem(tuple(sys.names[v] for v in members), tuple(equations))
+        equations.append(tuple(terms) if changed else eq)
+    return _system(tuple(sys.names[v] for v in members), tuple(equations))
 
 
 def clean(sys: MonotoneSystem):

@@ -20,7 +20,6 @@ from .mps import GridSystem, MonotoneSystem, eval_jacobian, evaluate, grid_syste
 from .ratmath import (
     ZERO,
     Dyadic,
-    Rat,
     identity_minus,
     inf_norm,
     rational_exceeds_pow2,
@@ -167,8 +166,9 @@ def run_rnm(
             break
         m = rounded
         if divergence_exponent is not None:
-            # The crossing test is monotone in the mantissa: the largest decides.
-            if rational_exceeds_pow2(Rat(max(m), 1 << h), divergence_exponent):
+            # The crossing test is monotone in the mantissa: the largest decides,
+            # and m * 2**-h > 2**e is the integer test m > 2**(h + e).
+            if rational_exceeds_pow2(max(m), h + divergence_exponent):
                 raise DivergenceCertified(
                     f"iterate {k} exceeds the q*_max bound 2**{divergence_exponent}; "
                     "no finite least fixed point below it exists"

@@ -21,7 +21,6 @@ from .mps import MonotoneSystem, evaluate, evaluate_on_grid, grid_system
 from .ratmath import (
     ONE,
     ZERO,
-    Rat,
     den,
     is_perfect_square,
     num,
@@ -65,11 +64,13 @@ def detect_divergence(
     doubling them each step.  The iterates are kept as integer mantissas m
     (x = m * 2**-PROBE_GRID_BITS) and each step is computed in integers
     only, by ``mps.evaluate_on_grid`` over the coefficients' common
-    denominator.  The rounded map is deterministic, so once an iterate
-    repeats the sequence is constant and can never cross the bound: the
-    probe stops there.  The probe is one-directional: a False answer proves
-    nothing (the budget, on the bit size of the iterates as reduced
-    fractions, keeps runaway growth from eating the machine).
+    denominator, and so is the test against the bound (the largest mantissa
+    against 2**(PROBE_GRID_BITS + qmax_exponent)).  The rounded map is
+    deterministic, so once an iterate repeats the sequence is constant and
+    can never cross the bound: the probe stops there.  The probe is
+    one-directional: a False answer proves nothing (the budget, on the bit
+    size of the iterates as reduced fractions, keeps runaway growth from
+    eating the machine).
     """
     grid = grid_system(sys, PROBE_GRID_BITS)
     # Each coordinate's reduced size is at most its mantissa's bit length
@@ -79,8 +80,9 @@ def detect_divergence(
     x = [0] * sys.n
     for _ in range(max_steps):
         nxt = evaluate_on_grid(grid, x)
-        # The crossing test is monotone in the mantissa: the largest decides.
-        if nxt and rational_exceeds_pow2(Rat(max(nxt), 1 << PROBE_GRID_BITS), qmax_exponent):
+        # The crossing test is monotone in the mantissa: the largest decides,
+        # and m * 2**-bits > 2**e is the integer test m > 2**(bits + e).
+        if nxt and rational_exceeds_pow2(max(nxt), PROBE_GRID_BITS + qmax_exponent):
             return True
         if nxt == x:
             return False

@@ -11,6 +11,8 @@ tests can hold the solver and the paper's claims against them.
 - ``zero_set_oracle``: the zero set of q* read off P^n(0), independent of
   ``mps.detect_zero_variables``.
 - ``linear_lfp``: the exact LFP of a linear system.
+- ``brute_force_decomposition``: SCCs, their order, linearity and heights
+  from their definitions, independent of ``decomposition.decompose``.
 - ``sqrt_upper`` and ``mat_vec_mul``: the rational helpers of the above.
 """
 
@@ -137,3 +139,44 @@ def mat_vec_mul(a, x) -> list:
                 acc = acc + coeff * xv
         out.append(acc)
     return out
+
+
+def brute_force_decomposition(sys: MonotoneSystem) -> tuple:
+    """(components, depth, nonlinear depth) of ``sys`` from the definitions,
+    each component as (sorted vars, nonlinear, height, nonlinear height).
+
+    Components are the classes of mutual reachability in the graph with an
+    edge i -> j when x_j occurs in P_i.  They come in the pinned order:
+    each after every component it depends on, and among those ready, the
+    one with the smallest variable first.  A component is nonlinear when
+    some monomial of its equations has degree >= 2 in its own variables;
+    its heights count the components, and the nonlinear ones, on the
+    longest dependency path that starts at it.
+    """
+    n = sys.n
+    edges = [{v for mono in terms for v, _ in mono.exponents} for terms in sys.equations]
+    reach = []
+    for i in range(n):
+        seen, todo = {i}, [i]
+        while todo:
+            for j in edges[todo.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        reach.append(seen)
+    comp = [frozenset(j for j in reach[i] if i in reach[j]) for i in range(n)]
+    deps = {c: {comp[j] for i in c for j in edges[i]} - {c} for c in set(comp)}
+
+    def nonlinear(c) -> bool:
+        return any(sum(e for v, e in mono.exponents if v in c) >= 2 for i in c for mono in sys.equations[i])
+
+    def longest(c, weight) -> int:
+        return weight(c) + max((longest(d, weight) for d in deps[c]), default=0)
+
+    order, placed = [], set()
+    while len(order) < len(deps):
+        c = min((c for c in deps if c not in placed and deps[c] <= placed), key=min)
+        order.append(c)
+        placed.add(c)
+    sccs = [(tuple(sorted(c)), nonlinear(c), longest(c, lambda _: 1), longest(c, nonlinear)) for c in order]
+    return sccs, max((s[2] for s in sccs), default=0), max((s[3] for s in sccs), default=0)

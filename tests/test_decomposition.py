@@ -2,9 +2,33 @@
 
 from __future__ import annotations
 
-from lfpsolve import build_graph, clean, decompose, parse_mps, serialize_mps, system_of
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lfpsolve import Monomial, MonotoneSystem, build_graph, clean, decompose, parse_mps, serialize_mps, system_of
 
 from conftest import chain_system, random_with_zero_variables
+from reference import brute_force_decomposition
+
+
+@st.composite
+def dependency_systems(draw):
+    """Small systems with random dependencies: cycles of several variables,
+    self-loops, squares and cross terms of a component's own variables, and
+    edges to lower and higher indices; optionally every x_i also depends on
+    x_(i+1), a chain whose dependencies point upward."""
+    n = draw(st.integers(1, 7))
+    upward = draw(st.booleans())
+    powers = st.dictionaries(st.integers(0, n - 1), st.integers(1, 2), max_size=2)
+    equations = []
+    for i in range(n):
+        terms = [dict(p) for p in draw(st.lists(powers, max_size=3))]
+        if upward and i + 1 < n:
+            terms.append({i + 1: 1})
+        equations.append(tuple(Monomial(Fraction(1, 2), tuple(sorted(p.items()))) for p in terms))
+    return MonotoneSystem(tuple(f"x{i}" for i in range(n)), tuple(equations))
 
 
 class TestBuildGraph:
@@ -113,3 +137,12 @@ class TestDecompose:
         )
         decomp = decompose(build_graph(sys), sys)
         assert [scc.vars for scc in decomp.sccs] == [(0,), (1,)]
+
+
+class TestAgainstBruteForce:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(dependency_systems())
+    def test_matches_the_definitions(self, sys):
+        decomp = decompose(build_graph(sys), sys)
+        sccs = [(s.vars, s.nonlinear, s.height, s.nonlinear_height) for s in decomp.sccs]
+        assert (sccs, decomp.depth, decomp.nonlinear_depth) == brute_force_decomposition(sys)

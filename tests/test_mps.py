@@ -29,6 +29,7 @@ from lfpsolve import (
     rat,
     run_rnm,
     serialize_mps,
+    system_from_json,
     system_of,
     to_snf,
     value_iterate,
@@ -80,6 +81,68 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_mps(doc)
 
+    # (bad term of equation 1 built from its "m", error, message).  Each
+    # case runs with a one-variable "m" ({"y": 1}) and a two-variable one
+    # ({"x": 1, "y": 1}).  A later term of the same equation is bad too, so
+    # each message must come from the first bad term.
+    TERM_ERRORS = [
+        (lambda m: [["c", "1/2"], ["m", m]], ParseError, 'terms must be objects with exactly "c" and "m" (equation 1)'),
+        (lambda m: {"c": "1/2", "m": m, "x": 1}, ParseError, 'terms must be objects with exactly "c" and "m" (equation 1)'),
+        (lambda m: {"m": m}, ParseError, 'terms must be objects with exactly "c" and "m" (equation 1)'),
+        (lambda m: {"k": "1/2", "m": m}, ParseError, 'terms must be objects with exactly "c" and "m" (equation 1)'),
+        (lambda m: {"c": 1, "m": m}, ParseError, 'coefficient must be a "p/q" string (equation 1)'),
+        (lambda m: {"c": None, "m": m}, ParseError, 'coefficient must be a "p/q" string (equation 1)'),
+        (lambda m: {"c": "0.5", "m": m}, ParseError, "not a rational literal: '0.5'"),
+        (lambda m: {"c": "0", "m": m}, NotMonotone, "coefficient 0 in equation 1 is not positive"),
+        (lambda m: {"c": "1/2", "m": list(m.items())}, ParseError, '"m" must be an object (equation 1)'),
+    ]
+    VARIABLE_ERRORS = [
+        # (name, exponent) put last in "m", and the message it gives
+        ("z", 1, "unknown variable 'z' in equation 1"),
+        ("y", 0, "exponent of 'y' in equation 1 must be an integer >= 1"),
+        ("y", True, "exponent of 'y' in equation 1 must be an integer >= 1"),
+        ("y", 1.0, "exponent of 'y' in equation 1 must be an integer >= 1"),
+        ("y", "2", "exponent of 'y' in equation 1 must be an integer >= 1"),
+        ("y", -1, "exponent of 'y' in equation 1 must be an integer >= 1"),
+    ]
+
+    @staticmethod
+    def _raises(bad_term, error, message):
+        good = {"c": "1/4", "m": {"x": 1, "y": 1}}
+        doc = {"vars": ["x", "y"], "eqs": [[good], [good, bad_term, {"c": "1/4", "m": {"w": 1}}]]}
+        with pytest.raises(error) as exc:
+            parse_mps(json.dumps(doc))
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("case", range(len(TERM_ERRORS)))
+    def test_term_errors_keep_their_messages(self, case, width):
+        term, error, message = self.TERM_ERRORS[case]
+        self._raises(term({"y": 1} if width == 1 else {"x": 1, "y": 1}), error, message)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("case", VARIABLE_ERRORS)
+    def test_variable_errors_keep_their_messages(self, case, width):
+        name, exponent, message = case
+        powers = {name: exponent} if width == 1 else {"x": 2, name: exponent}
+        self._raises({"c": "1/2", "m": powers}, ParseError, message)
+
+    @pytest.mark.parametrize(
+        ("term", "error", "message"),
+        [
+            # the term's shape, then its coefficient, then "m" in key order
+            ({"c": 1, "m": {"z": 0}, "x": 1}, ParseError, 'terms must be objects with exactly "c" and "m" (equation 1)'),
+            ({"c": 1, "m": [1]}, ParseError, 'coefficient must be a "p/q" string (equation 1)'),
+            ({"c": "1.5", "m": [1]}, ParseError, "not a rational literal: '1.5'"),
+            ({"c": "-1", "m": {"z": 1}}, NotMonotone, "coefficient -1 in equation 1 is not positive"),
+            ({"c": "1/2", "m": {"z": 0, "y": 0}}, ParseError, "unknown variable 'z' in equation 1"),
+            ({"c": "1/2", "m": {"y": 0, "z": 1}}, ParseError, "exponent of 'y' in equation 1 must be an integer >= 1"),
+        ],
+    )
+    def test_error_precedence_within_a_term(self, term, error, message):
+        self._raises(term, error, message)
+
     @pytest.mark.parametrize(
         ("bad", "error", "message"),
         [
@@ -98,6 +161,51 @@ class TestParsing:
         with pytest.raises(error) as exc:
             parse_mps(json.dumps(doc))
         assert str(exc.value) == message
+
+    class _Dict(dict):
+        pass
+
+    class _List(list):
+        pass
+
+    class _Str(str):
+        pass
+
+    class _Int(int):
+        pass
+
+    @pytest.mark.parametrize(
+        ("build", "message"),
+        [
+            # Only the exact types json.loads returns are read; a subclass
+            # gives the same error as any other wrong type, at the same place.
+            (lambda D, L, S, I: D({"vars": ["x"], "eqs": [[]]}), "top level must be an object"),
+            (lambda D, L, S, I: {"vars": L(["x"]), "eqs": [[]]}, '"vars" must be a list of non-empty strings'),
+            (lambda D, L, S, I: {"vars": [S("x")], "eqs": [[]]}, '"vars" must be a list of non-empty strings'),
+            (lambda D, L, S, I: {"vars": ["x"], "eqs": L([[]])}, '"eqs" must list exactly one equation per variable'),
+            (lambda D, L, S, I: {"vars": ["x"], "eqs": [L()]}, "equation 0 must be a list of terms"),
+            (
+                lambda D, L, S, I: {"vars": ["x"], "eqs": [[D({"c": "1", "m": {}})]]},
+                'terms must be objects with exactly "c" and "m" (equation 0)',
+            ),
+            (
+                lambda D, L, S, I: {"vars": ["x"], "eqs": [[{"c": S("1"), "m": {}}]]},
+                'coefficient must be a "p/q" string (equation 0)',
+            ),
+            (lambda D, L, S, I: {"vars": ["x"], "eqs": [[{"c": "1", "m": D()}]]}, '"m" must be an object (equation 0)'),
+            (
+                lambda D, L, S, I: {"vars": ["x"], "eqs": [[{"c": "1", "m": {"x": I(1)}}]]},
+                "exponent of 'x' in equation 0 must be an integer >= 1",
+            ),
+        ],
+    )
+    def test_system_from_json_refuses_subclasses(self, build, message):
+        doc = build(self._Dict, self._List, self._Str, self._Int)
+        with pytest.raises(ParseError) as exc:
+            system_from_json(doc)
+        assert str(exc.value) == message
+        # The same document with plain types is valid.
+        assert system_from_json(json.loads(json.dumps(doc))).names == ("x",)
 
     def test_coefficient_with_surrounding_whitespace_parses(self):
         terms = [{"c": " 1/4 ", "m": {"x": 2}}, {"c": "\t1/4\n", "m": {}}, {"c": "1/4", "m": {"x": 1}}]
@@ -406,7 +514,9 @@ def restriction_cases(draw):
 
 
 def assert_checked(system):
-    """Every monomial is one that the validating constructor accepts as is."""
+    """The system and every monomial are ones that the validating
+    constructors accept as they are."""
+    assert MonotoneSystem(system.names, system.equations) == system
     for terms in system.equations:
         for mono in terms:
             assert type(mono) is Monomial
@@ -439,6 +549,48 @@ class TestRestrict:
         assert restricted.names == tuple(system.names[v] for v in members)
         whole = evaluate(system, full)
         assert evaluate(restricted, point) == [whole[v] for v in members]
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(restriction_cases())
+    def test_shares_exactly_what_it_leaves_unchanged(self, case):
+        system, members, values, _ = case
+        local = {v: i for i, v in enumerate(members)}
+        restricted = restrict(system, members, values)
+        for i, v in enumerate(members):
+            expected = []  # (original monomial if it must be shared, coefficient, exponents)
+            for mono in system.equations[v]:
+                if all(local.get(j) == j for j, _ in mono.exponents):
+                    expected.append((mono, mono.coeff, mono.exponents))
+                elif all(j in local or values[j] for j, _ in mono.exponents):
+                    coeff = mono.coeff
+                    for j, e in mono.exponents:
+                        if j not in local:
+                            coeff *= values[j] ** e
+                    expected.append((None, coeff, tuple((local[j], e) for j, e in mono.exponents if j in local)))
+            got = restricted.equations[i]
+            assert [(m.coeff, m.exponents) for m in got] == [(c, e) for _, c, e in expected]
+            for mono, (original, _, _) in zip(got, expected):
+                if original is not None:
+                    assert mono is original
+                else:
+                    assert all(mono is not m for m in system.equations[v])
+            unchanged = len(expected) == len(system.equations[v]) and all(e[0] is not None for e in expected)
+            assert (got is system.equations[v]) == unchanged
+
+    def test_cleaning_shares_the_equations_it_does_not_touch(self):
+        # x1 is zero; x0 keeps its index and its equation, x2 moves to index 1.
+        sys = system_of(
+            ["x0", "x1", "x2"],
+            [("1/2", {"x0": 2}), ("1/4", {})],
+            [("1/2", {"x1": 1})],
+            [("1/3", {"x0": 1, "x2": 1}), ("1/5", {"x1": 1}), ("1/6", {})],
+        )
+        cleaned, kept = clean(sys)
+        assert kept == (0, 2)
+        assert cleaned.equations[0] is sys.equations[0]
+        rebuilt, constant = cleaned.equations[1]
+        assert (rebuilt.coeff, rebuilt.exponents) == (rat(1, 3), ((0, 1), (1, 1)))
+        assert constant is sys.equations[2][2]
 
     def test_a_zero_value_deletes_the_monomial_not_the_constant(self):
         sys = system_of(

@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import floor, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfpsolve import Dyadic, SingularMatrix, ceil_log2, rat, rat_str, round_down_dyadic, solve_linear
 from lfpsolve.ratmath import (
@@ -112,6 +114,17 @@ class TestRoundDownDyadic:
             round_down_dyadic(rat(1, 2), 0)
 
 
+def mantissas():
+    """Non-negative integers, with powers of two and their neighbours, the
+    bit-length window's edge cases, drawn often."""
+    power = st.integers(0, 300).map(lambda k: 1 << k)
+    return st.one_of(
+        st.integers(0, 1 << 300),
+        power,
+        st.tuples(power, st.sampled_from([-1, 1])).map(lambda pair: pair[0] + pair[1]),
+    )
+
+
 class TestThresholdComparisons:
     def test_dyadic_window_cases(self):
         assert not rational_exceeds_pow2(Dyadic(4, 2).value(), 0)  # exactly 1
@@ -135,6 +148,23 @@ class TestThresholdComparisons:
             q = rat(rng.randint(1, 1 << 20), rng.randint(1, 1 << 20))
             e = rng.randint(-25, 25)
             assert rational_exceeds_pow2(q, e) == (q > rat(2) ** e)
+
+    def test_integer_mantissa_cases(self):
+        # Newton and the probe test a grid iterate m * 2**-h > 2**e as the
+        # integer test m > 2**(h + e), with no rational formed.
+        assert not rational_exceeds_pow2(0, 64 - 100)  # 0 exceeds no power of two
+        assert rational_exceeds_pow2(1, 64 - 65)  # h + e < 0: any positive mantissa exceeds
+        assert not rational_exceeds_pow2(1 << 70, 64 + 6)  # exactly 2**6
+        assert rational_exceeds_pow2((1 << 70) + 1, 64 + 6)
+        assert not rational_exceeds_pow2((1 << 71) - 1, 64 + 7)
+        # 2**(h + e) would need about 10**16 bits; only bit lengths are read.
+        assert not rational_exceeds_pow2((1 << 4000) + 1, 64 + 10**16)
+        assert rational_exceeds_pow2(3, 64 - 10**16)
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(mantissas(), st.integers(0, 200), st.integers(-400, 400))
+    def test_integer_mantissa_agrees_with_its_rational(self, m, h, e):
+        assert rational_exceeds_pow2(m, h + e) == rational_exceeds_pow2(Dyadic(m, h).value(), e)
 
 
 class TestSparseSolve:
