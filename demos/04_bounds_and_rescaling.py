@@ -41,7 +41,7 @@ print("\nWith s0 = 2 the largest coordinate explodes instead; the certified")
 print("upper bound is reported as a power-of-two exponent:")
 for n in (2, 4, 8):
     sysn = squaring(n, "2")
-    exponent = qmax_upper_exponent(sysn, assume_probabilistic=False)
+    exponent = qmax_upper_exponent(sysn)
     print(f"  n={n}: q*_max = 2^{2**(n-1)}, bound 2^{exponent}")
 
 print("\nRescaling the critical equation x = x^2/2 + 1/2 by u = 1:")

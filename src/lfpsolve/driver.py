@@ -43,32 +43,30 @@ bounds their error.  When nothing is left, the answer (0 on zero variables,
 
 Every mode then runs one loop on the reduced system: rounded decomposed
 Newton on a schedule of 2**-h grids, stopping at the first grid that
-settles.  Iterates never overshoot q*; the modes differ in what bounds q* -
-approx.
+settles.  Iterates never overshoot q*, so on any grid a witness settles
+it: y = approx + (a small step along (I - B(approx))^-1 1), or else the cap
+y = 1 (for q* within epsilon of 1 but below it, where I - B(q*) is nearly
+singular), within epsilon of approx and passing the exact check P(y) <=
+y, so q* <= y by Knaster-Tarski.
 
 - Certified runs grid h = H - u with g = H - 1 for H = (h0 + u) 2**k, k =
   0, 1, ... up to min(max_h, h_theorem / WITNESS_SHARE), h0 = ceil(log2(1 /
-  eps)) + WITNESS_HEADROOM.  A grid settles when y = approx + (a small step
-  along (I - B(approx))^-1 1), or else the cap y = 1 (for q* within epsilon
-  of 1 but below it, where I - B(q*) is nearly singular), is within epsilon
-  of approx and passes the exact check P(y) <= y, so q* <= y by
-  Knaster-Tarski.
-- Adaptive doubles h from h0 up to max_h; a grid settles when it agrees
-  with the one before within eps / 4, a heuristic that the report status
-  names.
+  eps)) + WITNESS_HEADROOM; with no witness, the divergence probe, the
+  ceiling check and the theorem's grid follow.
+- Adaptive doubles h from h0 up to max_h; with no witness, a grid also
+  settles when it agrees with the one before within eps / 4, a heuristic,
+  and ParamsInfeasible is raised when none does.
 - ``h_override`` runs the single given grid in either mode.
 
-When no grid settles, certified doubling runs the divergence probe, the
-ceiling check and the theorem's grid; certified ``h_override`` reports
-"uncertified"; adaptive doubling raises ParamsInfeasible; adaptive
-``h_override`` reports "adaptive-heuristic".  The convergence theorem gives
-the grid h_theorem of x = 2**-u P(2**u x), u = max(qmax_exponent, 0), whose
-LFP is at most 1, every logarithm over-approximated by an exact integer
-ceiling.  Rounded Newton commutes with that rescaling bit for bit (grid H
-there is grid H - u here), so the fallback runs grid h_theorem - u of the
-input with g = h_theorem - 1, and the witness grids count H the same way.
-The rescaled system itself is never built; the test suite builds it to
-check that equivariance.
+The status is "certified-eps" for a witness or the theorem's grid, else
+"adaptive-heuristic" in adaptive mode and "uncertified" otherwise.  The
+convergence theorem gives the grid h_theorem of x = 2**-u P(2**u x), u =
+max(qmax_exponent, 0), whose LFP is at most 1, every logarithm
+over-approximated by an exact integer ceiling.  Rounded Newton commutes
+with that rescaling bit for bit (grid H there is grid H - u here), so the
+fallback runs grid h_theorem - u of the input with g = h_theorem - 1, and
+the witness grids count H the same way.  The rescaled system itself is
+never built; the test suite builds it to check that equivariance.
 """
 
 from __future__ import annotations
@@ -161,8 +159,9 @@ class Certificate:
     approx <= upper <= approx + epsilon: then q* <= upper by Knaster-Tarski,
     and approx <= q* because rounded Newton iterates never overshoot.  It is
     "theorem" when the convergence theorem's parameters were run, and
-    "none" when nothing certifies the answer.  ``attempted_h`` lists the
-    grids tried for a witness, in order.  ``exact_one`` names the input
+    "none" when nothing certifies the answer (an ``h_override`` grid, or
+    adaptive grids that agreed).  ``attempted_h`` lists the grids tried for
+    a witness, in order, in every mode.  ``exact_one`` names the input
     variables that the exact pre-pass proved to have q* = 1; the answer is
     exactly 1 there, whatever the kind.
     """
@@ -180,7 +179,7 @@ class SolveReport:
     params: DriverParams
     bounds: LfpBounds
     scc_runs: tuple
-    status: str  # "certified-eps" | "adaptive-heuristic" | "uncertified"
+    status: str  # "certified-eps" | "adaptive-heuristic" | "uncertified", from certificate.kind
     epsilon: object
     info: dict
     certificate: Certificate
@@ -226,15 +225,10 @@ def _qmin_bound(sys: MonotoneSystem):
     return cmin ** ((1 << n) - 1), "worst-case-formula"
 
 
-def qmax_upper_exponent(sys: MonotoneSystem, assume_probabilistic: bool) -> int:
-    """log2 of a certified upper bound on the largest LFP coordinate.
-
-    Termination-probability systems are simply bounded by 1; otherwise the
-    worst-case root-magnitude bound 2**(2(n+1)(|P| + 2(n+1) log(2n+2)) 5**n)
-    applies, with the inner logarithm over-approximated by its ceiling.
-    """
-    if assume_probabilistic:
-        return 0
+def qmax_upper_exponent(sys: MonotoneSystem) -> int:
+    """log2 of a certified upper bound on the largest LFP coordinate: the
+    worst-case root-magnitude bound 2**(2(n+1)(|P| + 2(n+1) log(2n+2)) 5**n),
+    with the inner logarithm over-approximated by its ceiling."""
     n = sys.n
     bits = encoding_size(sys)
     return 2 * (n + 1) * (bits + 2 * (n + 1) * ceil_log2(rat(2 * n + 2))) * 5**n
@@ -247,7 +241,7 @@ def compute_bounds(sys: MonotoneSystem, options: SolveOptions) -> LfpBounds:
     elif options.assume_probabilistic:
         exponent, tag = 0, "probability-flag"
     else:
-        exponent, tag = qmax_upper_exponent(sys, False), "worst-case-formula"
+        exponent, tag = qmax_upper_exponent(sys), "worst-case-formula"
     if rational_exceeds_pow2(qmin, exponent):
         # The certified lower bound already escapes the claimed upper bound,
         # which can only happen when no finite LFP lies below it.
@@ -454,9 +448,8 @@ def _run_grids(
     exceeds 2**qmax_exponent: below it, value iterates stay under q* <= y
     and cannot escape.
     """
-    certified = options.mode == "certified"
     doubling = options.h_override is None
-    theorem = certified and doubling
+    theorem = options.mode == "certified" and doubling
     u = max(bounds.qmax_exponent, 0) if theorem else 0
     beta = min(ONE, c_min(sys)) * min(ONE, HALF * bounds.qmin_lower)
     limit = options.max_h
@@ -486,10 +479,9 @@ def _run_grids(
             if not theorem:
                 raise
             break
-        if certified:
-            upper = post_fixed_point_witness(sys, dyadics, epsilon, h)
-            settled = upper is not None
-        else:
+        upper = post_fixed_point_witness(sys, dyadics, epsilon, h)
+        settled = upper is not None
+        if not settled and not theorem:  # one h_override grid never agrees
             current = [dy.value() for dy in dyadics]
             settled = previous is not None and all(
                 abs(a - b) <= epsilon / 4 for a, b in zip(current, previous)
@@ -518,7 +510,7 @@ def _run_grids(
         )
     # u <= max_h here, so 2**(2u) is affordable
     params = DriverParams(alpha=beta / (1 << (2 * u)), h=h, g=g, u=u, mode=options.mode)
-    return params, dyadics, runs, kind, upper, tuple(attempted) if certified else ()
+    return params, dyadics, runs, kind, upper, tuple(attempted)
 
 
 # --- certified parameter formulas ---------------------------------------------
@@ -568,9 +560,6 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
     reduced system bounds and the grid loop of the module docstring, and
     last reinsertion of the ones and zeros and projection back to the
     original variables.  ``theorem_h`` replaces the formula's h_theorem.
-    The status is "certified-eps" for a witness or the theorem's grid,
-    "uncertified" for an ``h_override`` grid without a witness, and
-    "adaptive-heuristic" in adaptive mode.
 
     Raises SingularMatrix (Newton undefined), DivergenceCertified (no finite
     LFP below the working bound), or ParamsInfeasible (certified h above the
@@ -634,8 +623,7 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
         params = DriverParams(alpha=ONE, h=1, g=1, u=0, mode=options.mode)
         qmax_source = "probability-flag" if options.assume_probabilistic else "exact"
         bounds = LfpBounds(ONE, "exact", 0, qmax_source)
-        dyadics, runs, attempted = (), (), ()
-        kind, upper = ("witness", ()) if options.mode == "certified" else ("none", None)
+        dyadics, runs, attempted, kind, upper = (), (), (), "witness", ()
     else:
         reduced = cleaned
         if ones:  # every variable outside rest is in the proved set
@@ -662,10 +650,10 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
             reduced, decomp, epsilon, bounds, options
         )
 
-    if options.mode == "adaptive":
-        status = "adaptive-heuristic"
-    else:  # the theorem says nothing about an h_override grid; only a witness there certifies
-        status = "uncertified" if kind == "none" else "certified-eps"
+    if kind != "none":
+        status = "certified-eps"
+    else:
+        status = "adaptive-heuristic" if options.mode == "adaptive" else "uncertified"
     approx = to_input(dyadics, Dyadic(0, params.h), Dyadic(1 << params.h, params.h))
     if upper is not None:
         upper = to_input(upper, ZERO, ONE)

@@ -115,6 +115,8 @@ def parse_p1ca(text: str) -> P1CA:
         for entry in table:
             if not isinstance(entry, dict) or set(entry) != {"from", "p", "k", "to"}:
                 raise ParseError(f'"{key}" entries need exactly "from", "p", "k", "to"')
+            if not isinstance(entry["from"], str) or not isinstance(entry["to"], str):
+                raise ParseError(f'"{key}": "from" and "to" must be state names')
             if not isinstance(entry["p"], str):
                 raise ParseError(f'"{key}": probability must be a "p/q" string')
             try:
@@ -253,14 +255,14 @@ def termination_probabilities(
 ) -> GMatrix:
     """Approximate the full G-matrix to within epsilon, coordinatewise.
 
-    Certified mode first looks for a post-fixed-point witness on small
-    grids, as ``solve`` does, and falls back to the closed-form rounding
-    parameter above (feasible because nonlinear depth is at most 1 and
-    q*_min is at worst c_min**(r^3)); adaptive mode is the escape hatch when
-    neither is affordable.  ``max_h`` bounds every grid, the closed-form one
-    included: when no witness is found below it and the closed-form h is
-    above it, ParamsInfeasible is raised.  The zero mask and the nonlinear
-    depth guard read the report of ``solve``, which derives both.
+    Both modes look for a post-fixed-point witness, as ``solve`` does.
+    Without one, certified mode runs the closed-form rounding parameter
+    above (feasible because nonlinear depth is at most 1 and q*_min is at
+    worst c_min**(r^3)), and adaptive mode stops where two grids agree.
+    ``max_h`` bounds every grid, the closed-form one included: when no
+    witness is found below it and the closed-form h is above it,
+    ParamsInfeasible is raised.  The zero mask and the nonlinear depth guard
+    read the report of ``solve``, which derives both.
     """
     system = build_termination_mps(model)  # validates the model first
     eps = rat(epsilon)

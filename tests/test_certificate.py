@@ -50,9 +50,12 @@ DOUBLED_CHAIN3_THEOREM_ANSWER = "57eb17d932d6d63a3e2030d35f0b29e54912d795d369b84
 # The same digest for MIXED2 (below) at 2**-16 under q* <= 4, which bounds
 # its normal form's product variable by 2**4, on its theorem grid h = 871.
 MIXED2_THEOREM_ANSWER = "691d8dd0e793e30124e5a6fd186f17c969685b1ffea03eb98b5281f31195f13e"
-# SHA-256 of random_outcomes() below: substochastic n = 8, seeds 0-19, in
-# certified and adaptive mode, and random_p1ca(Random(7), r) for r = 1..3.
-RANDOM_OUTCOMES = "fa51ea10fa3467c59eef1f994dfecd8db649c6020747f0c3f6f222b407fced98"
+# SHA-256 of random_outcomes(mode) below: substochastic n = 8, seeds 0-19,
+# and in certified mode also random_p1ca(Random(7), r) for r = 1..3.
+RANDOM_OUTCOMES = {
+    "certified": "837438f82fb7bdcd1d4099f6d249e79627d2761b81e4c32c816fc49fb6c6406f",
+    "adaptive": "e255a6c2bb21b334b2fbacb14f140377e7886341df8eca92703da5736dd49f00",
+}
 
 # SHA-256 of rescaled_outcomes() below: small substochastic systems under
 # asserted q*_max bounds 2 and 4, so u = 1 and u = 2 without normal form and
@@ -83,22 +86,23 @@ def _outcome(report):
     return [report.status, report.params.h, approx, cert.kind, upper, list(cert.attempted_h)]
 
 
-def random_outcomes():
-    """Every exact answer and certificate of a fixed set of random inputs."""
+def random_outcomes(mode):
+    """Every exact answer and certificate of a fixed set of random inputs in
+    one mode."""
     outcomes = []
     for seed in range(20):
         system = random_substochastic(random.Random(seed), 8)
-        for mode in ("certified", "adaptive"):
-            try:
-                report = solve(system, SUBSTOCH_EPS, SolveOptions(mode=mode, assume_probabilistic=True))
-            except ParamsInfeasible as exc:
-                outcomes.append([seed, mode, type(exc).__name__])
-                continue
-            outcomes.append([seed, mode, _outcome(report)])
-    for r in (1, 2, 3):
-        result = termination_probabilities(random_p1ca(random.Random(7), r), P1CA_EPS)
-        entries = [[rat_str(d.value()) for d in row] for row in result.entries]
-        outcomes.append([r, entries, _outcome(result.report)])
+        try:
+            report = solve(system, SUBSTOCH_EPS, SolveOptions(mode=mode, assume_probabilistic=True))
+        except ParamsInfeasible as exc:
+            outcomes.append([seed, mode, type(exc).__name__])
+            continue
+        outcomes.append([seed, mode, _outcome(report)])
+    if mode == "certified":
+        for r in (1, 2, 3):
+            result = termination_probabilities(random_p1ca(random.Random(7), r), P1CA_EPS)
+            entries = [[rat_str(d.value()) for d in row] for row in result.entries]
+            outcomes.append([r, entries, _outcome(result.report)])
     return hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
 
 
@@ -204,7 +208,11 @@ def test_chain3_theorem_grid_is_unchanged(chain3_theorem_grid):
 def test_random_answers_are_unchanged():
     # Exact arithmetic makes every answer independent of how the linear
     # solves and the divergence probe compute it, so these stay bit for bit.
-    assert random_outcomes() == RANDOM_OUTCOMES
+    assert random_outcomes("certified") == RANDOM_OUTCOMES["certified"]
+
+
+def test_random_adaptive_answers_are_unchanged():
+    assert random_outcomes("adaptive") == RANDOM_OUTCOMES["adaptive"]
 
 
 def test_steps_reported_are_steps_taken(chain3_theorem_grid):
@@ -243,6 +251,45 @@ def test_critical_chain_falls_back_to_theorem():
     assert answer_digest(report) == MIXED2_THEOREM_ANSWER
 
 
+def test_adaptive_matches_certified_where_a_witness_passes():
+    # At u = 0 both modes double h from the same first grid and try the same
+    # witness on each, so wherever certified mode finds a witness, adaptive
+    # mode returns the same answer, grid and certificate.
+    cases = [(LEAKY_CHAIN3, CHAIN_EPS)]
+    cases += [(random_substochastic(random.Random(seed), 8), SUBSTOCH_EPS) for seed in range(20)]
+    witnessed = 0
+    for system, eps in cases:
+        try:
+            certified = solve(system, eps, SolveOptions(assume_probabilistic=True))
+        except ParamsInfeasible:
+            continue  # no q*_min bound at this size after normal form
+        if certified.certificate.kind != "witness":
+            continue
+        adaptive = solve(system, eps, SolveOptions(mode="adaptive", assume_probabilistic=True))
+        assert adaptive.status == "certified-eps"
+        assert adaptive.approximation == certified.approximation
+        assert (adaptive.params.h, adaptive.params.g) == (certified.params.h, certified.params.g)
+        assert adaptive.certificate == certified.certificate
+        witnessed += 1
+    assert witnessed == 20
+
+
+@pytest.mark.parametrize(
+    "system,h,attempted,steps",
+    [(doubled_chain(3), 192, (24, 48, 96, 192), [191, 102, 55]), (MIXED2, 48, (24, 48), [47, 1])],
+    ids=["doubled_chain3", "mixed2"],
+)
+def test_adaptive_falls_back_to_agreement(system, h, attempted, steps):
+    # A critical q* = 2 has no witness, so adaptive doubling settles where two
+    # grids agree within eps/4, uncertified, after trying each grid.
+    report = solve(system, CHAIN_EPS, SolveOptions(mode="adaptive", qmax_exponent_assert=1))
+    cert = report.certificate
+    assert report.status == "adaptive-heuristic"
+    assert cert.kind == "none" and cert.upper is None
+    assert (report.params.h, cert.attempted_h) == (h, attempted)
+    assert [run.iterations for run in report.scc_runs] == steps
+
+
 def test_cap_requires_exact_post_fixed_point_check():
     # x = a x^2 + b with roots r1 = 1 - 3 eps/4 < r2 = 1 - 3 eps/8 < 1 (the
     # probability flag is a false assertion here): the iterate at 2**-24 is
@@ -272,7 +319,7 @@ def test_rescaled_route_finds_witness():
     cert = report.certificate
     assert report.status == "certified-eps"
     assert cert.kind == "witness"
-    assert report.params.u == qmax_upper_exponent(system, False)
+    assert report.params.u == qmax_upper_exponent(system)
     assert report.params.h == 28 and cert.attempted_h == (28,)
     approx = [d.value() for d in report.approximation]
     assert_witness(system, approx, cert.upper, eps)
@@ -457,3 +504,15 @@ def test_cli_override_reports_uncertified(tmp_path):
     assert doc["status"] == "uncertified"
     assert doc["certificate"] == {"kind": "none", "attempted_h": [4]}
     assert doc["approximation"] == ["13/16", "9/16", "5/16"]
+
+
+def test_cli_adaptive_override_with_witness_is_certified(tmp_path):
+    code, doc = run_cli(
+        ["solve", "--mode", "adaptive", "--assume-prob", "--epsilon", "1/65536", "--h", "96"],
+        serialize_mps(LEAKY_CHAIN3),
+        tmp_path,
+    )
+    assert code == 0
+    assert doc["status"] == "certified-eps"
+    cap = {"x0": "1", "x1": "1", "x2": "1"}
+    assert doc["certificate"] == {"kind": "witness", "attempted_h": [96], "post_fixed_point": cap}

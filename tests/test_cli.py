@@ -220,6 +220,17 @@ class TestOtherSubcommands:
         assert doc["ok"] is False
         assert len(doc["violations"]) == 1
 
+    @pytest.mark.parametrize(
+        "command,state",
+        [(["p1ca-validate"], {"from": ["s"]}), (["p1ca-term", "--epsilon", "1/1024"], {"to": {"a": 1}})],
+    )
+    def test_p1ca_non_string_state_is_a_parse_error(self, tmp_path, command, state):
+        entry = {"from": "s", "p": "1/2", "k": 0, "to": "s", **state}
+        doc = json.dumps({"states": ["s"], "delta": [entry], "delta0": []})
+        code, out, _ = run_cli(command, doc, tmp_path)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "ParseError"
+
     def test_decompose_fully_zero_system(self, tmp_path):
         zero = '{"vars":["a","b"],"eqs":[[{"c":"1","m":{"b":1}}],[{"c":"1","m":{"a":1}}]]}'
         code, out, _ = run_cli(["decompose"], zero, tmp_path)

@@ -85,16 +85,12 @@ class TestQminLowerBound:
 
 
 class TestQmaxUpperExponent:
-    def test_probabilistic_flag_gives_one(self):
-        sys = univariate("1/2", 0, "1/2")
-        assert qmax_upper_exponent(sys, True) == 0
-
     def test_formula_value_on_univariate(self):
         sys = univariate("1/2", 0, "1/2")
         bits = encoding_size(sys)
         assert bits == 9
         # 2 (n+1) (|P| + 2 (n+1) ceil(log2(2n+2))) 5^n with n = 1
-        assert qmax_upper_exponent(sys, False) == 2 * 2 * (bits + 4 * 2) * 5
+        assert qmax_upper_exponent(sys) == 2 * 2 * (bits + 4 * 2) * 5
 
     def test_worked_example_with_injected_size(self):
         # n = 1 and |P| = 12 plugs to 2*2*(12 + 4*2)*5 = 400.
@@ -102,7 +98,7 @@ class TestQmaxUpperExponent:
 
     def test_contains_true_maximum(self):
         sys = repeated_squaring(2, "2")  # q* = (2, 4)
-        exponent = qmax_upper_exponent(sys, False)
+        exponent = qmax_upper_exponent(sys)
         assert not rational_exceeds_pow2(rat(4), exponent)
 
     def test_bounds_object_rejects_contradiction(self):
@@ -420,7 +416,7 @@ class TestSolveAdaptive:
         report = solve(
             chain_system(3), eps, SolveOptions(mode="adaptive", assume_probabilistic=True)
         )
-        assert report.status == "adaptive-heuristic"
+        assert report.status == "certified-eps" and report.certificate.kind == "witness"
         for d in report.approximation:
             assert 0 <= rat(1) - d.value() <= eps
 
@@ -436,7 +432,7 @@ class TestSolveAdaptive:
         )
         assert report.status == "adaptive-heuristic"
         assert report.certificate.kind == "none"
-        assert report.certificate.attempted_h == ()
+        assert report.certificate.attempted_h == (30,)
         assert (report.params.h, report.params.g) == (30, 29)
 
     def test_ceiling_raises(self):
@@ -484,5 +480,5 @@ class TestCertifiedSoundness:
         for sys, truth in fixtures:
             lower, _ = _qmin_bound(sys)
             assert lower <= min(truth)
-            exponent = qmax_upper_exponent(sys, False)
+            exponent = qmax_upper_exponent(sys)
             assert not rational_exceeds_pow2(max(truth), exponent)

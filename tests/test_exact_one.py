@@ -78,8 +78,9 @@ def test_chain3_needs_no_probability_flag(tmp_path):
 def test_adaptive_mode_keeps_the_exact_ones():
     report = solve(chain_system(3), EPS, SolveOptions(mode="adaptive"))
     assert_exact_ones(report)
-    assert report.status == "adaptive-heuristic"
-    assert report.certificate.kind == "none"
+    assert report.status == "certified-eps"
+    assert report.certificate.kind == "witness" and report.certificate.upper == (1,) * 3
+    assert report.certificate.attempted_h == ()
 
 
 def test_mixed_is_certified_far_below_the_old_theorem_grid():

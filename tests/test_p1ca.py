@@ -96,6 +96,8 @@ class TestParsing:
             '{"states":["s"],"delta":[{"from":"s","p":"1/2","k":"up","to":"s"}]}',
             '{"states":["s"],"delta":[{"from":"s","p":"1/2","k":1}]}',
             '{"states":["s"],"delta":[],"junk":[]}',
+            '{"states":["s"],"delta":[{"from":["s"],"p":"1/2","k":0,"to":"s"}],"delta0":[]}',
+            '{"states":["s"],"delta":[{"from":"s","p":"1/2","k":0,"to":{"a":1}}],"delta0":[]}',
         ],
     )
     def test_rejects_malformed(self, doc):
@@ -280,4 +282,5 @@ class TestTerminationProbabilities:
         adaptive = termination_probabilities(gamblers_ruin("2/3"), eps, mode="adaptive")
         gap = abs(certified.entries[0][0].value() - adaptive.entries[0][0].value())
         assert gap <= 2 * eps
-        assert adaptive.report.status == "adaptive-heuristic"
+        assert adaptive.report.status == "certified-eps"
+        assert adaptive.report.certificate.kind == "witness"

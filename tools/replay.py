@@ -29,7 +29,10 @@ Each run is one in-process call of ``lfpsolve.cli.main`` (or one demo
 script), and its record is its arguments, exit code, standard output and
 standard error, with the temporary directory and this checkout written as
 ``<tmp>`` and ``<root>``.  The tool prints the record count, a histogram
-of exit codes and the SHA-256 of all records.  A run takes a few
+of exit codes and the SHA-256 of all records, then one SHA-256 per group
+of records: the first part of the label, split by whether the run passes
+``--mode adaptive``, with the group's record count.  Comparing two trees
+group by group shows which kinds of run moved.  A run takes a few
 seconds.
 """
 
@@ -159,12 +162,21 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         records = _records(Path(tmp), workloads, models, cli)
         lines = [_normalized(record, Path(tmp)) for record in records]
-    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
     exits = Counter(record["exit"] for record in records)
     print(f"records: {len(records)}")
     print("exit codes: " + ", ".join(f"{code}: {count}" for code, count in sorted(exits.items(), key=str)))
-    print(f"sha256: {digest}")
+    print(f"sha256: {_digest(lines)}")
+    groups: dict = {}
+    for record, line in zip(records, lines):
+        adaptive = " --mode adaptive" if "--mode adaptive" in " ".join(record["argv"]) else ""
+        groups.setdefault(record["label"].split("/")[0] + adaptive, []).append(line)
+    for group, group_lines in groups.items():
+        print(f"sha256 {group} ({len(group_lines)}): {_digest(group_lines)}")
     return 0
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
 
 
 if __name__ == "__main__":
