@@ -11,7 +11,10 @@ x_{i-1}/2, has q* all twos and P_0(1) = 5/4, so Newton has to do the work.
 Each level takes a square root of the error left by the level below: to
 get the top within 1 of its value, the bottom component needs about
 2^(d-1) Newton iterations.  The convergence theorem's parameters absorb
-that cost with a grid of thousands of bits.
+that cost with a grid of thousands of bits.  Since q* = 2 is rational, the
+solver certifies it far below that grid: once the iterate is within eps
+below 2, the simplest rational within eps above it is 2 itself, and
+P(2) <= 2 holds exactly.
 """
 
 from lfpsolve import (
@@ -78,9 +81,9 @@ for g in (8, 16, 31, 32):
     print(f"  g={g:>2}: bottom error {a0}  ->  {verdict}")
 
 print("\nCertified solve of the depth-3 doubled chain under the asserted bound")
-print("q* <= 2 (no normal form, so u = 1): the grids tried for a witness fail at")
-print("the critical q*, and the theorem's grid runs, with the bottom component")
-print("taking every one of its g steps:")
+print("q* <= 2 (no normal form, so u = 1; the theorem's grid is h = 2530): the")
+print("Newton-direction witness fails at the critical q*, and q* = 2 itself")
+print("certifies the first grid whose iterate is within eps below it:")
 report = solve(doubled_chain(3), eps, SolveOptions(qmax_exponent_assert=1, use_snf=False))
 cert = report.certificate
 print(f"  status {report.status}; certificate {cert.kind} after grids {cert.attempted_h}")
@@ -89,8 +92,8 @@ print(f"  Newton steps per component: {[run.iterations for run in report.scc_run
 for name, d in zip(report.names, report.approximation):
     print(f"  {name}: {gap_below_two(d)}  (eps = 2^-16)")
 
-print("\nThe same solve in adaptive mode (no certificate; it doubles h until two")
-print("consecutive grids agree within eps/4):")
+print("\nThe same solve in adaptive mode (it doubles h from the same first grid")
+print("with u = 0, and settles on the first grid with a witness):")
 report = solve(
     doubled_chain(3), eps, SolveOptions(mode="adaptive", qmax_exponent_assert=1, use_snf=False)
 )

@@ -45,14 +45,15 @@ print("Closed form: least root of x = (2/3)x^2 + 1/3 is",
 
 eps = rat(1, 2**20)
 params = rounding_params(model, eps)
-print(f"\nCertified rounding parameter for eps = 2^-20: h = {params['h']}")
+print(f"\nClosed-form certified rounding parameter for eps = 2^-20: h = {params['h']}")
 print(f"  (r = {params['r']} state, probability width m = {params['m']} bits)")
 
 matrix = termination_probabilities(model, eps)
 value = matrix.entries[0][0].value()
 print(f"Computed G-matrix entry: {value}")
 print(f"  |value - 1/2| = {float(abs(value - rat(1, 2))):.3e} <= 2^-20")
-print(f"  status: {matrix.report.status}")
+report = matrix.report
+print(f"  status: {report.status}, certificate {report.certificate.kind} on grid h = {report.params.h}")
 
 print("\nUnfavourable odds (up-probability 1/3): ruin is certain.  Every row")
 print("has P(1) = 1 and B(1) = 2/3 <= 1, so an exact pre-pass proves q* = 1")

@@ -31,13 +31,15 @@ from .errors import (
     SingularMatrix,
     StructureViolation,
 )
-from .mps import clean, json_text, parse_mps, to_snf
+from .mps import clean, evaluate, json_text, parse_mps, to_snf
 from .mps import system_to_json  # unused here; perfbench/spans.py times it at this import
-from .oracle import value_iterate
 from .p1ca import parse_p1ca, termination_probabilities, validate
-from .ratmath import parse_rat, rat_str
+from .ratmath import ZERO, parse_rat, rat_str
 
 SCHEMA_VERSIONS = {"mps": 1, "p1ca": 1, "solve-report": 1, "g-matrix": 1}
+# Exact value iterates can double in size every step.  Printing stops at
+# 4300 digits (about 14300 bits) per integer, far below this budget.
+VALUE_ITER_BIT_BUDGET = 1 << 16
 
 
 def _read_input(path: str) -> str:
@@ -222,7 +224,17 @@ def _cmd_value_iter(args) -> int:
     system = parse_mps(_read_input(args.input))
     if args.steps < 0:
         raise ValueError("--steps must be >= 0")
-    iterate = value_iterate(system, args.steps)
+    iterate = [ZERO] * system.n
+    for step in range(1, args.steps + 1):
+        iterate = evaluate(system, iterate)
+        if any(
+            max(x.numerator.bit_length(), x.denominator.bit_length()) > VALUE_ITER_BIT_BUDGET
+            for x in iterate
+        ):
+            raise ValueError(
+                f"value iterate {step} has a numerator or denominator of more than "
+                f"{VALUE_ITER_BIT_BUDGET} bits; stopped before step {step + 1}"
+            )
     _emit({"steps": args.steps, "iterate": [rat_str(x) for x in iterate]})
     return 0
 

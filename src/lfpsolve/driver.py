@@ -44,14 +44,16 @@ bounds their error.  When nothing is left, the answer (0 on zero variables,
 Every mode then runs one loop on the reduced system: rounded decomposed
 Newton on a schedule of 2**-h grids, stopping at the first grid that
 settles.  Iterates never overshoot q*, so on any grid a witness settles
-it: y = approx + (a small step along (I - B(approx))^-1 1), or else the cap
-y = 1 (for q* within epsilon of 1 but below it, where I - B(q*) is nearly
-singular), within epsilon of approx and passing the exact check P(y) <=
-y, so q* <= y by Knaster-Tarski.
+it: y = approx + (a small step along (I - B(approx))^-1 1), or else the
+rationals with the least denominators within epsilon above approx (q*
+itself at a rational critical q*, and y = 1 for q* within epsilon of 1),
+within epsilon of approx and passing the exact check P(y) <= y, so q* <=
+y by Knaster-Tarski.
 
 - Certified runs grid h = H - u with g = H - 1 for H = (h0 + u) 2**k, k =
   0, 1, ... up to min(max_h, h_theorem / WITNESS_SHARE), h0 = ceil(log2(1 /
-  eps)) + WITNESS_HEADROOM; with no witness, the divergence probe, the
+  eps)) + WITNESS_HEADROOM, and the first of these grids whenever H = h0 +
+  u < h_theorem and H <= max_h; with no witness, the divergence probe, the
   ceiling check and the theorem's grid follow.
 - Adaptive doubles h from h0 up to max_h; with no witness, a grid also
   settles when it agrees with the one before within eps / 4, a heuristic,
@@ -360,7 +362,7 @@ def _run_rdnm(
 # --- post-fixed-point witnesses ----------------------------------------------------
 
 WITNESS_HEADROOM = 8  # bits above log2(1/eps) on the first witness grid
-WITNESS_SHARE = 8  # witness grids stay at or below h_theorem / WITNESS_SHARE
+WITNESS_SHARE = 8  # later witness grids stay at or below h_theorem / WITNESS_SHARE
 
 
 def _is_post_fixed_point(sys: MonotoneSystem, y) -> bool:
@@ -383,10 +385,29 @@ def _newton_direction_candidate(sys: MonotoneSystem, lower, x, epsilon, h: int):
     return y if _is_post_fixed_point(sys, y) else None
 
 
-def _cap_candidate(sys: MonotoneSystem, x, epsilon):
-    if any(ONE - xi > epsilon for xi in x):
-        return None
-    y = [ONE] * sys.n
+def _simplest_rational(lo, hi):
+    """The rational with the least denominator in [lo, hi], 0 <= lo <= hi:
+    the Stern-Brocot ancestor of the interval, by continued fractions on both
+    ends at once.  x = (a t + b) / (c t + d) maps the current interval of t
+    back to [lo, hi]; a loop, not recursion, because the ends can have
+    thousands of bits."""
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    a, b, c, d = 1, 0, 0, 1
+    while True:
+        t, rem = divmod(ln, ld)
+        if not rem:  # lo is the integer t
+            break
+        if (t + 1) * hd <= hn:  # the integer t + 1 lies in the interval
+            t += 1
+            break
+        # both ends lie in (t, t + 1): go on with 1 / (end - t), ends swapped
+        a, b, c, d = a * t + b, a, c * t + d, c
+        ln, ld, hn, hd = hd, hn - t * hd, ld, rem
+    return Rat(a * t + b, c * t + d)
+
+
+def _simplest_candidate(sys: MonotoneSystem, x, epsilon):
+    y = [_simplest_rational(xi, xi + epsilon) for xi in x]
     return y if _is_post_fixed_point(sys, y) else None
 
 
@@ -402,15 +423,18 @@ def post_fixed_point_witness(sys: MonotoneSystem, lower, epsilon, h: int):
       non-critical q*, P(y) - y = P(x) - x - (eps / ||d||) 1 + O(eps^2), so
       it passes once x is close enough to q*; at a critical q*, I - B(q*) is
       singular and it cannot pass;
-    - the cap y = 1, when 1 - x_i <= epsilon for every i (checked first, so
-      iterates far from the cap never evaluate P(1)) and P(1) <= 1.  The
+    - the simplest rationals: y_i is the rational with the least denominator
+      in [x_i, x_i + eps].  At a rational q* with a small denominator it is
+      q* itself once x is within eps below it, which certifies critical
+      components such as x = x^2/4 + 1 (q* = 2).  When every 1 - x_i <= eps
+      it is y = 1, which also covers a q* within epsilon of 1 but below it,
+      nearly critical, such as a chain whose bottom row leaks 2**-200.  The
       components with q* = 1 exactly never get here, because the pre-pass
-      sets them; this covers a q* within epsilon of 1 but below it, which
-      is nearly critical, such as a chain whose bottom row leaks 2**-200.
+      sets them.
     """
     x = [dy.value() for dy in lower]
     y = _newton_direction_candidate(sys, lower, x, epsilon, h)
-    return y if y is not None else _cap_candidate(sys, x, epsilon)
+    return y if y is not None else _simplest_candidate(sys, x, epsilon)
 
 
 # --- the grid loop -------------------------------------------------------------
@@ -452,18 +476,19 @@ def _run_grids(
     theorem = options.mode == "certified" and doubling
     u = max(bounds.qmax_exponent, 0) if theorem else 0
     beta = min(ONE, c_min(sys)) * min(ONE, HALF * bounds.qmin_lower)
+    h0 = ceil_log2(ONE / epsilon) + WITNESS_HEADROOM
     limit = options.max_h
     if theorem:
         h_theorem = options.theorem_h
         if h_theorem is None:
             n, d, f = sys.n, decomp.depth, decomp.nonlinear_depth
             h_theorem = _params_general(n, d, f, u, beta, norm_p_one(sys), epsilon) + 1
-        limit = min(limit, h_theorem // WITNESS_SHARE)
+        # the first witness grid runs whenever it is below the theorem's
+        limit = min(limit, max(h_theorem // WITNESS_SHARE, min(h0 + u, h_theorem - 1)))
     probe_first = u > 0 or not theorem
     if probe_first:
         _probe_divergence(sys, bounds)
     if doubling:
-        h0 = ceil_log2(ONE / epsilon) + WITNESS_HEADROOM
         grids = ((big_h - u, big_h - 1) for big_h in _doubling(h0 + u, limit))
     else:
         h = options.h_override
@@ -575,6 +600,8 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
         options.g_override is not None and options.g_override < 1
     ):
         raise ValueError("need h >= 1 and g >= 1")
+    if options.max_h < 1:
+        raise ValueError("need max_h >= 1")
     if options.mode not in ("certified", "adaptive"):
         raise ValueError(f"unknown mode {options.mode!r}")
 

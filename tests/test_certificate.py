@@ -13,6 +13,7 @@ import io
 import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from conftest import (
@@ -24,6 +25,8 @@ from conftest import (
     random_substochastic,
     univariate,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfpsolve import (
     SolveOptions,
@@ -34,6 +37,7 @@ from lfpsolve import (
     termination_probabilities,
 )
 from lfpsolve.cli import main
+from lfpsolve.driver import _simplest_rational
 from lfpsolve.errors import LfpError, ParamsInfeasible
 from lfpsolve.mps import evaluate, serialize_mps
 from lfpsolve.p1ca import build_termination_mps, p1ca_to_json
@@ -47,31 +51,40 @@ CHAIN_EPS = rat(1, 2**16)
 # doubled_chain(3) (q* = 2) at 2**-16 without normal form, under the
 # asserted bound q* <= 2, on the theorem's grid h = 2530, g = 2530.
 DOUBLED_CHAIN3_THEOREM_ANSWER = "57eb17d932d6d63a3e2030d35f0b29e54912d795d369b843186134d7cd79093c"
-# The same digest for MIXED2 (below) at 2**-16 under q* <= 4, which bounds
-# its normal form's product variable by 2**4, on its theorem grid h = 871.
-MIXED2_THEOREM_ANSWER = "691d8dd0e793e30124e5a6fd186f17c969685b1ffea03eb98b5281f31195f13e"
+# The same digest for LEAKY_CHAIN2 (below) at 2**-16 under the probability
+# flag, on its theorem grid h = 1067, and at 2**-8 without normal form
+# under q* <= 4, on its theorem grid h = 753.
+LEAKY_CHAIN2_THEOREM_ANSWER = "13123bc4e9562da13f5fb5f1f6a475b22d34bbacdece269c15006c4b6b354139"
+LEAKY_CHAIN2_RESCALED_ANSWER = "c717887c3f6450becca57867e83fac29068115376805b3d44e57fe6418a5df1e"
 # SHA-256 of random_outcomes(mode) below: substochastic n = 8, seeds 0-19,
 # and in certified mode also random_p1ca(Random(7), r) for r = 1..3.
 RANDOM_OUTCOMES = {
-    "certified": "837438f82fb7bdcd1d4099f6d249e79627d2761b81e4c32c816fc49fb6c6406f",
+    "certified": "2b418e9ded012123554328d8af9d679e62babf4144a3701d24aa2ff993a5689c",
     "adaptive": "e255a6c2bb21b334b2fbacb14f140377e7886341df8eca92703da5736dd49f00",
 }
 
 # SHA-256 of rescaled_outcomes() below: small substochastic systems under
 # asserted q*_max bounds 2 and 4, so u = 1 and u = 2 without normal form and
 # twice that with it (its product variables are quadratic in the input's).
-RESCALED_OUTCOMES = "78e645c351dc5dbba437da317797506cd1a2a93f124a27580c3d7a13a34279d1"
+RESCALED_OUTCOMES = "3ae30f8d650909b926f077a65181f9d75b8222ffe98ea25b2022b59b49a25d14"
 
 # a = a^2/4 + 1, b = b/2 + a/8: q* = (2, 1/2).  a is critical, so the
-# Newton-direction witness fails, and b is far from the cap y = 1.  P_a(1) =
-# 5/4, so the q* = 1 pre-pass leaves a alone.  (MIXED, its q* = 1 analogue,
-# is in test_exact_one.py.)
+# Newton-direction witness fails, and b is far from 1; q* is rational, so
+# the simplest rationals within eps above the iterate are q* itself.
+# P_a(1) = 5/4, so the q* = 1 pre-pass leaves a alone.  (MIXED, its q* = 1
+# analogue, is in test_exact_one.py.)
 MIXED2 = system_of(
     ["a", "b"], [("1/4", {"a": 2}), ("1", {})], [("1/2", {"b": 1}), ("1/8", {"a": 1})]
 )
 # chain3 with the bottom constant 1/2 - 2**-200: q* < 1, P_0(1) < 1, yet every
-# coordinate is within 2**-24 of 1, so the cap y = 1 certifies it.
+# coordinate is within 2**-24 of 1, so the simplest rationals within eps
+# above the iterate are y = 1, which certifies it.
 LEAKY_CHAIN3 = leaky_chain(3, rat(1, 2**200))
+# chain2 with a 2**-32 leak: q* is about (1 - 2**-15.5, 1 - 2**-7.75),
+# irrational and nearly critical.  P_1(y) <= y_1 with y_1 <= q*_1 + eps
+# needs y_0 within about 2**-23 above q*_0, which neither candidate hits,
+# so no grid below the theorem's has a witness.
+LEAKY_CHAIN2 = leaky_chain(2, rat(1, 2**32))
 
 
 def answer_digest(report):
@@ -127,18 +140,73 @@ def rescaled_outcomes():
     return hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
 
 
+def least_denominator_scan(lo, hi):
+    """The rational in [lo, hi] with the least denominator q, and the least
+    numerator ceil(lo q) for that q, by trying q = 1, 2, ..."""
+    q = 1
+    while True:
+        p = -(-lo.numerator * q // lo.denominator)
+        if p * hi.denominator <= hi.numerator * q:
+            return Fraction(p, q)
+        q += 1
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    lo=st.fractions(min_value=0, max_value=5, max_denominator=64),
+    width=st.fractions(min_value=0, max_value=2, max_denominator=64),
+)
+def test_simplest_rational_matches_a_denominator_scan(lo, width):
+    assert _simplest_rational(lo, lo + width) == least_denominator_scan(lo, lo + width)
+
+
+@pytest.mark.parametrize(
+    "lo,hi,simplest",
+    [
+        (0, 0, 0),
+        (0, Fraction(1, 2), 0),
+        (2, 2, 2),
+        (Fraction(3, 2), 2, 2),
+        (Fraction(1, 3), 1, 1),
+        (Fraction(1, 3), Fraction(2, 3), Fraction(1, 2)),
+        (Fraction(5, 2), 3, 3),
+        (Fraction(7, 3), Fraction(12, 5), Fraction(7, 3)),
+        (Fraction(1, 1000), Fraction(1, 999), Fraction(1, 999)),
+    ],
+)
+def test_simplest_rational_at_integer_and_tight_ends(lo, hi, simplest):
+    lo, hi = Fraction(lo), Fraction(hi)
+    assert _simplest_rational(lo, hi) == simplest == least_denominator_scan(lo, hi)
+
+
+def test_simplest_rational_on_ends_of_thousands_of_bits():
+    # A dyadic lower end with a 6003-bit numerator and an upper end 2**-16
+    # above it, checked against the scan; then a point interval at a ratio
+    # of Fibonacci numbers of about 6000 bits, whose continued fraction has
+    # over 8000 terms, far past Python's recursion limit.
+    lo = Fraction(3**3787, 2**6010)
+    hi = lo + Fraction(1, 2**16)
+    assert lo.numerator.bit_length() > 6000
+    assert _simplest_rational(lo, hi) == least_denominator_scan(lo, hi)
+    a, b = 1, 1
+    while b.bit_length() <= 6000:
+        a, b = b, a + b
+    point = Fraction(b, a)
+    assert _simplest_rational(point, point) == point
+
+
 def assert_witness(system, approx, upper, eps):
     assert len(upper) == len(approx) == system.n
     assert all(a <= y <= a + eps for a, y in zip(approx, upper))
     assert all(p <= y for p, y in zip(evaluate(system, upper), upper))
 
 
-# The closed-form h of gambler's ruin (72) and of r = 1 (102) is below 8
-# times the first witness grid (20 + 8 bits), so they keep the theorem's
-# grid; r = 2 and r = 3 are certified on that first grid.
+# Each is certified on the first witness grid (20 + 8 bits), below its
+# closed-form h: 72 for gambler's ruin and 102, 5627 and 90682 for r = 1..3.
+# The first two are below 8 times that grid, which still leaves it one try.
 P1CA_CASES = [
-    ("gambler", gamblers_ruin("2/3"), "theorem", 72),
-    ("random_p1ca_7_r1", random_p1ca(random.Random(7), 1), "theorem", 102),
+    ("gambler", gamblers_ruin("2/3"), "witness", 28),
+    ("random_p1ca_7_r1", random_p1ca(random.Random(7), 1), "witness", 28),
     ("random_p1ca_7_r2", random_p1ca(random.Random(7), 2), "witness", 28),
     ("random_p1ca_7_r3", random_p1ca(random.Random(7), 3), "witness", 28),
 ]
@@ -150,11 +218,8 @@ def test_p1ca_certificates(label, model, kind, h):
     report = result.report
     assert report.status == "certified-eps"
     assert (report.certificate.kind, report.params.h) == (kind, h)
-    if kind == "witness":
-        approx = [d.value() for d in report.approximation]
-        assert_witness(build_termination_mps(model), approx, report.certificate.upper, P1CA_EPS)
-    else:
-        assert h == result.params["h"]
+    approx = [d.value() for d in report.approximation]
+    assert_witness(build_termination_mps(model), approx, report.certificate.upper, P1CA_EPS)
 
 
 def test_p1ca_ceiling_bounds_the_closed_form_grid():
@@ -222,9 +287,9 @@ def test_steps_reported_are_steps_taken(chain3_theorem_grid):
 
 def test_chain3_is_certified_by_the_cap():
     # q* is below 1 but within eps of it and nearly critical, so no
-    # Newton-direction witness passes; P(1) <= 1 holds exactly, and y = 1
-    # certifies the first grid whose iterate is within eps of it, far below
-    # the theorem's h = 4499.
+    # Newton-direction witness passes; P(1) <= 1 holds exactly, and y = 1,
+    # the simplest rational within eps above an iterate within eps of 1,
+    # certifies the first such grid, far below the theorem's h = 4499.
     system = LEAKY_CHAIN3
     report = solve(system, CHAIN_EPS, SolveOptions(assume_probabilistic=True))
     cert = report.certificate
@@ -238,17 +303,56 @@ def test_chain3_is_certified_by_the_cap():
 
 
 def test_critical_chain_falls_back_to_theorem():
-    # A critical q* = 2 component below a q* = 1/2 one has neither witness,
-    # so the theorem's grid decides, bit for bit as before the pre-pass.
-    report = solve(MIXED2, CHAIN_EPS, SolveOptions(qmax_exponent_assert=2))
+    # A nearly critical chain with irrational q* has neither witness on the
+    # grids below h_theorem / 8, so the theorem's grid decides.
+    report = solve(LEAKY_CHAIN2, CHAIN_EPS, SolveOptions(assume_probabilistic=True))
     cert = report.certificate
     assert report.status == "certified-eps"
     assert cert.kind == "theorem" and cert.upper is None
-    assert (report.params.h, report.params.g, report.params.u) == (871, 874, 4)
-    assert cert.attempted_h == (24, 52)
+    assert (report.params.h, report.params.g, report.params.u) == (1067, 1066, 0)
+    assert cert.attempted_h == (24, 48, 96)
     assert all(8 * h <= report.params.h for h in cert.attempted_h)
     assert cert.exact_one == ()
-    assert answer_digest(report) == MIXED2_THEOREM_ANSWER
+    assert answer_digest(report) == LEAKY_CHAIN2_THEOREM_ANSWER
+
+
+@pytest.mark.parametrize(
+    "system,q_star,mode,h,attempted,steps",
+    [
+        (doubled_chain(3), (2, 2, 2), "certified", 102, (24, 50, 102), [103, 57, 32]),
+        (doubled_chain(3), (2, 2, 2), "adaptive", 96, (24, 48, 96), [95, 53, 30]),
+        (MIXED2, (2, rat(1, 2)), "certified", 24, (24,), [25, 1]),
+        (MIXED2, (2, rat(1, 2)), "adaptive", 24, (24,), [23, 1]),
+    ],
+    ids=["doubled_chain3", "doubled_chain3-adaptive", "mixed2", "mixed2-adaptive"],
+)
+def test_rational_critical_q_is_the_witness(system, q_star, mode, h, attempted, steps):
+    # A critical q* has no Newton-direction witness, but a rational q* is
+    # the simplest rational within eps above an iterate close enough below
+    # it, and P(q*) = q* passes the exact check.  The theorem's grid was
+    # h = 6417 for doubled_chain(3) and h = 649 for MIXED2.
+    report = solve(system, CHAIN_EPS, SolveOptions(mode=mode, qmax_exponent_assert=1))
+    cert = report.certificate
+    assert report.status == "certified-eps"
+    assert cert.kind == "witness"
+    assert (report.params.h, cert.attempted_h) == (h, attempted)
+    assert [run.iterations for run in report.scc_runs] == steps
+    assert cert.upper == q_star
+    approx = [d.value() for d in report.approximation]
+    assert_witness(system, approx, cert.upper, CHAIN_EPS)
+
+
+def test_first_witness_grid_runs_below_a_small_theorem_grid():
+    # x = x^2/4 + 1 (q* = 2) under q* <= 2 without normal form has
+    # h_theorem = 99, so h_theorem / 8 = 12 is below the first witness grid
+    # 24 + 1; that grid still runs, once, and certifies.
+    system = univariate("1/4", 0, "1")
+    report = solve(system, CHAIN_EPS, SolveOptions(qmax_exponent_assert=1, use_snf=False))
+    cert = report.certificate
+    assert (cert.kind, cert.upper, cert.attempted_h) == ("witness", (2,), (24,))
+    assert (report.params.h, report.params.g, report.params.u) == (24, 24, 1)
+    with pytest.raises(ParamsInfeasible, match="certified h = 99"):
+        solve(system, CHAIN_EPS, SolveOptions(qmax_exponent_assert=1, use_snf=False, max_h=24))
 
 
 def test_adaptive_matches_certified_where_a_witness_passes():
@@ -274,27 +378,24 @@ def test_adaptive_matches_certified_where_a_witness_passes():
     assert witnessed == 20
 
 
-@pytest.mark.parametrize(
-    "system,h,attempted,steps",
-    [(doubled_chain(3), 192, (24, 48, 96, 192), [191, 102, 55]), (MIXED2, 48, (24, 48), [47, 1])],
-    ids=["doubled_chain3", "mixed2"],
-)
-def test_adaptive_falls_back_to_agreement(system, h, attempted, steps):
-    # A critical q* = 2 has no witness, so adaptive doubling settles where two
-    # grids agree within eps/4, uncertified, after trying each grid.
-    report = solve(system, CHAIN_EPS, SolveOptions(mode="adaptive", qmax_exponent_assert=1))
+def test_adaptive_falls_back_to_agreement():
+    # With no witness, adaptive doubling settles where two grids agree
+    # within eps/4, uncertified, after trying each grid.
+    options = SolveOptions(mode="adaptive", assume_probabilistic=True)
+    report = solve(LEAKY_CHAIN2, CHAIN_EPS, options)
     cert = report.certificate
     assert report.status == "adaptive-heuristic"
     assert cert.kind == "none" and cert.upper is None
-    assert (report.params.h, cert.attempted_h) == (h, attempted)
-    assert [run.iterations for run in report.scc_runs] == steps
+    assert (report.params.h, cert.attempted_h) == (96, (24, 48, 96))
+    assert [run.iterations for run in report.scc_runs] == [22, 14]
 
 
 def test_cap_requires_exact_post_fixed_point_check():
     # x = a x^2 + b with roots r1 = 1 - 3 eps/4 < r2 = 1 - 3 eps/8 < 1 (the
     # probability flag is a false assertion here): the iterate at 2**-24 is
-    # within eps of the cap, yet P(1) > 1, so y = 1 is no witness.  The
-    # Newton-direction step eps overshoots r2 and fails as well.
+    # within eps of 1, so the simplest rational within eps above it is 1,
+    # yet P(1) > 1, so y = 1 is no witness.  The Newton-direction step eps
+    # overshoots r2 and fails as well.
     r1, r2 = 1 - 3 * CHAIN_EPS / 4, 1 - 3 * CHAIN_EPS / 8
     a = 1 / (r1 + r2)
     system = system_of(["x"], [(a, {"x": 2}), (a * r1 * r2, {})])
@@ -347,14 +448,16 @@ def test_rescaled_answers_are_unchanged():
 
 
 def test_witness_grids_keep_the_rescaled_schedule():
-    # Under u = 3 the witness grids are H - u for H = 16 + 3 and 2 (16 + 3),
-    # each with H - 1 steps, and the fallback grid is h_theorem - u with
-    # g = h_theorem - 1: the grids and step budgets of x = 2**-3 P(2**3 x).
-    report = solve(MIXED2, rat(1, 2**8), SolveOptions(qmax_exponent_assert=3, use_snf=False))
+    # Under u = 3 the witness grids are H - u for H = 16 + 3, 2 (16 + 3) and
+    # 4 (16 + 3), each with H - 1 steps, and the fallback grid is
+    # h_theorem - u with g = h_theorem - 1: the grids and step budgets of
+    # x = 2**-3 P(2**3 x).
+    options = SolveOptions(qmax_exponent_assert=3, use_snf=False)
+    report = solve(LEAKY_CHAIN2, rat(1, 2**8), options)
     params = report.params
     assert report.certificate.kind == "theorem"
-    assert report.certificate.attempted_h == (16, 35)
-    assert (params.h, params.g, params.u) == (532, 534, 3)
+    assert report.certificate.attempted_h == (16, 35, 73)
+    assert (params.h, params.g, params.u) == (912, 914, 3)
 
 
 # x = x^2/2 + 1/2 - 2**-40: q* = 1 - 2**-19.5 (about), nearly critical and
@@ -364,8 +467,8 @@ NEAR_CRITICAL = system_of(["x"], [("1/2", {"x": 2}), (rat(1, 2) - rat(1, 2**40),
 
 
 def test_critical_cap_without_probability_flag():
-    # The cap y = 1 is checked on the input system, so a q* within eps of 1
-    # is certified on the first grid whatever u is.
+    # The candidate y = 1 is checked on the input system, so a q* within eps
+    # of 1 is certified on the first grid whatever u is.
     report = solve(NEAR_CRITICAL, CHAIN_EPS)
     cert = report.certificate
     assert report.params.u == 16350
@@ -404,19 +507,14 @@ def test_cli_huge_u_exits_4(tmp_path):
 
 
 def test_rescaled_theorem_fallback_is_unchanged():
-    # x = x^2/4 + 1 is critical at q* = 2: no witness exists, so the
-    # theorem's grid for u = 2 (grid 131 of x = 2**-2 P(4 x), so grid 129 of
+    # LEAKY_CHAIN2 has no witness within eps = 2**-8 either, so the
+    # theorem's grid for u = 2 (grid 755 of x = 2**-2 P(4 x), so grid 753 of
     # the input) decides the answer, pinned here bit for bit.
-    report = solve(
-        univariate("1/4", 0, "1"),
-        rat(1, 2**20),
-        SolveOptions(qmax_exponent_assert=2, use_snf=False),
-    )
+    report = solve(LEAKY_CHAIN2, rat(1, 2**8), SolveOptions(qmax_exponent_assert=2, use_snf=False))
     params = report.params
-    assert (params.h, params.g, params.u) == (129, 130, 2)
+    assert (params.h, params.g, params.u) == (753, 754, 2)
     assert report.certificate.kind == "theorem"
-    assert report.approximation[0].mantissa == 1361129467683753853853498429727072845823
-    assert report.approximation[0].scale == 129
+    assert answer_digest(report) == LEAKY_CHAIN2_RESCALED_ANSWER
 
 
 def test_override_without_witness_is_uncertified():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import signal
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -53,6 +55,10 @@ BAD_P1CA = json.dumps(
         "delta0": [],
     }
 )
+
+
+class _Unfinished(Exception):
+    pass
 
 
 def run_cli(args, path_content=None, tmp_path=None):
@@ -152,6 +158,12 @@ class TestSolveCommand:
         assert code == 1
         assert json.loads(out)["error"] == {"type": "ValueError", "message": "need h >= 1 and g >= 1"}
 
+    @pytest.mark.parametrize("max_h", ["-3", "0"])
+    def test_max_h_below_one_is_refused(self, tmp_path, max_h):
+        code, out, _ = run_cli(["solve", "--epsilon", "1/1024", "--max-h", max_h], LINEAR, tmp_path)
+        assert code == 1
+        assert json.loads(out)["error"] == {"type": "ValueError", "message": "need max_h >= 1"}
+
     def test_rejects_decimal_epsilon(self, tmp_path):
         code, out, _ = run_cli(["solve", "--epsilon", "0.5"], CHAIN3, tmp_path)
         assert code == 1
@@ -181,6 +193,28 @@ class TestOtherSubcommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["iterate"] == ["89/128", "11/32", "1/8"]
+
+    def test_value_iter_stops_at_the_bit_budget(self, tmp_path):
+        # x = x^2/4 + 1: exact iterates double in size every step, so 40
+        # steps would not finish; the run stops at the budget, within a second.
+        doc = '{"vars":["x"],"eqs":[[{"c":"1/4","m":{"x":2}},{"c":"1","m":{}}]]}'
+
+        def give_up(signum, frame):
+            raise _Unfinished  # not an error the CLI catches
+
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.setitimer(signal.ITIMER_REAL, 5)
+        start = time.perf_counter()
+        try:
+            code, out, _ = run_cli(["value-iter", "--steps", "40"], doc, tmp_path)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith("value iterate 17 has a numerator or denominator")
 
     def test_snf_and_clean(self, tmp_path):
         from lfpsolve import system_from_json, system_to_json
@@ -300,8 +334,8 @@ class TestTracePinned:
         "gambler": (
             ["p1ca-term", "--epsilon", "1/1024", "--trace"],
             GAMBLER,
-            "8a6c3b79354ad7c836604d3ad9553b39ea791cb2f8ab74609ff0cf4c599fdefc",
-            "d55ad9d7293bc8a62f80a917780efa3f34d7cb5b2f8ab9ff4e573afcfe0c652b",
+            "b7829ec7259ce8293ec0bcbd7708b1bfb73e677cdf1ea920952852ada48a3cae",
+            "2811b13d704cb9d871b38a8e50d12456083edc5dbf7d8d4e5601c7cc7c4c1764",
         ),
     }
 

@@ -372,17 +372,18 @@ class TestSolveCertified:
         # doubled_chain(1) is x = x^2/4 + 1 with q* = 2 <= 2**1, but its
         # normal form's product variable x^2 is 4.  The assertion bounds
         # that system by 2**(1 * 2); read as 2**1 it certified divergence.
+        # Its theorem grid is h = 163; q* = 2 is the witness on grid 16.
         eps = rat(1, 2**8)
         report = solve(doubled_chain(1), eps, SolveOptions(qmax_exponent_assert=1))
         assert report.status == "certified-eps"
-        assert report.certificate.kind == "theorem"
-        assert (report.params.h, report.params.u, report.bounds.qmax_exponent) == (163, 2, 2)
+        assert (report.certificate.kind, report.certificate.upper) == ("witness", (2,))
+        assert (report.params.h, report.params.u, report.bounds.qmax_exponent) == (16, 2, 2)
         assert 0 <= 2 - report.approximation[0].value() <= eps
         plain = solve(doubled_chain(1), eps, SolveOptions(qmax_exponent_assert=1, use_snf=False))
         assert plain.bounds.qmax_exponent == 1
 
     def test_params_infeasible_ceiling(self):
-        # The cap certifies this chain on grid 96 only; below it the
+        # y = 1 certifies this chain on grid 96 only; below it the
         # theorem's h = 4499 is refused.
         with pytest.raises(ParamsInfeasible):
             solve(

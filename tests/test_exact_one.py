@@ -87,11 +87,11 @@ def test_mixed_is_certified_far_below_the_old_theorem_grid():
     # Only b = b/2 + 1/4 is left, and it is linear; before the pre-pass the
     # theorem's grid h = 371 ran, with 370 Newton steps on a.  Under the
     # flag the reduced system's own theorem grid is h = 48, below 8 times
-    # the first witness grid, so it runs at once.  Without the flag u = 340,
-    # and the first witness grid certifies.
+    # the first witness grid 24, which still runs once and certifies.
+    # Without the flag u = 340, and the first witness grid certifies.
     flagged = solve(MIXED, EPS, SolveOptions(assume_probabilistic=True))
     assert flagged.status == "certified-eps"
-    assert (flagged.certificate.kind, flagged.params.h) == ("theorem", 48)
+    assert (flagged.certificate.kind, flagged.params.h) == ("witness", 24)
     report = solve(MIXED, EPS)
     cert = report.certificate
     assert report.status == "certified-eps"

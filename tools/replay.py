@@ -1,7 +1,7 @@
 """Replay a fixed corpus of command-line runs against one source tree and
 print a digest of every byte they write.
 
-    python3 tools/replay.py TREE
+    python3 tools/replay.py TREE [--records PATH]
 
 TREE is a checkout of this repository; lfpsolve is imported from TREE/src
 and from nowhere else.  The corpus comes from the checkout this file is in,
@@ -32,8 +32,10 @@ standard error, with the temporary directory and this checkout written as
 of exit codes and the SHA-256 of all records, then one SHA-256 per group
 of records: the first part of the label, split by whether the run passes
 ``--mode adaptive``, with the group's record count.  Comparing two trees
-group by group shows which kinds of run moved.  A run takes a few
-seconds.
+group by group shows which kinds of run moved.  ``--records PATH`` also
+writes the records to PATH as JSON lines, in order, exactly as digested,
+so that a line-by-line diff of two such files names the records that
+moved.  A run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -149,6 +151,7 @@ def _normalized(record: dict, tmp: Path) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree", type=Path, help="checkout whose src/ is replayed")
+    parser.add_argument("--records", type=Path, help="also write the records here as JSON lines")
     args = parser.parse_args()
     src = args.tree.resolve() / "src"
     if not (src / "lfpsolve").is_dir():
@@ -162,6 +165,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         records = _records(Path(tmp), workloads, models, cli)
         lines = [_normalized(record, Path(tmp)) for record in records]
+    if args.records is not None:
+        args.records.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     exits = Counter(record["exit"] for record in records)
     print(f"records: {len(records)}")
     print("exit codes: " + ", ".join(f"{code}: {count}" for code, count in sorted(exits.items(), key=str)))
