@@ -48,7 +48,11 @@ it: y = approx + (a small step along (I - B(approx))^-1 1), or else the
 rationals with the least denominators within epsilon above approx (q*
 itself at a rational critical q*, and y = 1 for q* within epsilon of 1),
 within epsilon of approx and passing the exact check P(y) <= y, so q* <=
-y by Knaster-Tarski.
+y by Knaster-Tarski.  The check is integer arithmetic over the common
+coefficient denominator L: for y = x / s with integer numerators x, P_i(y)
+<= y_i is L s**D P_i(y) <= L s**(D-1) x_i, D the degree, and the left side
+is a sum of integer terms; it calls neither ``newton_rows`` nor
+``solve_integer``, so it stays independent of the Newton kernel.
 
 - Certified runs grid h = H - u with g = H - 1 for H = (h0 + u) 2**k, k =
   0, 1, ... up to min(max_h, h_theorem / WITNESS_SHARE), h0 = ceil(log2(1 /
@@ -74,6 +78,7 @@ never built; the test suite builds it to check that equivariance.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import gcd, lcm
 
 from .decomposition import Decomposition, Scc, build_graph, decompose
 from .errors import DegreeTooHigh, DivergenceCertified, ParamsInfeasible, SingularMatrix
@@ -82,7 +87,7 @@ from .mps import (
     c_min,
     clean,
     encoding_size,
-    evaluate,
+    evaluate_scaled,
     grid_system,
     norm_p_one,
     restrict,
@@ -100,9 +105,9 @@ from .ratmath import (
     ceil_log2,
     rat,
     rational_exceeds_pow2,
-    round_down_dyadic,
     solve_integer,
 )
+from .ratmath import round_down_dyadic  # unused here; perfbench/spans.py times it at this import
 
 DEFAULT_MAX_H = 1_000_000
 VALUE_ITERATION_CAP = 12  # largest system whose exact n-fold value iterate bounds q*_min
@@ -258,24 +263,39 @@ def compute_bounds(sys: MonotoneSystem, options: SolveOptions) -> LfpBounds:
 
 
 def _diagonal_pivots_pass(rows: list) -> bool:
-    """Exact elimination of a Z-matrix with diagonal pivots only, in order:
-    True when the first n - 1 pivots are > 0 and the last is >= 0."""
+    """Exact elimination of an integer Z-matrix with diagonal pivots only, in
+    order: True when the first n - 1 pivots are > 0 and the last is >= 0.
+
+    Fraction-free (Bareiss 1968), with ``ratmath.solve_integer``'s row
+    update: a row with entry c under pivot p becomes (p/g) row - (c/g)
+    pivot row, g = gcd(p, c), divided by its content.  Each update scales the
+    rational row by a positive integer, so every later pivot is a positive
+    multiple of the rational one and each sign test keeps its result.
+    """
     for k, pivot_row in enumerate(rows):
-        pivot = pivot_row.get(k, ZERO)
+        pivot = pivot_row.get(k, 0)
         if pivot < 0 or (pivot == 0 and k < len(rows) - 1):
             return False
         for row in rows[k + 1 :]:
             factor = row.pop(k, None)
             if factor is None:
                 continue
-            scale = Rat(factor, pivot)
+            g = gcd(pivot, factor)
+            keep, factor = pivot // g, factor // g
+            if keep != 1:
+                for j in row:
+                    row[j] *= keep
             for j, a in pivot_row.items():
                 if j > k:
-                    value = row.get(j, ZERO) - scale * a
+                    value = row.get(j, 0) - factor * a
                     if value:
                         row[j] = value
                     else:
                         row.pop(j, None)
+            content = gcd(*row.values())
+            if content > 1:
+                for j in row:
+                    row[j] //= content
     return True
 
 
@@ -365,24 +385,43 @@ WITNESS_HEADROOM = 8  # bits above log2(1/eps) on the first witness grid
 WITNESS_SHARE = 8  # later witness grids stay at or below h_theorem / WITNESS_SHARE
 
 
-def _is_post_fixed_point(sys: MonotoneSystem, y) -> bool:
-    return all(pi <= yi for pi, yi in zip(evaluate(sys, y), y))
+def _is_post_fixed_point(sys: MonotoneSystem, x: list, s: int) -> bool:
+    """P(y) <= y exactly at y = x / s, for non-negative integer numerators x
+    over s >= 1: with L and D those of ``sys.integer_form``, P_i(y) <= y_i
+    is the integer test L s**D P_i(y) <= L s**(D-1) x_i."""
+    form = sys.integer_form
+    scale = form.denominator * s ** (form.degree - 1)
+    return all(acc <= scale * xi for acc, xi in zip(evaluate_scaled(sys, x, s), x))
 
 
-def _newton_direction_candidate(sys: MonotoneSystem, lower, x, epsilon, h: int):
+def _newton_direction_candidate(sys: MonotoneSystem, lower, epsilon, h: int):
+    """y = x + round_down(eps d / ||d||_inf) on the 2**-h grid, d = (I -
+    B(x))^-1 1, when every d_i > 0 and P(y) <= y; else None.
+
+    Works on the mantissas of x and on ``solve_integer``'s pairs d_i = p_i /
+    q_i (q_i > 0): the largest d_k comes from cross-multiplication, and the
+    step mantissas are floor(2**h eps_n p_i q_k / (eps_d q_i p_k)) for eps =
+    eps_n / eps_d.  Each is at most 2**h eps, so 0 <= y - x <= eps holds
+    without a check.
+    """
     grid = grid_system(sys, h)
-    rows, _ = newton_rows(grid, [dy.mantissa for dy in lower])
+    m = [dy.mantissa for dy in lower]
+    rows, _ = newton_rows(grid, m)
     try:  # A = s (I - B(x)), so A^-1 (s 1) = (I - B(x))^-1 1
-        d = [Rat(p, q) for p, q in solve_integer(rows, [grid.divisor] * sys.n)]
+        d = solve_integer(rows, [grid.divisor] * sys.n)
     except SingularMatrix:
         return None
-    if any(di <= 0 for di in d):
+    if any(p <= 0 for p, _ in d):
         return None
-    step = epsilon / max(d)
-    y = [xi + round_down_dyadic(step * di, h).value() for xi, di in zip(x, d)]
-    if any(yi - xi > epsilon for xi, yi in zip(x, y)):
+    pk, qk = d[0]
+    for p, q in d[1:]:
+        if p * qk > pk * q:
+            pk, qk = p, q
+    top, bottom = epsilon.numerator * qk, epsilon.denominator * pk
+    y = [mi + ((top * p) << h) // (bottom * q) for mi, (p, q) in zip(m, d)]
+    if not _is_post_fixed_point(sys, y, 1 << h):
         return None
-    return y if _is_post_fixed_point(sys, y) else None
+    return [Rat(yi, 1 << h) for yi in y]
 
 
 def _simplest_rational(lo, hi):
@@ -406,17 +445,22 @@ def _simplest_rational(lo, hi):
     return Rat(a * t + b, c * t + d)
 
 
-def _simplest_candidate(sys: MonotoneSystem, x, epsilon):
-    y = [_simplest_rational(xi, xi + epsilon) for xi in x]
-    return y if _is_post_fixed_point(sys, y) else None
+def _simplest_candidate(sys: MonotoneSystem, lower, epsilon):
+    y = [_simplest_rational(x, x + epsilon) for x in (dy.value() for dy in lower)]
+    s = lcm(*(yi.denominator for yi in y))
+    numerators = [yi.numerator * (s // yi.denominator) for yi in y]
+    return y if _is_post_fixed_point(sys, numerators, s) else None
 
 
 def post_fixed_point_witness(sys: MonotoneSystem, lower, epsilon, h: int):
     """An exactly checked post-fixed point at most epsilon above ``lower``
     (Dyadics on the 2**-h grid).
 
-    Returns y as rationals when P(y) <= y and y - x <= epsilon hold exactly
-    for x = lower, otherwise None.  Two candidates are tried in order:
+    Returns y as rationals when P(y) <= y and 0 <= y - x <= epsilon hold
+    exactly for x = lower, otherwise None.  P(y) <= y is checked in integers
+    over the common coefficient denominator by ``_is_post_fixed_point``,
+    with y's numerators over 2**h for the first candidate and over the lcm
+    of its denominators for the second.  Two candidates are tried in order:
 
     - the Newton direction: with d = (I - B(x))^-1 1, y = x + round_down(eps
       d / ||d||_inf) on the 2**-h grid, provided every d_i > 0.  Near a
@@ -432,9 +476,8 @@ def post_fixed_point_witness(sys: MonotoneSystem, lower, epsilon, h: int):
       components with q* = 1 exactly never get here, because the pre-pass
       sets them.
     """
-    x = [dy.value() for dy in lower]
-    y = _newton_direction_candidate(sys, lower, x, epsilon, h)
-    return y if y is not None else _simplest_candidate(sys, x, epsilon)
+    y = _newton_direction_candidate(sys, lower, epsilon, h)
+    return y if y is not None else _simplest_candidate(sys, lower, epsilon)
 
 
 # --- the grid loop -------------------------------------------------------------

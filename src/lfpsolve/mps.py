@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
@@ -74,6 +75,17 @@ def make_monomial(coeff, powers: Mapping[int, int] | None = None) -> Monomial:
     return Monomial(rat(coeff), tuple(sorted((powers or {}).items())))
 
 
+class IntegerForm(NamedTuple):
+    """Equation i is P_i(z) = sum(c * prod z_v**e) / L with integer c,
+    where L = ``denominator`` is the common denominator of all coefficients;
+    each term also carries its gap D - deg to the degree D >= 1 of the
+    system."""
+
+    denominator: int
+    degree: int
+    equations: tuple  # per equation: (integer coefficient, exponents, degree gap) triples
+
+
 @dataclass(frozen=True)
 class MonotoneSystem:
     """x = P(x) with named variables; equation i defines variable i."""
@@ -103,6 +115,21 @@ class MonotoneSystem:
             (mono.degree for terms in self.equations for mono in terms),
             default=0,
         )
+
+    @cached_property
+    def integer_form(self) -> IntegerForm:
+        """P over its common coefficient denominator, built on first use and
+        kept in the instance ``__dict__`` (which a frozen dataclass allows)."""
+        denominator = lcm(*(den(mono.coeff) for terms in self.equations for mono in terms))
+        degree = max(self.degree(), 1)
+        equations = tuple(
+            tuple(
+                (num(mono.coeff) * (denominator // den(mono.coeff)), mono.exponents, degree - mono.degree)
+                for mono in terms
+            )
+            for terms in self.equations
+        )
+        return IntegerForm(denominator, degree, equations)
 
 
 def _system(names: tuple, equations: tuple) -> MonotoneSystem:
@@ -358,11 +385,9 @@ def evaluate(sys: MonotoneSystem, z: Sequence) -> list:
 class GridSystem(NamedTuple):
     """P rewritten for exact evaluation on the 2**-bits grid in integers.
 
-    Equation i is P_i(z) = sum(c * prod z_v**e) / L with integer c, where L
-    is the common denominator of all coefficients.  Each term carries the
-    left shift that brings it to the shared scale 2**(bits * D) of the
-    highest degree D, and ``divisor`` = L * 2**(bits * (D - 1)) takes the
-    sum back to the grid.
+    The terms of ``MonotoneSystem.integer_form`` each carry the left shift
+    bits * gap that brings them to the shared scale 2**(bits * D), and
+    ``divisor`` = L * 2**(bits * (D - 1)) takes the sum back to the grid.
     """
 
     divisor: int
@@ -371,16 +396,36 @@ class GridSystem(NamedTuple):
 
 def grid_system(sys: MonotoneSystem, bits: int) -> GridSystem:
     """The integer form of P on the 2**-bits grid, built once per probe or Newton run."""
-    denominator = lcm(*(den(mono.coeff) for terms in sys.equations for mono in terms))
-    degree = max(sys.degree(), 1)
+    form = sys.integer_form
     equations = tuple(
-        tuple(
-            (num(mono.coeff) * (denominator // den(mono.coeff)), mono.exponents, bits * (degree - mono.degree))
-            for mono in terms
-        )
-        for terms in sys.equations
+        tuple((coeff, exponents, bits * gap) for coeff, exponents, gap in terms)
+        for terms in form.equations
     )
-    return GridSystem(denominator << (bits * (degree - 1)), equations)
+    return GridSystem(form.denominator << (bits * (form.degree - 1)), equations)
+
+
+def evaluate_scaled(sys: MonotoneSystem, x: Sequence[int], s: int) -> list:
+    """L s**D P(x / s) for non-negative integer numerators x over one scale
+    s >= 1, with L and D those of ``MonotoneSystem.integer_form``: every
+    term is an integer at that scale, so no rational is ever normalized."""
+    form = sys.integer_form
+    powers = [1]
+    for _ in range(form.degree):
+        powers.append(powers[-1] * s)
+    out = []
+    for terms in form.equations:
+        acc = 0
+        for coeff, exponents, gap in terms:
+            value = coeff
+            for v, e in exponents:
+                xv = x[v]
+                if xv == 0:
+                    break
+                value *= xv if e == 1 else xv**e
+            else:
+                acc += value * powers[gap]
+        out.append(acc)
+    return out
 
 
 def evaluate_on_grid(grid: GridSystem, m: Sequence[int]) -> list:

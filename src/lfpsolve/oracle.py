@@ -15,12 +15,15 @@ that kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import NoFiniteLfp
-from .mps import MonotoneSystem, evaluate, evaluate_on_grid, grid_system
+from .mps import MonotoneSystem, evaluate_on_grid, evaluate_scaled, grid_system
+from .mps import evaluate  # unused here; perfbench/spans.py times it at this import
 from .ratmath import (
     ONE,
     ZERO,
+    Rat,
     den,
     is_perfect_square,
     num,
@@ -34,18 +37,29 @@ PROBE_GRID_BITS = 64  # the divergence probe rounds down to multiples of 2**-64
 
 
 def value_iterate(sys: MonotoneSystem, k: int) -> list:
-    """Exact k-fold value iterate P^k(0).
+    """Exact k-fold value iterate P^k(0), in lowest terms.
 
     Monotone nondecreasing in k, and every coordinate is a certified lower
-    bound on the least fixed point.  Values can grow without bound on
-    systems with no finite LFP; the caller owns the step budget.
+    bound on the least fixed point.  The iterate is kept as integer
+    numerators x over one shared scale s, x_k = x / s, starting from x = 0
+    and s = 1: each step is x <- L s**D P(x / s) (``mps.evaluate_scaled``)
+    and s <- L s**D, and then divides out gcd(s, x_1, ..., x_n), which keeps
+    the numbers near the size of the reduced fractions.  Values can grow
+    without bound on systems with no finite LFP; the caller owns the step
+    budget.
     """
     if k < 0:
         raise ValueError("step count must be >= 0")
-    x = [ZERO] * sys.n
+    form = sys.integer_form
+    x, s = [0] * sys.n, 1
     for _ in range(k):
-        x = evaluate(sys, x)
-    return x
+        x = evaluate_scaled(sys, x, s)
+        s = form.denominator * s**form.degree
+        g = gcd(s, *x)
+        if g > 1:
+            x = [xi // g for xi in x]
+            s //= g
+    return [Rat(xi, s) for xi in x]
 
 
 def detect_divergence(

@@ -14,6 +14,14 @@ tests can hold the solver and the paper's claims against them.
 - ``brute_force_decomposition``: SCCs, their order, linearity and heights
   from their definitions, independent of ``decomposition.decompose``.
 - ``sqrt_upper`` and ``mat_vec_mul``: the rational helpers of the above.
+
+Two more are the rational forms of checks the solver runs in integers, kept
+so that the tests can hold the integer versions to them:
+
+- ``fraction_value_iterate``: P^k(0) by ``evaluate``, one normalized
+  rational per operation, against ``oracle.value_iterate``;
+- ``rational_pivots_pass``: diagonal-pivot elimination in rationals,
+  against ``driver._diagonal_pivots_pass``.
 """
 
 from __future__ import annotations
@@ -98,6 +106,37 @@ def perturbation_bound(scc_sys: MonotoneSystem, alpha, norm_p1, dy, linear: bool
     if linear:
         return 2 * n * inv ** (n + 2) * norm_p1 * dy
     return sqrt_upper(4 * n * inv ** (3 * n + 1) * norm_p1 * dy)
+
+
+def fraction_value_iterate(sys: MonotoneSystem, k: int) -> list:
+    """Exact P^k(0), one ``evaluate`` per step."""
+    x = [ZERO] * sys.n
+    for _ in range(k):
+        x = evaluate(sys, x)
+    return x
+
+
+def rational_pivots_pass(rows: list) -> bool:
+    """Elimination of a Z-matrix given as sparse rows with diagonal pivots
+    only, in order, in rationals: True when the first n - 1 pivots are > 0
+    and the last is >= 0.  Consumes ``rows``."""
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row.get(k, ZERO)
+        if pivot < 0 or (pivot == 0 and k < len(rows) - 1):
+            return False
+        for row in rows[k + 1 :]:
+            factor = row.pop(k, None)
+            if factor is None:
+                continue
+            scale = Rat(factor, pivot)
+            for j, a in pivot_row.items():
+                if j > k:
+                    value = row.get(j, ZERO) - scale * a
+                    if value:
+                        row[j] = value
+                    else:
+                        row.pop(j, None)
+    return True
 
 
 def zero_set_oracle(sys: MonotoneSystem) -> frozenset:
