@@ -19,7 +19,7 @@ import sys
 
 from . import __version__
 from .decomposition import build_graph, decompose
-from .driver import SolveOptions, SolveReport, compute_bounds, solve
+from .driver import DEFAULT_MAX_H, SolveOptions, SolveReport, compute_bounds, solve
 from .errors import (
     DegreeTooHigh,
     DivergenceCertified,
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--iters", type=int, default=None, help="iteration count on the --h grid")
     p_solve.add_argument("--no-snf", action="store_true", help="skip simple-normal-form conversion")
     p_solve.add_argument("--trace", action="store_true", help="emit per-iteration JSON lines on stderr")
-    p_solve.add_argument("--max-h", type=int, default=1_000_000, help="ceiling for the certified h")
+    p_solve.add_argument("--max-h", type=int, default=DEFAULT_MAX_H, help="ceiling for the certified h")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_clean = sub.add_parser("clean", help="remove variables whose LFP coordinate is 0")

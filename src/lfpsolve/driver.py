@@ -88,7 +88,6 @@ from .mps import (
     clean,
     encoding_size,
     evaluate_scaled,
-    grid_system,
     norm_p_one,
     restrict,
     to_snf,
@@ -304,7 +303,7 @@ def _exact_ones(sys: MonotoneSystem, decomp: Decomposition) -> set:
     component, dependencies first (see the module docstring).  Row i of
     L(I - B(1)) holds every variable P_i uses, all derivatives at 1 being
     positive; scaling by L > 0 keeps the pivot signs."""
-    rows, rhs = newton_rows(grid_system(sys, 0), [1] * sys.n)
+    rows, rhs = newton_rows(sys, [1] * sys.n, 0)
     ones: set = set()
     for scc in decomp.sccs:
         local = {v: k for k, v in enumerate(scc.vars)}
@@ -330,7 +329,7 @@ def _solve_scc(
         )
         return list(final), trace, trace.steps
     # Linear component: one exact Newton step from 0 gives 2**h q* = p / q.
-    rows, rhs = newton_rows(grid_system(sub, h), [0] * sub.n)
+    rows, rhs = newton_rows(sub, [0] * sub.n, h)
     exact = solve_integer(rows, rhs)
     for p, q in exact:
         if p < 0:
@@ -389,9 +388,8 @@ def _is_post_fixed_point(sys: MonotoneSystem, x: list, s: int) -> bool:
     """P(y) <= y exactly at y = x / s, for non-negative integer numerators x
     over s >= 1: with L and D those of ``sys.integer_form``, P_i(y) <= y_i
     is the integer test L s**D P_i(y) <= L s**(D-1) x_i."""
-    form = sys.integer_form
-    scale = form.denominator * s ** (form.degree - 1)
-    return all(acc <= scale * xi for acc, xi in zip(evaluate_scaled(sys, x, s), x))
+    back = sys.integer_form.back_scale(s)
+    return all(acc <= back * xi for acc, xi in zip(evaluate_scaled(sys, x, s), x))
 
 
 def _newton_direction_candidate(sys: MonotoneSystem, lower, epsilon, h: int):
@@ -404,11 +402,10 @@ def _newton_direction_candidate(sys: MonotoneSystem, lower, epsilon, h: int):
     eps_n / eps_d.  Each is at most 2**h eps, so 0 <= y - x <= eps holds
     without a check.
     """
-    grid = grid_system(sys, h)
     m = [dy.mantissa for dy in lower]
-    rows, _ = newton_rows(grid, m)
+    rows, _ = newton_rows(sys, m, h)
     try:  # A = s (I - B(x)), so A^-1 (s 1) = (I - B(x))^-1 1
-        d = solve_integer(rows, [grid.divisor] * sys.n)
+        d = solve_integer(rows, [sys.integer_form.back_scale(1 << h)] * sys.n)
     except SingularMatrix:
         return None
     if any(p <= 0 for p, _ in d):

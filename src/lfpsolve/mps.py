@@ -85,6 +85,11 @@ class IntegerForm(NamedTuple):
     degree: int
     equations: tuple  # per equation: (integer coefficient, exponents, degree gap) triples
 
+    def back_scale(self, s: int) -> int:
+        """L s**(D-1), which takes ``evaluate_scaled``'s sums back to the
+        scale s of their point: at y = x / s, L s**D y_i = L s**(D-1) x_i."""
+        return self.denominator * s ** (self.degree - 1)
+
 
 @dataclass(frozen=True)
 class MonotoneSystem:
@@ -172,7 +177,7 @@ def system_of(names: Sequence[str], *equations) -> MonotoneSystem:
 def parse_mps(text: str) -> MonotoneSystem:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the int-from-str limit
         raise ParseError(f"invalid JSON: {exc}") from None
     return system_from_json(doc)
 
@@ -382,28 +387,6 @@ def evaluate(sys: MonotoneSystem, z: Sequence) -> list:
     return out
 
 
-class GridSystem(NamedTuple):
-    """P rewritten for exact evaluation on the 2**-bits grid in integers.
-
-    The terms of ``MonotoneSystem.integer_form`` each carry the left shift
-    bits * gap that brings them to the shared scale 2**(bits * D), and
-    ``divisor`` = L * 2**(bits * (D - 1)) takes the sum back to the grid.
-    """
-
-    divisor: int
-    equations: tuple  # per equation: (integer coefficient, exponents, shift) triples
-
-
-def grid_system(sys: MonotoneSystem, bits: int) -> GridSystem:
-    """The integer form of P on the 2**-bits grid, built once per probe or Newton run."""
-    form = sys.integer_form
-    equations = tuple(
-        tuple((coeff, exponents, bits * gap) for coeff, exponents, gap in terms)
-        for terms in form.equations
-    )
-    return GridSystem(form.denominator << (bits * (form.degree - 1)), equations)
-
-
 def evaluate_scaled(sys: MonotoneSystem, x: Sequence[int], s: int) -> list:
     """L s**D P(x / s) for non-negative integer numerators x over one scale
     s >= 1, with L and D those of ``MonotoneSystem.integer_form``: every
@@ -425,30 +408,6 @@ def evaluate_scaled(sys: MonotoneSystem, x: Sequence[int], s: int) -> list:
             else:
                 acc += value * powers[gap]
         out.append(acc)
-    return out
-
-
-def evaluate_on_grid(grid: GridSystem, m: Sequence[int]) -> list:
-    """floor(2**bits * P(m * 2**-bits)) for non-negative integer mantissas m,
-    with bits as given to ``grid_system``.
-
-    Every term is accumulated at the shared scale and each coordinate ends
-    in a single floor division, so no rational is ever normalized.
-    """
-    divisor = grid.divisor
-    out = []
-    for terms in grid.equations:
-        acc = 0
-        for coeff, exponents, shift in terms:
-            value = coeff
-            for v, e in exponents:
-                mv = m[v]
-                if mv == 0:
-                    break
-                value *= mv if e == 1 else mv**e
-            else:
-                acc += value << shift
-        out.append(acc // divisor)
     return out
 
 

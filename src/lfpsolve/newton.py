@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DivergenceCertified
-from .mps import GridSystem, MonotoneSystem, eval_jacobian, evaluate, grid_system
+from .mps import MonotoneSystem, eval_jacobian, evaluate, evaluate_scaled
 from .ratmath import (
     ZERO,
     Dyadic,
+    Rat,
     identity_minus,
-    inf_norm,
     rational_exceeds_pow2,
     round_down_dyadic,  # unused here; perfbench/spans.py times it at this import
     solve_integer,
@@ -72,29 +72,31 @@ def newton_step(sys: MonotoneSystem, z) -> list:
 
 
 def _record(sys: MonotoneSystem, k: int, m: list, h: int) -> TraceRecord:
-    iterate = tuple(Dyadic(mi, h) for mi in m)
-    values = [d.value() for d in iterate]
-    residual = inf_norm(vec_sub(evaluate(sys, values), values))
-    return TraceRecord(k, iterate, residual)
+    """The iterate x = m 2**-h and ||P(x) - x||_inf, from the integers
+    L 2**(hD) P_i(x) - L 2**(h(D-1)) m_i over L 2**(hD)."""
+    back = sys.integer_form.back_scale(1 << h)
+    gaps = [abs(acc - back * mi) for acc, mi in zip(evaluate_scaled(sys, m, 1 << h), m)]
+    return TraceRecord(k, tuple(Dyadic(mi, h) for mi in m), Rat(max(gaps, default=0), back << h))
 
 
-def newton_rows(grid: GridSystem, m: list) -> tuple:
+def newton_rows(sys: MonotoneSystem, m: list, h: int) -> tuple:
     """Integer rows A = s I - J(m) and r = N(m) - s m at x = m 2**-h, the one
-    place the solver builds I - B rows.
+    place the solver builds I - B rows, read from ``sys.integer_form``.
 
-    With s = ``grid.divisor`` = L 2**((D-1)h), N(m) = L 2**(Dh) P(x) and its
-    integer Jacobian J(m) = s B(x), I - B(x) = A / s and P(x) - x = r / (s
-    2**h).  Zero patterns match the rational rows', and so does any
-    SingularMatrix.
+    With s = L 2**((D-1)h) (``IntegerForm.back_scale``), N(m) = L 2**(Dh)
+    P(x), each term shifted left by its degree gap times h, and its integer
+    Jacobian J(m) = s B(x), I - B(x) = A / s and P(x) - x = r / (s 2**h).
+    Zero patterns match the rational rows', and so does any SingularMatrix.
     """
-    s = grid.divisor
+    form = sys.integer_form
+    s = form.back_scale(1 << h)
     rows, rhs = [], []
-    for i, terms in enumerate(grid.equations):
+    for i, terms in enumerate(form.equations):
         total = 0
         jac = {}
-        for coeff, exponents, shift in terms:
+        for coeff, exponents, gap in terms:
             if not exponents:
-                total += coeff << shift
+                total += coeff << (gap * h)
             elif len(exponents) == 2:
                 (a, _), (b, _) = exponents
                 ma, mb = m[a], m[b]
@@ -107,7 +109,7 @@ def newton_rows(grid: GridSystem, m: list) -> tuple:
                 ((v, e),) = exponents
                 mv = m[v]
                 if e == 1:
-                    c = coeff << shift
+                    c = coeff << (gap * h)
                     total += c * mv
                     jac[v] = jac.get(v, 0) + c
                 elif mv:
@@ -122,10 +124,10 @@ def newton_rows(grid: GridSystem, m: list) -> tuple:
     return rows, rhs
 
 
-def _rounded_step(grid: GridSystem, m: list) -> list:
+def _rounded_step(sys: MonotoneSystem, m: list, h: int) -> list:
     """Mantissas of round_down(x + (I - B(x))^-1 (P(x) - x), h) at x = m 2**-h:
     max(0, m + floor(A^-1 r)) for the rows of ``newton_rows``."""
-    rows, rhs = newton_rows(grid, m)
+    rows, rhs = newton_rows(sys, m, h)
     return [max(0, mi + p // q) for mi, (p, q) in zip(m, solve_integer(rows, rhs))]
 
 
@@ -152,12 +154,11 @@ def run_rnm(
     n, h = sys.n, cfg.h
     if sys.degree() > 2:
         eval_jacobian(sys, [ZERO] * n)  # raises DegreeTooHigh naming the equation
-    grid = grid_system(sys, h)
     m = [0] * n
     records = [_record(sys, 0, m, h)] if keep_trace else []
     steps = cfg.g
     for k in range(1, cfg.g + 1):
-        rounded = _rounded_step(grid, m)
+        rounded = _rounded_step(sys, m, h)
         if rounded == m:
             # The rounded step is a deterministic map, so a repeated iterate
             # is pinned forever: x^[g] equals this iterate exactly and the

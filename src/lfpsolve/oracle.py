@@ -7,9 +7,9 @@ suite holds the solver against them.  ``value_iterate`` is the solver's
 q*_min bound, which ``driver`` computes for every reduced system of up to
 ``driver.VALUE_ITERATION_CAP`` variables.
 ``detect_divergence`` is the solver's divergence probe (``driver`` runs it
-in the grid loop of most solves); it steps on ``mps.grid_system``, the
-integer grid form of the Newton kernel, so it is no independent check of
-that kernel.
+in the grid loop of most solves); it steps on ``mps.evaluate_scaled`` over
+``MonotoneSystem.integer_form``, the integer form that the Newton kernel
+reads too, so it is no independent check of that kernel.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import NoFiniteLfp
-from .mps import MonotoneSystem, evaluate_on_grid, evaluate_scaled, grid_system
+from .mps import MonotoneSystem, evaluate_scaled
 from .mps import evaluate  # unused here; perfbench/spans.py times it at this import
 from .ratmath import (
     ONE,
@@ -77,23 +77,25 @@ def detect_divergence(
     Rounding keeps iterates at a fixed number of fractional bits instead of
     doubling them each step.  The iterates are kept as integer mantissas m
     (x = m * 2**-PROBE_GRID_BITS) and each step is computed in integers
-    only, by ``mps.evaluate_on_grid`` over the coefficients' common
-    denominator, and so is the test against the bound (the largest mantissa
-    against 2**(PROBE_GRID_BITS + qmax_exponent)).  The rounded map is
-    deterministic, so once an iterate repeats the sequence is constant and
-    can never cross the bound: the probe stops there.  The probe is
+    only: floor(2**bits P(x)) is ``mps.evaluate_scaled``'s L 2**(bits D)
+    P(x) floor-divided by the back-scale L 2**(bits (D-1)) of
+    ``IntegerForm.back_scale``, and so is the test against the bound (the
+    largest mantissa against 2**(PROBE_GRID_BITS + qmax_exponent)).  The
+    rounded map is deterministic, so once an iterate repeats the sequence
+    is constant and can never cross the bound: the probe stops there.  The probe is
     one-directional: a False answer proves nothing (the budget, on the bit
     size of the iterates as reduced fractions, keeps runaway growth from
     eating the machine).
     """
-    grid = grid_system(sys, PROBE_GRID_BITS)
+    scale = 1 << PROBE_GRID_BITS
+    back = sys.integer_form.back_scale(scale)
     # Each coordinate's reduced size is at most its mantissa's bit length
     # plus PROBE_GRID_BITS + 1, so the exact count is needed only near the
     # budget.
     slack = (PROBE_GRID_BITS + 1) * sys.n
     x = [0] * sys.n
     for _ in range(max_steps):
-        nxt = evaluate_on_grid(grid, x)
+        nxt = [acc // back for acc in evaluate_scaled(sys, x, scale)]
         # The crossing test is monotone in the mantissa: the largest decides,
         # and m * 2**-bits > 2**e is the integer test m > 2**(bits + e).
         if nxt and rational_exceeds_pow2(max(nxt), PROBE_GRID_BITS + qmax_exponent):

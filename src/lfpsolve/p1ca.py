@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .driver import SolveOptions, SolveReport, solve
+from .driver import DEFAULT_MAX_H, SolveOptions, SolveReport, solve
 from .errors import InvalidModel, ParseError, StructureViolation
 from .mps import Monomial, MonotoneSystem
 from .ratmath import ONE, ceil_log2, den, num, rat, rat_str
@@ -96,7 +96,7 @@ def require_valid(model: P1CA) -> None:
 def parse_p1ca(text: str) -> P1CA:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the int-from-str limit
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
@@ -250,7 +250,7 @@ def termination_probabilities(
     model: P1CA,
     epsilon,
     mode: str = "certified",
-    max_h: int = 1_000_000,
+    max_h: int = DEFAULT_MAX_H,
     keep_traces: bool = False,
 ) -> GMatrix:
     """Approximate the full G-matrix to within epsilon, coordinatewise.

@@ -193,15 +193,6 @@ def vec_sub(a: Sequence, b: Sequence) -> list:
     return [x - y for x, y in zip(a, b)]
 
 
-def inf_norm(v: Sequence):
-    worst = ZERO
-    for q in v:
-        mag = -q if q < 0 else q
-        if mag > worst:
-            worst = mag
-    return worst
-
-
 def _integer_rows(a: Sequence, b: Sequence) -> tuple:
     """Integer copies of the square system A x = b, each row (right-hand side
     included) scaled by the lcm of its denominators; dense list rows become

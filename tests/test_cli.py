@@ -110,6 +110,19 @@ class TestSolveCommand:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "ParseError"
 
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            (["solve"], '{"vars":["x"],"eqs":[[{"c":"1/2","m":{"x":' + "1" * 5001 + "}}]]}"),
+            (["p1ca-term"], '{"states":["s"],"delta":[{"from":"s","p":"1/2","k":' + "1" * 5001 + ',"to":"s"}]}'),
+        ],
+        ids=["solve", "p1ca-term"],
+    )
+    def test_exit_parse_error_on_an_integer_past_the_digit_limit(self, tmp_path, command, doc):
+        code, out, _ = run_cli(command + ["--epsilon", "1/2"], doc, tmp_path)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "ParseError"
+
     def test_exit_not_monotone(self, tmp_path):
         doc = '{"vars":["x"],"eqs":[[{"c":"-1","m":{}}]]}'
         code, out, _ = run_cli(["solve", "--epsilon", "1/2"], doc, tmp_path)

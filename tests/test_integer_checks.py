@@ -1,8 +1,9 @@
 """The exact checks that run in integers over a system's common coefficient
 denominator: the post-fixed-point test of the witnesses, the value iterate
 behind the q*_min bound, the diagonal-pivot test of the q* = 1 pre-pass,
-and the Newton-direction step.  Each is held to its rational form: exact
-``mps.evaluate``, or the oracles of ``reference.py``."""
+the Newton-direction step, and the residual of the Newton trace.  Each is
+held to its rational form: exact ``mps.evaluate``, or the oracles of
+``reference.py``."""
 
 from __future__ import annotations
 
@@ -15,24 +16,26 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from reference import fraction_value_iterate, rational_pivots_pass
 
-from lfpsolve import Monomial, MonotoneSystem, RnmConfig, run_rnm, value_iterate
+from lfpsolve import Monomial, MonotoneSystem, RnmConfig, SingularMatrix, run_rnm, value_iterate
 from lfpsolve.driver import _diagonal_pivots_pass, _is_post_fixed_point, _newton_direction_candidate
 from lfpsolve.mps import eval_jacobian, evaluate
+from lfpsolve.newton import _record
 from lfpsolve.ratmath import identity_minus, round_down_dyadic, solve_linear
 
 COEFFICIENTS = [Fraction(c) for c in ('1/3', '2/7', '1/2', '5/6', '3/5', '1', '4/9')]
 
 
 @st.composite
-def systems(draw, max_vars: int = 3):
-    """Random systems of degree 1 to 3 with non-dyadic coefficients."""
+def systems(draw, max_vars: int = 3, max_degree: int = 3):
+    """Random systems of degree up to ``max_degree`` with non-dyadic
+    coefficients."""
     n = draw(st.integers(1, max_vars))
     equations = []
     for _ in range(n):
         terms = []
         for _ in range(draw(st.integers(1, 3))):
             powers: dict = {}
-            for _ in range(draw(st.integers(0, 3))):
+            for _ in range(draw(st.integers(0, max_degree))):
                 v = draw(st.integers(0, n - 1))
                 powers[v] = powers.get(v, 0) + 1
             terms.append(Monomial(draw(st.sampled_from(COEFFICIENTS)), tuple(sorted(powers.items()))))
@@ -230,3 +233,26 @@ def test_newton_direction_is_accepted_on_most_runs():
         lower, _ = run_rnm(sys, RnmConfig(32, 32), keep_trace=False)
         accepted += _newton_direction_candidate(sys, lower, Fraction(1, 3 << 10), 32) is not None
     assert accepted >= 20
+
+
+# --- the trace residual ------------------------------------------------------------
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data(), sys=systems(max_degree=2), h=st.integers(0, 40))
+def test_trace_residual_is_the_exact_sup_norm(data, sys, h):
+    """Every residual of a kept trace is max_i |P_i(x) - x_i| with exact
+    ``mps.evaluate``, at the iterates of ``run_rnm`` (h >= 1) and at any
+    grid point, on and above q* (h = 0 included)."""
+    event(f"degree {sys.degree()}")
+    records = []
+    if h:
+        try:
+            records += run_rnm(sys, RnmConfig(h, data.draw(st.integers(1, 6))), keep_trace=True)[1].records
+        except SingularMatrix:
+            pass
+    m = [data.draw(st.integers(0, 3 << h)) for _ in range(sys.n)]
+    records.append(_record(sys, 0, m, h))
+    for record in records:
+        x = [d.value() for d in record.iterate]
+        assert record.residual == max(abs(p - xi) for p, xi in zip(evaluate(sys, x), x))

@@ -34,7 +34,7 @@ from lfpsolve import (
     to_snf,
     value_iterate,
 )
-from lfpsolve.mps import evaluate_on_grid, grid_system, restrict
+from lfpsolve.mps import evaluate_scaled, restrict
 from lfpsolve.ratmath import vec_sub
 
 from conftest import random_substochastic, random_with_zero_variables, univariate
@@ -79,6 +79,12 @@ class TestParsing:
     )
     def test_rejects_malformed_documents(self, doc):
         with pytest.raises(ParseError):
+            parse_mps(doc)
+
+    def test_integer_literal_past_the_digit_limit_is_a_parse_error(self):
+        # json.loads raises a plain ValueError for an int of more than 4300 digits.
+        doc = '{"vars":["x"],"eqs":[[{"c":"1/2","m":{"x":' + "1" * 5001 + '}}]]}'
+        with pytest.raises(ParseError, match="^invalid JSON: "):
             parse_mps(doc)
 
     # (bad term of equation 1 built from its "m", error, message).  Each
@@ -293,11 +299,12 @@ class TestEvaluation:
                     terms.append((rat(rng.randint(1, 40), rng.choice([1, 2, 3, 7, 12, 1 << 40])), powers))
                 eqs.append(terms)
             sys = system_of(names, *eqs)
-            grid = grid_system(sys, bits)
+            back = sys.integer_form.back_scale(1 << bits)
             for _ in range(5):
                 m = [rng.choice([0, rng.randint(0, 1 << bits), rng.randint(0, 1 << (bits + 6))]) for _ in range(n)]
                 exact = evaluate(sys, [rat(mi, 1 << bits) for mi in m])
-                assert evaluate_on_grid(grid, m) == [math.floor(v * (1 << bits)) for v in exact]
+                floors = [acc // back for acc in evaluate_scaled(sys, m, 1 << bits)]
+                assert floors == [math.floor(v * (1 << bits)) for v in exact]
 
     def test_helpers(self):
         sys = parse_mps(UNIVARIATE_DOC)

@@ -16,7 +16,7 @@ from lfpsolve import (
     run_rnm,
     univariate_quadratic_lfp,
 )
-from lfpsolve.mps import eval_jacobian, grid_system
+from lfpsolve.mps import eval_jacobian
 from lfpsolve.newton import _rounded_step, newton_rows
 from lfpsolve.ratmath import identity_minus, solve_integer, solve_linear
 
@@ -116,14 +116,14 @@ class TestIntegerKernel:
         # At x = 11/8 > q* = 1 the exact step lands on 19/16 = 9.5 / 8, so
         # the mantissa floors to 9, not 10.
         assert round_down_dyadic(newton_step(CRITICAL, [rat(11, 8)])[0], 3).mantissa == 9
-        assert _rounded_step(grid_system(CRITICAL, 3), [11]) == [9]
+        assert _rounded_step(CRITICAL, [11], 3) == [9]
 
     def test_linear_system_steps_over_the_plain_denominator(self):
         # x = x/2 + 1/3 has D = 1, so s = L = 6 and the step from 0 lands on
         # q* = 2/3, whose mantissa at h = 5 is floor(64/3) = 21.
-        grid = grid_system(univariate(0, "1/2", "1/3"), 5)
-        assert grid.divisor == 6
-        assert _rounded_step(grid, [0]) == [21]
+        sys = univariate(0, "1/2", "1/3")
+        assert sys.integer_form.back_scale(1 << 5) == 6
+        assert _rounded_step(sys, [0], 5) == [21]
 
     def test_matches_the_rounded_exact_step_at_any_grid_point(self, rng):
         # Both right-hand sides the solver gives newton_rows' A: r for the
@@ -138,25 +138,24 @@ class TestIntegerKernel:
             cases.append((sys, h, [rng.randint(0, 3 << h) for _ in range(sys.n)]))  # some above q*
         for sys, h, m in cases:
             x = [rat(mi, 1 << h) for mi in m]
-            grid = grid_system(sys, h)
-            rows, _ = newton_rows(grid, m)
+            rows, _ = newton_rows(sys, m, h)
             try:
                 direction = solve_linear(identity_minus(eval_jacobian(sys, x)), [rat(1)] * sys.n)
                 expected = [(d.numerator, d.denominator) for d in direction]
             except SingularMatrix as exc:
                 expected = str(exc)
             try:
-                assert solve_integer(rows, [grid.divisor] * sys.n) == expected
+                assert solve_integer(rows, [sys.integer_form.back_scale(1 << h)] * sys.n) == expected
             except SingularMatrix as exc:
                 assert str(exc) == expected
             try:
                 exact = newton_step(sys, x)
             except SingularMatrix as exc:
                 with pytest.raises(SingularMatrix, match=str(exc)):
-                    _rounded_step(grid, m)
+                    _rounded_step(sys, m, h)
                 continue
             expected = [round_down_dyadic(v, h).mantissa for v in exact]
-            assert _rounded_step(grid, m) == expected
+            assert _rounded_step(sys, m, h) == expected
 
 
 class TestCertifyParams:

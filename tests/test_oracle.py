@@ -124,13 +124,13 @@ class TestDivergenceProbe:
 
     def test_stops_once_the_rounded_iterate_repeats(self, monkeypatch):
         calls = []
-        real = oracle.evaluate_on_grid
+        real = oracle.evaluate_scaled
 
-        def counting(grid, x):
+        def counting(sys, x, s):
             calls.append(1)
-            return real(grid, x)
+            return real(sys, x, s)
 
-        monkeypatch.setattr(oracle, "evaluate_on_grid", counting)
+        monkeypatch.setattr(oracle, "evaluate_scaled", counting)
         sys = univariate(0, "1/4", "1/4")  # x = x/4 + 1/4, q* = 1/3
         assert not detect_divergence(sys, 0, max_steps=48)
         assert 0 < len(calls) < 48

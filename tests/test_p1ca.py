@@ -106,6 +106,14 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_p1ca(doc)
 
+    def test_integer_literal_past_the_digit_limit_is_a_parse_error(self):
+        from lfpsolve import ParseError
+
+        # json.loads raises a plain ValueError for an int of more than 4300 digits.
+        doc = '{"states":["s"],"delta":[{"from":"s","p":"1/2","k":' + "1" * 5001 + ',"to":"s"}]}'
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            parse_p1ca(doc)
+
 
 class TestTerminationSystem:
     def test_gambler_equation(self):

@@ -16,7 +16,12 @@ For each workload and each end-to-end metric the document holds both
 series in seed order, each side's quartiles (``statistics.quantiles``),
 the relative change of the median, the distance between the parent's
 quartiles, and the number of pairs in which the change is better (in the
-direction ``BENCHMARK.json`` gives) or tied.  ``--claim`` names the
+direction ``BENCHMARK.json`` gives) or tied.  Against the metric's
+``BENCHMARK.json`` ``bound`` (a fraction of the parent's median) it also
+says whether the change's median is no worse than the parent's by more
+than the bound (``within_bound``), and whether the parent's quartile
+distance exceeds the bound, so that ten pairs cannot resolve a change of
+that size (``unresolved``).  ``--claim`` names the
 claimed metric; its block says whether the change is better in at least
 nine of ten pairs and its median beats the parent's by more than the
 parent's quartile distance.  Last, this checkout's ``tools/replay.py``
@@ -60,7 +65,7 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
     return metrics, result["failed"], done.stdout
 
 
-def _summary(parent: list, change: list, lower_is_better: bool) -> dict:
+def _summary(parent: list, change: list, lower_is_better: bool, bound: float) -> dict:
     sign = 1 if lower_is_better else -1
     parent_q = statistics.quantiles(parent, n=4)
     parent_median, change_median = statistics.median(parent), statistics.median(change)
@@ -73,6 +78,9 @@ def _summary(parent: list, change: list, lower_is_better: bool) -> dict:
         "parent_quartile_distance": parent_q[2] - parent_q[0],
         "change_better_pairs": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
         "tied_pairs": sum(c == p for p, c in zip(parent, change)),
+        "bound": bound,
+        "within_bound": sign * (change_median - parent_median) <= bound * abs(parent_median),
+        "unresolved": parent_q[2] - parent_q[0] > bound * abs(parent_median),
     }
 
 
@@ -121,7 +129,9 @@ def main() -> int:
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     seeds = _seeds(args.seeds)
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
 
     runs = {w: {"parent": [], "change": [], "failed_parent": [], "failed_change": []} for w in args.workload}
     environment = None
@@ -140,7 +150,7 @@ def main() -> int:
         for metric in r["parent"][0]:
             parent = [m[metric] for m in r["parent"]]
             change = [m[metric] for m in r["change"]]
-            entry[metric] = _summary(parent, change, better[metric] == "lower")
+            entry[metric] = _summary(parent, change, better[metric] == "lower", bounds[metric])
         workloads[workload] = entry
 
     doc = {"title": args.title} if args.title else {}
