@@ -37,9 +37,10 @@ from .p1ca import parse_p1ca, termination_probabilities, validate
 from .ratmath import ZERO, parse_rat, rat_str
 
 SCHEMA_VERSIONS = {"mps": 1, "p1ca": 1, "solve-report": 1, "g-matrix": 1}
-# Exact value iterates can double in size every step.  Printing stops at
-# 4300 digits (about 14300 bits) per integer, far below this budget.
-VALUE_ITER_BIT_BUDGET = 1 << 16
+# Exact value iterates can double in size every step.  CPython prints an
+# integer of at most 4300 digits by default (sys.get_int_max_str_digits()),
+# which holds every integer of up to 14284 bits, so iterates stop below that.
+VALUE_ITER_BIT_BUDGET = 14_000
 
 
 def _read_input(path: str) -> str:

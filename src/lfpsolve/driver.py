@@ -380,7 +380,16 @@ def _run_rdnm(
 
 # --- post-fixed-point witnesses ----------------------------------------------------
 
-WITNESS_HEADROOM = 8  # bits above log2(1/eps) on the first witness grid
+# Bits above log2(1/eps) on the first witness grid, so its spacing is eps / 4;
+# the Newton-direction step is floored STEP_BITS finer, on the 2**-(h + 8)
+# grid.  Measured: with 2 bits every random_substochastic(Random(s), 4), s <
+# 120, and every random_p1ca(Random(s), r), s < 6 and r <= 4, is still
+# certified on its first grid at eps 2**-16 and 2**-30 (a test in
+# tests/test_certificate.py pins this), while each rung of a critical
+# component's ladder, whose Newton steps grow with h, is about a quarter
+# shorter than with the 8 bits used before.
+WITNESS_HEADROOM = 2
+STEP_BITS = 8
 WITNESS_SHARE = 8  # later witness grids stay at or below h_theorem / WITNESS_SHARE
 
 
@@ -393,14 +402,17 @@ def _is_post_fixed_point(sys: MonotoneSystem, x: list, s: int) -> bool:
 
 
 def _newton_direction_candidate(sys: MonotoneSystem, lower, epsilon, h: int):
-    """y = x + round_down(eps d / ||d||_inf) on the 2**-h grid, d = (I -
-    B(x))^-1 1, when every d_i > 0 and P(y) <= y; else None.
+    """y = x + round_down(eps d / ||d||_inf) on the 2**-(h + STEP_BITS) grid,
+    d = (I - B(x))^-1 1, when every d_i > 0 and P(y) <= y; else None.
 
     Works on the mantissas of x and on ``solve_integer``'s pairs d_i = p_i /
-    q_i (q_i > 0): the largest d_k comes from cross-multiplication, and the
-    step mantissas are floor(2**h eps_n p_i q_k / (eps_d q_i p_k)) for eps =
-    eps_n / eps_d.  Each is at most 2**h eps, so 0 <= y - x <= eps holds
-    without a check.
+    q_i (q_i > 0): the largest d_k comes from cross-multiplication, and with
+    t = h + STEP_BITS and eps = eps_n / eps_d the mantissas of y over 2**t
+    are (m_i << STEP_BITS) + floor(2**t eps_n p_i q_k / (eps_d q_i p_k)).
+    Each step is at most 2**t eps, so 0 <= y - x <= eps holds without a
+    check.  The step's grid is finer than the iterate's, so the direction
+    keeps its resolution when the iterate's grid is only a few bits finer
+    than eps.
     """
     m = [dy.mantissa for dy in lower]
     rows, _ = newton_rows(sys, m, h)
@@ -414,11 +426,12 @@ def _newton_direction_candidate(sys: MonotoneSystem, lower, epsilon, h: int):
     for p, q in d[1:]:
         if p * qk > pk * q:
             pk, qk = p, q
+    t = h + STEP_BITS
     top, bottom = epsilon.numerator * qk, epsilon.denominator * pk
-    y = [mi + ((top * p) << h) // (bottom * q) for mi, (p, q) in zip(m, d)]
-    if not _is_post_fixed_point(sys, y, 1 << h):
+    y = [(mi << STEP_BITS) + ((top * p) << t) // (bottom * q) for mi, (p, q) in zip(m, d)]
+    if not _is_post_fixed_point(sys, y, 1 << t):
         return None
-    return [Rat(yi, 1 << h) for yi in y]
+    return [Rat(yi, 1 << t) for yi in y]
 
 
 def _simplest_rational(lo, hi):
@@ -456,14 +469,17 @@ def post_fixed_point_witness(sys: MonotoneSystem, lower, epsilon, h: int):
     Returns y as rationals when P(y) <= y and 0 <= y - x <= epsilon hold
     exactly for x = lower, otherwise None.  P(y) <= y is checked in integers
     over the common coefficient denominator by ``_is_post_fixed_point``,
-    with y's numerators over 2**h for the first candidate and over the lcm
-    of its denominators for the second.  Two candidates are tried in order:
+    with y's numerators over 2**(h + STEP_BITS) for the first candidate and
+    over the lcm of its denominators for the second.  Two candidates are
+    tried in order:
 
     - the Newton direction: with d = (I - B(x))^-1 1, y = x + round_down(eps
-      d / ||d||_inf) on the 2**-h grid, provided every d_i > 0.  Near a
-      non-critical q*, P(y) - y = P(x) - x - (eps / ||d||) 1 + O(eps^2), so
-      it passes once x is close enough to q*; at a critical q*, I - B(q*) is
-      singular and it cannot pass;
+      d / ||d||_inf) on the 2**-(h + STEP_BITS) grid, provided every d_i >
+      0.  That grid is 8 bits finer than the iterate's, so the step keeps
+      its resolution on a first witness grid only WITNESS_HEADROOM = 2 bits
+      finer than eps.  Near a non-critical q*, P(y) - y = P(x) - x - (eps /
+      ||d||) 1 + O(eps^2), so it passes once x is close enough to q*; at a
+      critical q*, I - B(q*) is singular and it cannot pass;
     - the simplest rationals: y_i is the rational with the least denominator
       in [x_i, x_i + eps].  At a rational q* with a small denominator it is
       q* itself once x is within eps below it, which certifies critical

@@ -59,14 +59,14 @@ LEAKY_CHAIN2_RESCALED_ANSWER = "c717887c3f6450becca57867e83fac29068115376805b3d4
 # SHA-256 of random_outcomes(mode) below: substochastic n = 8, seeds 0-19,
 # and in certified mode also random_p1ca(Random(7), r) for r = 1..3.
 RANDOM_OUTCOMES = {
-    "certified": "2b418e9ded012123554328d8af9d679e62babf4144a3701d24aa2ff993a5689c",
-    "adaptive": "e255a6c2bb21b334b2fbacb14f140377e7886341df8eca92703da5736dd49f00",
+    "certified": "3f83e60e3b871ec36b1675d44d178bd7e25929c06f0191de4a8656abd2b3acf5",
+    "adaptive": "449d1f30b770951c6e84e3a12505d74e8f59dcbcad79713ce8df031fd0e8bd4f",
 }
 
 # SHA-256 of rescaled_outcomes() below: small substochastic systems under
 # asserted q*_max bounds 2 and 4, so u = 1 and u = 2 without normal form and
 # twice that with it (its product variables are quadratic in the input's).
-RESCALED_OUTCOMES = "3ae30f8d650909b926f077a65181f9d75b8222ffe98ea25b2022b59b49a25d14"
+RESCALED_OUTCOMES = "b846bca06788a9e70da4f7379afb237ff0b2127c0ac55796b548f44aa36e1340"
 
 # a = a^2/4 + 1, b = b/2 + a/8: q* = (2, 1/2).  a is critical, so the
 # Newton-direction witness fails, and b is far from 1; q* is rational, so
@@ -201,14 +201,14 @@ def assert_witness(system, approx, upper, eps):
     assert all(p <= y for p, y in zip(evaluate(system, upper), upper))
 
 
-# Each is certified on the first witness grid (20 + 8 bits), below its
+# Each is certified on the first witness grid (20 + 2 bits), below its
 # closed-form h: 72 for gambler's ruin and 102, 5627 and 90682 for r = 1..3.
 # The first two are below 8 times that grid, which still leaves it one try.
 P1CA_CASES = [
-    ("gambler", gamblers_ruin("2/3"), "witness", 28),
-    ("random_p1ca_7_r1", random_p1ca(random.Random(7), 1), "witness", 28),
-    ("random_p1ca_7_r2", random_p1ca(random.Random(7), 2), "witness", 28),
-    ("random_p1ca_7_r3", random_p1ca(random.Random(7), 3), "witness", 28),
+    ("gambler", gamblers_ruin("2/3"), "witness", 22),
+    ("random_p1ca_7_r1", random_p1ca(random.Random(7), 1), "witness", 22),
+    ("random_p1ca_7_r2", random_p1ca(random.Random(7), 2), "witness", 22),
+    ("random_p1ca_7_r3", random_p1ca(random.Random(7), 3), "witness", 22),
 ]
 
 
@@ -223,16 +223,16 @@ def test_p1ca_certificates(label, model, kind, h):
 
 
 def test_p1ca_ceiling_bounds_the_closed_form_grid():
-    # The closed-form h of r = 2 is 5627.  Below the first witness grid (28)
-    # the ceiling refuses it; from 28 up the witness certifies the answer.
+    # The closed-form h of r = 2 is 5627.  Below the first witness grid (22)
+    # the ceiling refuses it; from 22 up the witness certifies the answer.
     model = random_p1ca(random.Random(7), 2)
     with pytest.raises(ParamsInfeasible):
         termination_probabilities(model, P1CA_EPS, max_h=16)
-    for max_h in (28, 5626):
+    for max_h in (22, 5626):
         result = termination_probabilities(model, P1CA_EPS, max_h=max_h)
         assert result.params["h"] == 5627
         report = result.report
-        assert (report.certificate.kind, report.params.h) == ("witness", 28)
+        assert (report.certificate.kind, report.params.h) == ("witness", 22)
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -270,6 +270,25 @@ def test_chain3_theorem_grid_is_unchanged(chain3_theorem_grid):
     assert answer_digest(report) == DOUBLED_CHAIN3_THEOREM_ANSWER
 
 
+@pytest.mark.parametrize("bits", [16, 30])
+def test_first_witness_grid_certifies_generated_traffic(bits):
+    # The first witness grid sits two bits above the tolerance, spacing eps
+    # / 4; that still certifies every system the test generators draw here.
+    eps = rat(1, 2**bits)
+    reports = [
+        solve(random_substochastic(random.Random(seed), 4), eps, SolveOptions(assume_probabilistic=True))
+        for seed in range(120)
+    ]
+    reports += [
+        termination_probabilities(random_p1ca(random.Random(seed), r), eps).report
+        for seed in range(6)
+        for r in range(1, 5)
+    ]
+    for report in reports:
+        assert report.certificate.kind == "witness"
+        assert report.certificate.attempted_h == (bits + 2,)
+
+
 def test_random_answers_are_unchanged():
     # Exact arithmetic makes every answer independent of how the linear
     # solves and the divergence probe compute it, so these stay bit for bit.
@@ -295,8 +314,8 @@ def test_chain3_is_certified_by_the_cap():
     cert = report.certificate
     assert report.status == "certified-eps"
     assert cert.kind == "witness"
-    assert report.params.h == 96 and cert.attempted_h == (24, 48, 96)
-    assert [run.iterations for run in report.scc_runs] == [95, 53, 30]
+    assert report.params.h == 72 and cert.attempted_h == (18, 36, 72)
+    assert [run.iterations for run in report.scc_runs] == [71, 41, 23]
     assert cert.upper == (1, 1, 1)
     approx = [d.value() for d in report.approximation]
     assert_witness(system, approx, cert.upper, CHAIN_EPS)
@@ -310,7 +329,7 @@ def test_critical_chain_falls_back_to_theorem():
     assert report.status == "certified-eps"
     assert cert.kind == "theorem" and cert.upper is None
     assert (report.params.h, report.params.g, report.params.u) == (1067, 1066, 0)
-    assert cert.attempted_h == (24, 48, 96)
+    assert cert.attempted_h == (18, 36, 72)
     assert all(8 * h <= report.params.h for h in cert.attempted_h)
     assert cert.exact_one == ()
     assert answer_digest(report) == LEAKY_CHAIN2_THEOREM_ANSWER
@@ -319,10 +338,10 @@ def test_critical_chain_falls_back_to_theorem():
 @pytest.mark.parametrize(
     "system,q_star,mode,h,attempted,steps",
     [
-        (doubled_chain(3), (2, 2, 2), "certified", 102, (24, 50, 102), [103, 57, 32]),
-        (doubled_chain(3), (2, 2, 2), "adaptive", 96, (24, 48, 96), [95, 53, 30]),
-        (MIXED2, (2, rat(1, 2)), "certified", 24, (24,), [25, 1]),
-        (MIXED2, (2, rat(1, 2)), "adaptive", 24, (24,), [23, 1]),
+        (doubled_chain(3), (2, 2, 2), "certified", 78, (18, 38, 78), [79, 45, 26]),
+        (doubled_chain(3), (2, 2, 2), "adaptive", 144, (18, 36, 72, 144), [143, 78, 43]),
+        (MIXED2, (2, rat(1, 2)), "certified", 18, (18,), [19, 1]),
+        (MIXED2, (2, rat(1, 2)), "adaptive", 36, (18, 36), [35, 1]),
     ],
     ids=["doubled_chain3", "doubled_chain3-adaptive", "mixed2", "mixed2-adaptive"],
 )
@@ -330,7 +349,9 @@ def test_rational_critical_q_is_the_witness(system, q_star, mode, h, attempted, 
     # A critical q* has no Newton-direction witness, but a rational q* is
     # the simplest rational within eps above an iterate close enough below
     # it, and P(q*) = q* passes the exact check.  The theorem's grid was
-    # h = 6417 for doubled_chain(3) and h = 649 for MIXED2.
+    # h = 6417 for doubled_chain(3) and h = 649 for MIXED2.  Adaptive mode
+    # (u = 0) runs g = h - 1 steps on grid h, fewer than certified mode's
+    # g = h on grid h = H - 1 (u = 1), and here certifies one grid later.
     report = solve(system, CHAIN_EPS, SolveOptions(mode=mode, qmax_exponent_assert=1))
     cert = report.certificate
     assert report.status == "certified-eps"
@@ -345,14 +366,14 @@ def test_rational_critical_q_is_the_witness(system, q_star, mode, h, attempted, 
 def test_first_witness_grid_runs_below_a_small_theorem_grid():
     # x = x^2/4 + 1 (q* = 2) under q* <= 2 without normal form has
     # h_theorem = 99, so h_theorem / 8 = 12 is below the first witness grid
-    # 24 + 1; that grid still runs, once, and certifies.
+    # 18 + 1; that grid still runs, once, and certifies.
     system = univariate("1/4", 0, "1")
     report = solve(system, CHAIN_EPS, SolveOptions(qmax_exponent_assert=1, use_snf=False))
     cert = report.certificate
-    assert (cert.kind, cert.upper, cert.attempted_h) == ("witness", (2,), (24,))
-    assert (report.params.h, report.params.g, report.params.u) == (24, 24, 1)
+    assert (cert.kind, cert.upper, cert.attempted_h) == ("witness", (2,), (18,))
+    assert (report.params.h, report.params.g, report.params.u) == (18, 18, 1)
     with pytest.raises(ParamsInfeasible, match="certified h = 99"):
-        solve(system, CHAIN_EPS, SolveOptions(qmax_exponent_assert=1, use_snf=False, max_h=24))
+        solve(system, CHAIN_EPS, SolveOptions(qmax_exponent_assert=1, use_snf=False, max_h=18))
 
 
 def test_adaptive_matches_certified_where_a_witness_passes():
@@ -386,8 +407,8 @@ def test_adaptive_falls_back_to_agreement():
     cert = report.certificate
     assert report.status == "adaptive-heuristic"
     assert cert.kind == "none" and cert.upper is None
-    assert (report.params.h, cert.attempted_h) == (96, (24, 48, 96))
-    assert [run.iterations for run in report.scc_runs] == [22, 14]
+    assert (report.params.h, cert.attempted_h) == (72, (18, 36, 72))
+    assert [run.iterations for run in report.scc_runs] == [21, 14]
 
 
 def test_cap_requires_exact_post_fixed_point_check():
@@ -421,14 +442,14 @@ def test_rescaled_route_finds_witness():
     assert report.status == "certified-eps"
     assert cert.kind == "witness"
     assert report.params.u == qmax_upper_exponent(system)
-    assert report.params.h == 28 and cert.attempted_h == (28,)
+    assert report.params.h == 22 and cert.attempted_h == (22,)
     approx = [d.value() for d in report.approximation]
     assert_witness(system, approx, cert.upper, eps)
 
 
 def test_worst_case_u_route_finds_witness():
     # With no bound asserted u is 950000 here; the witness grid is still
-    # the first one, h = 18, and the witness is exact on the input system.
+    # the first one, h = 12, and the witness is exact on the input system.
     system = random_substochastic(random.Random(2), 2)
     eps = rat(1, 2**10)
     report = solve(system, eps)
@@ -436,7 +457,7 @@ def test_worst_case_u_route_finds_witness():
     assert report.status == "certified-eps"
     assert cert.kind == "witness"
     assert report.params.u == 950000
-    assert report.params.h == 18 and cert.attempted_h == (18,)
+    assert report.params.h == 12 and cert.attempted_h == (12,)
     approx = [d.value() for d in report.approximation]
     assert_witness(system, approx, cert.upper, eps)
 
@@ -448,15 +469,15 @@ def test_rescaled_answers_are_unchanged():
 
 
 def test_witness_grids_keep_the_rescaled_schedule():
-    # Under u = 3 the witness grids are H - u for H = 16 + 3, 2 (16 + 3) and
-    # 4 (16 + 3), each with H - 1 steps, and the fallback grid is
+    # Under u = 3 the witness grids are H - u for H = 10 + 3, 2 (10 + 3),
+    # 4 (10 + 3) and 8 (10 + 3), each with H - 1 steps, and the fallback grid is
     # h_theorem - u with g = h_theorem - 1: the grids and step budgets of
     # x = 2**-3 P(2**3 x).
     options = SolveOptions(qmax_exponent_assert=3, use_snf=False)
     report = solve(LEAKY_CHAIN2, rat(1, 2**8), options)
     params = report.params
     assert report.certificate.kind == "theorem"
-    assert report.certificate.attempted_h == (16, 35, 73)
+    assert report.certificate.attempted_h == (10, 23, 49, 101)
     assert (params.h, params.g, params.u) == (912, 914, 3)
 
 
@@ -474,7 +495,7 @@ def test_critical_cap_without_probability_flag():
     assert report.params.u == 16350
     assert report.status == "certified-eps"
     assert cert.kind == "witness" and cert.upper == (1,)
-    assert report.params.h == 24 and cert.attempted_h == (24,)
+    assert report.params.h == 18 and cert.attempted_h == (18,)
     assert_witness(NEAR_CRITICAL, [report.approximation[0].value()], cert.upper, CHAIN_EPS)
 
 
@@ -484,8 +505,8 @@ def test_cli_critical_cap_without_probability_flag(tmp_path):
     code, doc = run_cli(argv, serialize_mps(NEAR_CRITICAL), tmp_path)
     assert code == 0
     assert doc["status"] == "certified-eps"
-    assert (doc["params"]["h"], doc["params"]["u"]) == (24, 1880)
-    assert doc["certificate"] == {"kind": "witness", "attempted_h": [24], "post_fixed_point": {"x": "1"}}
+    assert (doc["params"]["h"], doc["params"]["u"]) == (18, 1880)
+    assert doc["certificate"] == {"kind": "witness", "attempted_h": [18], "post_fixed_point": {"x": "1"}}
 
 
 def _huge_u_system():

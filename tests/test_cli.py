@@ -227,7 +227,21 @@ class TestOtherSubcommands:
         assert code == 1
         error = json.loads(out)["error"]
         assert error["type"] == "ValueError"
-        assert error["message"].startswith("value iterate 17 has a numerator or denominator")
+        assert error["message"].startswith("value iterate 14 has a numerator or denominator")
+
+    def test_value_iter_stops_before_the_print_limit(self, tmp_path):
+        # x = x^2/3 + 1/3: iterate 13 has 12983 bits and prints; iterate 14
+        # has 25967, past the 4300 digits CPython prints, so the run stops
+        # with its own message instead of the int-to-str error.
+        doc = json.dumps({"vars": ["x"], "eqs": [[{"c": "1/3", "m": {"x": 2}}, {"c": "1/3", "m": {}}]]})
+        code, out, _ = run_cli(["value-iter", "--steps", "13"], doc, tmp_path)
+        assert code == 0
+        assert json.loads(out)["steps"] == 13
+        code, out, _ = run_cli(["value-iter", "--steps", "14"], doc, tmp_path)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].endswith("stopped before step 15")
 
     def test_snf_and_clean(self, tmp_path):
         from lfpsolve import system_from_json, system_to_json
@@ -347,8 +361,8 @@ class TestTracePinned:
         "gambler": (
             ["p1ca-term", "--epsilon", "1/1024", "--trace"],
             GAMBLER,
-            "b7829ec7259ce8293ec0bcbd7708b1bfb73e677cdf1ea920952852ada48a3cae",
-            "2811b13d704cb9d871b38a8e50d12456083edc5dbf7d8d4e5601c7cc7c4c1764",
+            "a61947ffcc6acbc05486ed7901a1013958220775db908c4617f62e6683bf315f",
+            "b167c8352e10359a076c365de257dab3992979f577604a5ec1a1ace8cffcce59",
         ),
     }
 

@@ -87,16 +87,16 @@ def test_mixed_is_certified_far_below_the_old_theorem_grid():
     # Only b = b/2 + 1/4 is left, and it is linear; before the pre-pass the
     # theorem's grid h = 371 ran, with 370 Newton steps on a.  Under the
     # flag the reduced system's own theorem grid is h = 48, below 8 times
-    # the first witness grid 24, which still runs once and certifies.
+    # the first witness grid 18, which still runs once and certifies.
     # Without the flag u = 340, and the first witness grid certifies.
     flagged = solve(MIXED, EPS, SolveOptions(assume_probabilistic=True))
     assert flagged.status == "certified-eps"
-    assert (flagged.certificate.kind, flagged.params.h) == ("witness", 24)
+    assert (flagged.certificate.kind, flagged.params.h) == ("witness", 18)
     report = solve(MIXED, EPS)
     cert = report.certificate
     assert report.status == "certified-eps"
     assert cert.kind == "witness" and cert.exact_one == ("a",)
-    assert report.params.h == 24 and cert.attempted_h == (24,)
+    assert report.params.h == 18 and cert.attempted_h == (18,)
     for run in (flagged, report):
         assert [d.value() for d in run.approximation] == [1, rat(1, 2)]
         assert [(r.names, r.iterations) for r in run.scc_runs] == [(("a", "w1"), 0), (("b",), 1)]

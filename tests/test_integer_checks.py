@@ -191,13 +191,14 @@ def test_pivot_test_on_chosen_matrices(rows, expected):
 
 def _rational_direction(sys: MonotoneSystem, lower, epsilon, h: int):
     """The step of the Newton-direction candidate in rationals: d by
-    ``solve_linear`` on I - B(x), then round_down(eps d / max d, h)."""
+    ``solve_linear`` on I - B(x), then round_down(eps d / max d) on the
+    2**-(h + 8) grid, 8 bits finer than the iterate's."""
     x = [dy.value() for dy in lower]
     d = solve_linear(identity_minus(eval_jacobian(sys, x)), [Fraction(1)] * sys.n)
     if any(di <= 0 for di in d):
         return None
     step = epsilon / max(d)
-    return [xi + round_down_dyadic(step * di, h).value() for xi, di in zip(x, d)]
+    return [xi + round_down_dyadic(step * di, h + 8).value() for xi, di in zip(x, d)]
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -216,7 +217,8 @@ def test_accepted_newton_direction_is_within_epsilon(seed, n, h, epsilon):
     expected = _rational_direction(sys, lower, epsilon, h)
     event("accepted" if y is not None else "rejected")
     if y is None:
-        assert expected is None or not _exact_check(sys, [int(v * (1 << h)) for v in expected], 1 << h)
+        scale = 1 << (h + 8)
+        assert expected is None or not _exact_check(sys, [int(v * scale) for v in expected], scale)
         return
     assert y == expected
     x = [dy.value() for dy in lower]

@@ -5,14 +5,16 @@ fixed point of ``univariate_quadratic_lfp``; a witness it reports must
 itself prove that bound.  On random substochastic systems of up to four
 variables and on critical univariate quadratics, every witness is checked
 with plain ``Fraction`` arithmetic on the test's own copy of the
-polynomials."""
+polynomials, and on the test generator's substochastic systems, in both
+modes, with ``mps.evaluate``."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
-from conftest import univariate
+from conftest import random_substochastic, univariate
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
@@ -140,6 +142,37 @@ def test_substochastic_witness_rechecks(rows, bits):
     event(report.certificate.kind)
     if report.certificate.kind == "witness":
         _assert_witness_brackets(rows, report, eps)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 4),
+    bits=st.sampled_from([8, 16]),
+    mode=st.sampled_from(["certified", "adaptive"]),
+    h_override=st.sampled_from([None, None, 4]),
+)
+def test_multivariate_witness_is_sound(seed, n, bits, mode, h_override):
+    # Every witness of a random substochastic system brackets the answer
+    # from above by at most eps and is a post-fixed point, checked with
+    # mps.evaluate on Fractions; the status is certified exactly when some
+    # certificate backs it.  A coarse --h grid gives runs without one.
+    system = random_substochastic(random.Random(seed), n)
+    eps = Fraction(1, 2**bits)
+    options = SolveOptions(mode=mode, assume_probabilistic=True, h_override=h_override)
+    try:
+        report = solve(system, eps, options)
+    except ParamsInfeasible as exc:
+        event(type(exc).__name__)
+        return
+    cert = report.certificate
+    event(cert.kind)
+    assert (report.status == "certified-eps") == (cert.kind != "none")
+    if cert.kind == "witness":
+        approx = [Fraction(d.value()) for d in report.approximation]
+        upper = [Fraction(y) for y in cert.upper]
+        assert all(x <= y <= x + eps for x, y in zip(approx, upper))
+        assert all(p <= y for p, y in zip(evaluate(system, upper), upper))
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
