@@ -81,9 +81,11 @@ for g in (8, 16, 31, 32):
     print(f"  g={g:>2}: bottom error {a0}  ->  {verdict}")
 
 print("\nCertified solve of the depth-3 doubled chain under the asserted bound")
-print("q* <= 2 (no normal form, so u = 1; the theorem's grid is h = 2530): the")
-print("Newton-direction witness fails at the critical q*, and q* = 2 itself")
-print("certifies the first grid whose iterate is within eps below it:")
+print("q* <= 2 (no normal form, so u = 1; the theorem's grid is h = 2530).  u")
+print("enters only that grid: the witness grids h0, 2 h0, ... run unscaled with")
+print("h - 1 steps each.  The Newton-direction witness fails at the critical q*,")
+print("and q* = 2 itself certifies the first grid whose iterate is within eps")
+print("below it:")
 report = solve(doubled_chain(3), eps, SolveOptions(qmax_exponent_assert=1, use_snf=False))
 cert = report.certificate
 print(f"  status {report.status}; certificate {cert.kind} after grids {cert.attempted_h}")
@@ -92,8 +94,8 @@ print(f"  Newton steps per component: {[run.iterations for run in report.scc_run
 for name, d in zip(report.names, report.approximation):
     print(f"  {name}: {gap_below_two(d)}  (eps = 2^-16)")
 
-print("\nThe same solve in adaptive mode (it doubles h from the same first grid")
-print("with u = 0, and settles on the first grid with a witness):")
+print("\nThe same solve in adaptive mode (it climbs the same grids, so it settles")
+print("on the same witness):")
 report = solve(
     doubled_chain(3), eps, SolveOptions(mode="adaptive", qmax_exponent_assert=1, use_snf=False)
 )

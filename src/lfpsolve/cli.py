@@ -37,10 +37,20 @@ from .p1ca import parse_p1ca, termination_probabilities, validate
 from .ratmath import ZERO, parse_rat, rat_str
 
 SCHEMA_VERSIONS = {"mps": 1, "p1ca": 1, "solve-report": 1, "g-matrix": 1}
-# Exact value iterates can double in size every step.  CPython prints an
-# integer of at most 4300 digits by default (sys.get_int_max_str_digits()),
-# which holds every integer of up to 14284 bits, so iterates stop below that.
-VALUE_ITER_BIT_BUDGET = 14_000
+
+
+def _value_iter_bit_budget() -> int:
+    """The most bits an exact value iterate may have and still print.
+
+    CPython refuses to print an integer of more than
+    ``sys.get_int_max_str_digits()`` digits, a per-process setting, and every
+    integer below 2**b has at most d digits when 2**b <= 10**d.  Read at call
+    time.  A limit of 0 (none) still gets the default 4300 digits (14284
+    bits) as a work cap, because exact iterates can double in size every
+    step; so does a Python without the setting.
+    """
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    return (10**digits).bit_length() - 1
 
 
 def _read_input(path: str) -> str:
@@ -225,16 +235,14 @@ def _cmd_value_iter(args) -> int:
     system = parse_mps(_read_input(args.input))
     if args.steps < 0:
         raise ValueError("--steps must be >= 0")
+    budget = _value_iter_bit_budget()
     iterate = [ZERO] * system.n
     for step in range(1, args.steps + 1):
         iterate = evaluate(system, iterate)
-        if any(
-            max(x.numerator.bit_length(), x.denominator.bit_length()) > VALUE_ITER_BIT_BUDGET
-            for x in iterate
-        ):
+        if any(max(x.numerator.bit_length(), x.denominator.bit_length()) > budget for x in iterate):
             raise ValueError(
                 f"value iterate {step} has a numerator or denominator of more than "
-                f"{VALUE_ITER_BIT_BUDGET} bits; stopped before step {step + 1}"
+                f"{budget} bits; stopped before step {step + 1}"
             )
     _emit({"steps": args.steps, "iterate": [rat_str(x) for x in iterate]})
     return 0

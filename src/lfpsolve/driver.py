@@ -42,27 +42,34 @@ bounds their error.  When nothing is left, the answer (0 on zero variables,
 1 elsewhere) is exact and is itself a fixed point.
 
 Every mode then runs one loop on the reduced system: rounded decomposed
-Newton on a schedule of 2**-h grids, stopping at the first grid that
-settles.  Iterates never overshoot q*, so on any grid a witness settles
-it: y = approx + (a small step along (I - B(approx))^-1 1), or else the
-rationals with the least denominators within epsilon above approx (q*
-itself at a rational critical q*, and y = 1 for q* within epsilon of 1),
-within epsilon of approx and passing the exact check P(y) <= y, so q* <=
-y by Knaster-Tarski.  The check is integer arithmetic over the common
+Newton on the ladder of grids h = h0 2**k, k = 0, 1, ..., with g = h - 1
+steps, h0 = ceil(log2(1 / eps)) + WITNESS_HEADROOM, trying a witness on
+each.  Iterates never overshoot q*, so on any grid a witness settles it: y =
+approx + (a small step along (I - B(approx))^-1 1), or else the rationals
+with the least denominators within epsilon above approx (q* itself at a
+rational critical q*, and y = 1 for q* within epsilon of 1), within epsilon
+of approx and passing the exact check P(y) <= y, so q* <= y by
+Knaster-Tarski.  The check is integer arithmetic over the common
 coefficient denominator L: for y = x / s with integer numerators x, P_i(y)
 <= y_i is L s**D P_i(y) <= L s**(D-1) x_i, D the degree, and the left side
 is a sum of integer terms; it calls neither ``newton_rows`` nor
-``solve_integer``, so it stays independent of the Newton kernel.
+``solve_integer``, so it stays independent of the Newton kernel.  A witness
+needs no bound on q*, so the ladder is the same in every mode.  It stops at
+the first grid with a witness, at the first grid that agrees with the one
+before within eps / 4, at a singular Newton step, or at the ceiling.  Only
+the ceiling and what follows a stop without a witness depend on the mode:
 
-- Certified runs grid h = H - u with g = H - 1 for H = (h0 + u) 2**k, k =
-  0, 1, ... up to min(max_h, h_theorem / WITNESS_SHARE), h0 = ceil(log2(1 /
-  eps)) + WITNESS_HEADROOM, and the first of these grids whenever H = h0 +
-  u < h_theorem and H <= max_h; with no witness, the divergence probe, the
-  ceiling check and the theorem's grid follow.
-- Adaptive doubles h from h0 up to max_h; with no witness, a grid also
-  settles when it agrees with the one before within eps / 4, a heuristic,
-  and ParamsInfeasible is raised when none does.
+- certified: the ceiling is min(max_h, max((h_theorem - u) / WITNESS_SHARE,
+  min(h0, h_theorem - u - 1))), so the first grid runs whenever it is below
+  the theorem's; then ParamsInfeasible when h_theorem > max_h, and else the
+  theorem's grid.
+- adaptive: the ceiling is max_h; agreeing grids settle as a heuristic, a
+  singular step propagates, and ParamsInfeasible is raised at the ceiling.
 - ``h_override`` runs the single given grid in either mode.
+
+The divergence probe runs before the ladder when u > 0 (a divergent system
+would otherwise climb grids first), and otherwise after it, only without a
+witness or when the witness exceeds 2**qmax_exponent.
 
 The status is "certified-eps" for a witness or the theorem's grid, else
 "adaptive-heuristic" in adaptive mode and "uncertified" otherwise.  The
@@ -70,9 +77,12 @@ convergence theorem gives the grid h_theorem of x = 2**-u P(2**u x), u =
 max(qmax_exponent, 0), whose LFP is at most 1, every logarithm
 over-approximated by an exact integer ceiling.  Rounded Newton commutes
 with that rescaling bit for bit (grid H there is grid H - u here), so the
-fallback runs grid h_theorem - u of the input with g = h_theorem - 1, and
-the witness grids count H the same way.  The rescaled system itself is
-never built; the test suite builds it to check that equivariance.
+fallback runs grid h_theorem - u of the input with g = h_theorem - 1.  u
+enters only that grid, the certified ceiling and the probe; ``params``
+describes the grid that produced the answer, so it reports u = 0 and alpha
+= beta = min(1, c_min) min(1, q*_min / 2) on every other grid.  The
+rescaled system itself is never built; the test suite builds it to check
+that equivariance.
 """
 
 from __future__ import annotations
@@ -507,9 +517,9 @@ def _probe_divergence(sys: MonotoneSystem, bounds: LfpBounds) -> None:
         )
 
 
-def _doubling(h: int, limit: int):
-    while h <= limit:
-        yield h
+def _ladder(h: int, ceiling: int):
+    while h <= ceiling:
+        yield h, h - 1
         h *= 2
 
 
@@ -520,63 +530,62 @@ def _run_grids(
     (params, dyadics, runs, certificate kind, witness or None, grids tried
     for a witness).
 
-    A singular Newton step ends the certified doubling schedule and leaves
-    the system to the theorem's grid; elsewhere it propagates.  The
-    divergence probe runs once, first, except on certified doubling at u =
-    0 (for u > 0 a divergent system would take h + u Newton steps per grid
-    first).  There it runs only without a witness or when the witness y
-    exceeds 2**qmax_exponent: below it, value iterates stay under q* <= y
-    and cannot escape.
+    Both modes climb the same unscaled ladder and stop at the first grid
+    with a witness, at the first that agrees with the one before within
+    eps / 4, at a singular Newton step, or at the ceiling; only the ceiling
+    and what follows a stop without a witness depend on the mode.  Without
+    the agreement stop, certified runs on a component that no witness can
+    certify would climb to the ceiling.  The probe after the ladder is
+    skipped for a witness y <= 2**qmax_exponent: below it, value iterates
+    stay under q* <= y and cannot escape.
     """
-    doubling = options.h_override is None
-    theorem = options.mode == "certified" and doubling
-    u = max(bounds.qmax_exponent, 0) if theorem else 0
+    u = max(bounds.qmax_exponent, 0)
+    threshold = bounds.qmax_exponent
     beta = min(ONE, c_min(sys)) * min(ONE, HALF * bounds.qmin_lower)
-    h0 = ceil_log2(ONE / epsilon) + WITNESS_HEADROOM
-    limit = options.max_h
-    if theorem:
-        h_theorem = options.theorem_h
-        if h_theorem is None:
-            n, d, f = sys.n, decomp.depth, decomp.nonlinear_depth
-            h_theorem = _params_general(n, d, f, u, beta, norm_p_one(sys), epsilon) + 1
-        # the first witness grid runs whenever it is below the theorem's
-        limit = min(limit, max(h_theorem // WITNESS_SHARE, min(h0 + u, h_theorem - 1)))
-    probe_first = u > 0 or not theorem
-    if probe_first:
-        _probe_divergence(sys, bounds)
-    if doubling:
-        grids = ((big_h - u, big_h - 1) for big_h in _doubling(h0 + u, limit))
-    else:
+    if options.h_override is not None:
         h = options.h_override
         grids = [(h, options.g_override if options.g_override is not None else max(h - 1, 1))]
+    else:
+        h0 = ceil_log2(ONE / epsilon) + WITNESS_HEADROOM
+        ceiling = options.max_h
+        if options.mode == "certified":
+            h_theorem = options.theorem_h
+            if h_theorem is None:
+                n, d, f = sys.n, decomp.depth, decomp.nonlinear_depth
+                h_theorem = _params_general(n, d, f, u, beta, norm_p_one(sys), epsilon) + 1
+            top = h_theorem - u
+            # the first witness grid runs whenever it is below the theorem's
+            ceiling = min(ceiling, max(top // WITNESS_SHARE, min(h0, top - 1)))
+        grids = _ladder(h0, ceiling)
+    if u > 0:
+        _probe_divergence(sys, bounds)
 
-    threshold = bounds.qmax_exponent
-    attempted, upper, previous, settled = [], None, None, False
+    attempted, upper, previous, agreed, singular = [], None, None, False, None
     for h, g in grids:
         attempted.append(h)
         try:
             dyadics, runs = _run_rdnm(sys, decomp, h, g, threshold, options.keep_traces)
-        except SingularMatrix:
-            if not theorem:
-                raise
+        except SingularMatrix as exc:
+            singular = exc
             break
         upper = post_fixed_point_witness(sys, dyadics, epsilon, h)
-        settled = upper is not None
-        if not settled and not theorem:  # one h_override grid never agrees
-            current = [dy.value() for dy in dyadics]
-            settled = previous is not None and all(
-                abs(a - b) <= epsilon / 4 for a, b in zip(current, previous)
-            )
-            previous = current
-        if settled:
+        if upper is not None:
             break
+        current = [dy.value() for dy in dyadics]
+        agreed = previous is not None and all(
+            abs(a - b) <= epsilon / 4 for a, b in zip(current, previous)
+        )
+        if agreed:
+            break
+        previous = current
 
-    if not probe_first and (
-        upper is None or any(rational_exceeds_pow2(y, threshold) for y in upper)
-    ):
+    if u == 0 and (upper is None or any(rational_exceeds_pow2(y, threshold) for y in upper)):
         _probe_divergence(sys, bounds)
-    kind = "witness" if upper is not None else "none"
-    if not settled and theorem:
+    attempted = tuple(attempted)
+    # A ladder that ends without a witness falls back by mode; a single
+    # h_override grid has no fallback.
+    fallback = upper is None and options.h_override is None
+    if fallback and options.mode == "certified":
         if h_theorem > options.max_h:
             rescaled = f" (u = {u})" if u else ""
             raise ParamsInfeasible(
@@ -584,14 +593,17 @@ def _run_grids(
             )
         h, g = h_theorem - u, h_theorem - 1
         dyadics, runs = _run_rdnm(sys, decomp, h, g, threshold, options.keep_traces)
-        kind = "theorem"
-    elif not settled and doubling:
+        # u <= h_theorem <= max_h here, so 2**(2u) is affordable
+        params = DriverParams(beta / (1 << (2 * u)), h, g, u, options.mode)
+        return params, dyadics, runs, "theorem", None, attempted
+    if singular is not None:
+        raise singular
+    if fallback and not agreed:
         raise ParamsInfeasible(
             f"adaptive refinement passed the ceiling {options.max_h} without settling"
         )
-    # u <= max_h here, so 2**(2u) is affordable
-    params = DriverParams(alpha=beta / (1 << (2 * u)), h=h, g=g, u=u, mode=options.mode)
-    return params, dyadics, runs, kind, upper, tuple(attempted)
+    kind = "none" if upper is None else "witness"
+    return DriverParams(beta, h, g, 0, options.mode), dyadics, runs, kind, upper, attempted
 
 
 # --- certified parameter formulas ---------------------------------------------

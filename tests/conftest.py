@@ -54,6 +54,14 @@ def repeated_squaring(n: int, x0) -> MonotoneSystem:
     return system_of(names, *eqs)
 
 
+def critical_quartic() -> MonotoneSystem:
+    """x = x^4 + 2x^3 + 1/4, where P(x) - x = (x^2 + x - 1/2)^2: q* = (sqrt(3)
+    - 1)/2 is a double root, so the component is critical and q* irrational.
+    q* is then the only post-fixed point near itself, so no rational witness
+    can certify it; only the theorem's grid can."""
+    return system_of(["x"], [("1", {"x": 4}), ("2", {"x": 3}), ("1/4", {})])
+
+
 def univariate(a, b, c) -> MonotoneSystem:
     """x = a x^2 + b x + c with any of a, b, c possibly zero (omitted)."""
     terms = []

@@ -13,11 +13,13 @@ import io
 import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from conftest import (
     chain_system,
+    critical_quartic,
     doubled_chain,
     gamblers_ruin,
     leaky_chain,
@@ -32,6 +34,7 @@ from lfpsolve import (
     SolveOptions,
     qmax_upper_exponent,
     rat,
+    run_rnm,
     solve,
     system_of,
     termination_probabilities,
@@ -66,7 +69,9 @@ RANDOM_OUTCOMES = {
 # SHA-256 of rescaled_outcomes() below: small substochastic systems under
 # asserted q*_max bounds 2 and 4, so u = 1 and u = 2 without normal form and
 # twice that with it (its product variables are quadratic in the input's).
-RESCALED_OUTCOMES = "b846bca06788a9e70da4f7379afb237ff0b2127c0ac55796b548f44aa36e1340"
+# The witness grids are the unscaled ladder h0 2**k, so only the runs that
+# reach the theorem's grid report u > 0.
+RESCALED_OUTCOMES = "c7210cda84385b536be33cf2dfec0312e6f603beeefc185ab0f70f44a3a2e076"
 
 # a = a^2/4 + 1, b = b/2 + a/8: q* = (2, 1/2).  a is critical, so the
 # Newton-direction witness fails, and b is far from 1; q* is rational, so
@@ -121,7 +126,7 @@ def random_outcomes(mode):
 
 def rescaled_outcomes():
     """Answers, params and certificates at u = 1 and u = 2, where the theorem
-    is stated on x = 2**-u P(2**u x) and the grids run on the input."""
+    is stated on x = 2**-u P(2**u x) and its grid runs on the input."""
     outcomes = []
     for seed in range(20):
         system = random_substochastic(random.Random(seed), 1 + seed % 3)
@@ -338,9 +343,9 @@ def test_critical_chain_falls_back_to_theorem():
 @pytest.mark.parametrize(
     "system,q_star,mode,h,attempted,steps",
     [
-        (doubled_chain(3), (2, 2, 2), "certified", 78, (18, 38, 78), [79, 45, 26]),
+        (doubled_chain(3), (2, 2, 2), "certified", 144, (18, 36, 72, 144), [143, 78, 43]),
         (doubled_chain(3), (2, 2, 2), "adaptive", 144, (18, 36, 72, 144), [143, 78, 43]),
-        (MIXED2, (2, rat(1, 2)), "certified", 18, (18,), [19, 1]),
+        (MIXED2, (2, rat(1, 2)), "certified", 36, (18, 36), [35, 1]),
         (MIXED2, (2, rat(1, 2)), "adaptive", 36, (18, 36), [35, 1]),
     ],
     ids=["doubled_chain3", "doubled_chain3-adaptive", "mixed2", "mixed2-adaptive"],
@@ -349,9 +354,10 @@ def test_rational_critical_q_is_the_witness(system, q_star, mode, h, attempted, 
     # A critical q* has no Newton-direction witness, but a rational q* is
     # the simplest rational within eps above an iterate close enough below
     # it, and P(q*) = q* passes the exact check.  The theorem's grid was
-    # h = 6417 for doubled_chain(3) and h = 649 for MIXED2.  Adaptive mode
-    # (u = 0) runs g = h - 1 steps on grid h, fewer than certified mode's
-    # g = h on grid h = H - 1 (u = 1), and here certifies one grid later.
+    # h = 6417 for doubled_chain(3) and h = 649 for MIXED2.  Both modes
+    # climb the same grids h0 2**k with g = h - 1 steps.  For doubled_chain(3)
+    # grid 72 fails with g = h, h + 1 and h + 2 steps as well, so the grid,
+    # not the step budget, is what makes 144 the first rung that passes.
     report = solve(system, CHAIN_EPS, SolveOptions(mode=mode, qmax_exponent_assert=1))
     cert = report.certificate
     assert report.status == "certified-eps"
@@ -365,15 +371,16 @@ def test_rational_critical_q_is_the_witness(system, q_star, mode, h, attempted, 
 
 def test_first_witness_grid_runs_below_a_small_theorem_grid():
     # x = x^2/4 + 1 (q* = 2) under q* <= 2 without normal form has
-    # h_theorem = 99, so h_theorem / 8 = 12 is below the first witness grid
-    # 18 + 1; that grid still runs, once, and certifies.
+    # h_theorem = 99, so (h_theorem - u) / 8 = 12 is below the first witness
+    # grid 18; that grid still runs, once, unscaled, and certifies.  Below
+    # it only the theorem's grid is left, and max_h = 17 refuses that.
     system = univariate("1/4", 0, "1")
     report = solve(system, CHAIN_EPS, SolveOptions(qmax_exponent_assert=1, use_snf=False))
     cert = report.certificate
     assert (cert.kind, cert.upper, cert.attempted_h) == ("witness", (2,), (18,))
-    assert (report.params.h, report.params.g, report.params.u) == (18, 18, 1)
+    assert (report.params.h, report.params.g, report.params.u) == (18, 17, 0)
     with pytest.raises(ParamsInfeasible, match="certified h = 99"):
-        solve(system, CHAIN_EPS, SolveOptions(qmax_exponent_assert=1, use_snf=False, max_h=18))
+        solve(system, CHAIN_EPS, SolveOptions(qmax_exponent_assert=1, use_snf=False, max_h=17))
 
 
 def test_adaptive_matches_certified_where_a_witness_passes():
@@ -397,6 +404,84 @@ def test_adaptive_matches_certified_where_a_witness_passes():
         assert adaptive.certificate == certified.certificate
         witnessed += 1
     assert witnessed == 20
+
+
+@pytest.mark.parametrize("mode", ["certified", "adaptive"])
+@pytest.mark.parametrize(
+    "system,h,attempted",
+    [
+        (LEAKY_CHAIN3, 72, (18, 36, 72)),
+        (doubled_chain(3), 144, (18, 36, 72, 144)),
+        (univariate("1/12", 0, "3"), 36, (18, 36)),
+    ],
+    ids=["leaky_chain3", "doubled_chain3", "x2_over_12_plus_3"],
+)
+def test_flagless_runs_find_the_witness_of_the_flagged_ones(system, h, attempted, mode):
+    # With no flag the worst-case u is 10**7 to 10**8 for the chains and
+    # 5100 for x = x^2/12 + 3 (q* = 6, no power of two bounds it by a
+    # post-fixed point), yet the witness grids carry no u, so each is
+    # certified on the grids it would take under a true flag.
+    report = solve(system, CHAIN_EPS, SolveOptions(mode=mode))
+    cert = report.certificate
+    assert report.bounds.qmax_source == "worst-case-formula"
+    assert report.status == "certified-eps" and cert.kind == "witness"
+    assert (report.params.h, report.params.u, cert.attempted_h) == (h, 0, attempted)
+    approx = [d.value() for d in report.approximation]
+    assert_witness(system, approx, cert.upper, CHAIN_EPS)
+
+
+def test_flagless_quartic_is_refused_after_a_few_grids(monkeypatch):
+    # No rational witness exists at the quartic's critical irrational q*, so
+    # the ladder stops where two grids agree, and the theorem's grid under
+    # the worst-case u is refused without being run.
+    grids = set()
+
+    def counting_run_rnm(system, config, **kwargs):
+        grids.add(config.h)
+        assert len(grids) <= 3, "a fourth grid, on the way to max_h"
+        return run_rnm(system, config, **kwargs)
+
+    monkeypatch.setattr("lfpsolve.driver.run_rnm", counting_run_rnm)
+    with pytest.raises(ParamsInfeasible, match=r"\(u = 22968750\) exceeds the ceiling"):
+        solve(critical_quartic(), CHAIN_EPS)
+    assert 0 < len(grids) <= 3
+
+
+def test_both_modes_climb_the_same_ladder():
+    # Both modes try witnesses on the grids h0 2**k with h - 1 steps and stop
+    # on the same events; certified mode's ceiling is the lower one, so its
+    # grids are the first of adaptive mode's, and the same ones, with the
+    # same answer, when a witness passes.
+    cases = [
+        (LEAKY_CHAIN3, CHAIN_EPS, {}),
+        (LEAKY_CHAIN3, CHAIN_EPS, {"assume_probabilistic": True}),
+        (LEAKY_CHAIN2, CHAIN_EPS, {"assume_probabilistic": True}),
+        (LEAKY_CHAIN2, rat(1, 2**8), {"qmax_exponent_assert": 3, "use_snf": False}),
+        (doubled_chain(3), CHAIN_EPS, {}),
+        (doubled_chain(3), CHAIN_EPS, {"qmax_exponent_assert": 1}),
+        (MIXED2, CHAIN_EPS, {}),
+        (MIXED2, CHAIN_EPS, {"qmax_exponent_assert": 1}),
+        (critical_quartic(), CHAIN_EPS, {"assume_probabilistic": True}),
+        (NEAR_CRITICAL, CHAIN_EPS, {}),
+        (univariate("1/12", 0, "3"), CHAIN_EPS, {}),
+    ]
+    cases += [
+        (random_substochastic(random.Random(seed), 4), SUBSTOCH_EPS, flag)
+        for seed in range(30)
+        for flag in ({}, {"assume_probabilistic": True})
+    ]
+    witnessed = 0
+    for system, eps, options in cases:
+        certified = solve(system, eps, SolveOptions(**options))
+        adaptive = solve(system, eps, SolveOptions(mode="adaptive", **options))
+        grids = certified.certificate.attempted_h
+        assert adaptive.certificate.attempted_h[: len(grids)] == grids
+        if certified.certificate.kind == "witness":
+            assert adaptive.certificate == certified.certificate
+            assert adaptive.approximation == certified.approximation
+            assert adaptive.params == replace(certified.params, mode="adaptive")
+            witnessed += 1
+    assert witnessed == len(cases) - 3  # the two leaky chain2 runs and the quartic
 
 
 def test_adaptive_falls_back_to_agreement():
@@ -433,15 +518,16 @@ def test_cap_requires_exact_post_fixed_point_check():
 
 def test_rescaled_route_finds_witness():
     # x = x^2/8 + 1, q* = 4 - 2 sqrt(2), with no bound asserted: the
-    # worst-case u sets the theorem's grid and the step budget, yet the
-    # first witness grid, run on the input system, certifies it.
+    # worst-case u sets the theorem's grid, yet the first witness grid, run
+    # unscaled on the input system, certifies it, so the answer's u is 0.
     system = univariate("1/8", 0, "1")
     eps = rat(1, 2**20)
     report = solve(system, eps, SolveOptions(use_snf=False))
     cert = report.certificate
     assert report.status == "certified-eps"
     assert cert.kind == "witness"
-    assert report.params.u == qmax_upper_exponent(system)
+    assert report.bounds.qmax_exponent == qmax_upper_exponent(system)
+    assert report.params.u == 0
     assert report.params.h == 22 and cert.attempted_h == (22,)
     approx = [d.value() for d in report.approximation]
     assert_witness(system, approx, cert.upper, eps)
@@ -449,35 +535,39 @@ def test_rescaled_route_finds_witness():
 
 def test_worst_case_u_route_finds_witness():
     # With no bound asserted u is 950000 here; the witness grid is still
-    # the first one, h = 12, and the witness is exact on the input system.
+    # the first one, h = 12 with u = 0, and the witness is exact on the input
+    # system.
     system = random_substochastic(random.Random(2), 2)
     eps = rat(1, 2**10)
     report = solve(system, eps)
     cert = report.certificate
     assert report.status == "certified-eps"
     assert cert.kind == "witness"
-    assert report.params.u == 950000
-    assert report.params.h == 12 and cert.attempted_h == (12,)
+    assert report.bounds.qmax_exponent == 950000
+    assert (report.params.h, report.params.g, report.params.u) == (12, 11, 0)
+    assert cert.attempted_h == (12,)
     approx = [d.value() for d in report.approximation]
     assert_witness(system, approx, cert.upper, eps)
 
 
 def test_rescaled_answers_are_unchanged():
     # Grid H of x = 2**-u P(2**u x) is grid H - u of the input, so running
-    # the grids on the input moves no answer, parameter or certificate.
+    # the theorem's grid on the input, and every witness grid unscaled,
+    # moves no answer, parameter or certificate.
     assert rescaled_outcomes() == RESCALED_OUTCOMES
 
 
 def test_witness_grids_keep_the_rescaled_schedule():
-    # Under u = 3 the witness grids are H - u for H = 10 + 3, 2 (10 + 3),
-    # 4 (10 + 3) and 8 (10 + 3), each with H - 1 steps, and the fallback grid is
-    # h_theorem - u with g = h_theorem - 1: the grids and step budgets of
-    # x = 2**-3 P(2**3 x).
+    # Under u = 3 the witness grids are still h0 2**k = 10, 20, 40, each
+    # with h - 1 steps; 40 agrees with 20 within eps / 4, below the ceiling
+    # (h_theorem - u) / 8 = 114, so the ladder stops there.  The fallback
+    # grid is h_theorem - u with g = h_theorem - 1: the grid and step budget
+    # of x = 2**-3 P(2**3 x).
     options = SolveOptions(qmax_exponent_assert=3, use_snf=False)
     report = solve(LEAKY_CHAIN2, rat(1, 2**8), options)
     params = report.params
     assert report.certificate.kind == "theorem"
-    assert report.certificate.attempted_h == (10, 23, 49, 101)
+    assert report.certificate.attempted_h == (10, 20, 40)
     assert (params.h, params.g, params.u) == (912, 914, 3)
 
 
@@ -489,40 +579,41 @@ NEAR_CRITICAL = system_of(["x"], [("1/2", {"x": 2}), (rat(1, 2) - rat(1, 2**40),
 
 def test_critical_cap_without_probability_flag():
     # The candidate y = 1 is checked on the input system, so a q* within eps
-    # of 1 is certified on the first grid whatever u is.
+    # of 1 is certified on the unscaled ladder whatever u is: here on the
+    # second grid, as it would be under the probability flag.
     report = solve(NEAR_CRITICAL, CHAIN_EPS)
     cert = report.certificate
-    assert report.params.u == 16350
+    assert report.bounds.qmax_exponent == 16350
     assert report.status == "certified-eps"
     assert cert.kind == "witness" and cert.upper == (1,)
-    assert report.params.h == 18 and cert.attempted_h == (18,)
+    assert (report.params.h, report.params.u) == (36, 0) and cert.attempted_h == (18, 36)
     assert_witness(NEAR_CRITICAL, [report.approximation[0].value()], cert.upper, CHAIN_EPS)
 
 
 def test_cli_critical_cap_without_probability_flag(tmp_path):
-    # Without normal form u = 1880 keeps params.alpha printable.
+    # Without normal form the worst-case bound is u = 1880; the witness grid
+    # is unscaled, so params.u is 0, and y = 1 passes on the first grid.
     argv = ["solve", "--no-snf", "--epsilon", rat_str(CHAIN_EPS)]
     code, doc = run_cli(argv, serialize_mps(NEAR_CRITICAL), tmp_path)
     assert code == 0
     assert doc["status"] == "certified-eps"
-    assert (doc["params"]["h"], doc["params"]["u"]) == (18, 1880)
+    assert doc["bounds"]["qmax_upper_exponent"] == 1880
+    assert (doc["params"]["h"], doc["params"]["u"]) == (18, 0)
     assert doc["certificate"] == {"kind": "witness", "attempted_h": [18], "post_fixed_point": {"x": "1"}}
 
 
-def _huge_u_system():
-    # The third system drawn here has the worst-case bound u = 114726562500,
-    # far above any ceiling: nothing of size 2**u may be built.
-    rng = random.Random(5)
-    return [random_substochastic(rng, rng.randint(1, 5)) for _ in range(3)][2]
-
-
 def test_huge_u_raises_the_ceiling():
-    with pytest.raises(ParamsInfeasible, match=r"\(u = 114726562500\) exceeds the ceiling"):
-        solve(_huge_u_system(), rat(1, 1024))
+    # Without a flag the quartic's worst-case bound is u = 22968750, so its
+    # theorem's grid is far above any ceiling, and no witness grid can pass
+    # (its q* is critical and irrational): nothing of size 2**u may be built.
+    message = r"certified h = 2388750603 \(u = 22968750\) exceeds the ceiling 1000000"
+    with pytest.raises(ParamsInfeasible, match=message):
+        solve(critical_quartic(), CHAIN_EPS)
 
 
 def test_cli_huge_u_exits_4(tmp_path):
-    code, doc = run_cli(["solve", "--epsilon", "1/1024"], serialize_mps(_huge_u_system()), tmp_path)
+    argv = ["solve", "--epsilon", rat_str(CHAIN_EPS)]
+    code, doc = run_cli(argv, serialize_mps(critical_quartic()), tmp_path)
     assert code == 4
     assert doc["error"]["type"] == "ParamsInfeasible"
 

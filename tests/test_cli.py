@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import signal
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -242,6 +243,29 @@ class TestOtherSubcommands:
         error = json.loads(out)["error"]
         assert error["type"] == "ValueError"
         assert error["message"].endswith("stopped before step 15")
+
+    def test_value_iter_stops_below_a_lowered_print_limit(self, tmp_path):
+        # At 640 digits (the least limit CPython accepts) an iterate may have
+        # at most 2126 bits: iterate 10 of x = x^2/3 + 1/3 has 1622 bits and
+        # prints, iterate 11 has 3245, so the run stops with its own message
+        # instead of the int-to-str error.
+        doc = json.dumps({"vars": ["x"], "eqs": [[{"c": "1/3", "m": {"x": 2}}, {"c": "1/3", "m": {}}]]})
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, _ = run_cli(["value-iter", "--steps", "10"], doc, tmp_path)
+            assert code == 0
+            assert json.loads(out)["steps"] == 10
+            code, out, _ = run_cli(["value-iter", "--steps", "11"], doc, tmp_path)
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"] == (
+            "value iterate 11 has a numerator or denominator of more than 2126 bits; "
+            "stopped before step 12"
+        )
 
     def test_snf_and_clean(self, tmp_path):
         from lfpsolve import system_from_json, system_to_json

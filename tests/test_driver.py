@@ -29,6 +29,7 @@ from lfpsolve.ratmath import rational_exceeds_pow2
 
 from conftest import (
     chain_system,
+    critical_quartic,
     doubled_chain,
     leaky_chain,
     random_substochastic,
@@ -247,11 +248,13 @@ class TestSolveCertified:
             assert abs(a.value() - b.value()) <= 2 * eps
 
     def test_rescaled_route_on_supercritical_lfp(self):
-        # x = x/2 + 3/2 has LFP 3; certified mode must rescale (q*max bound
-        # asserted at 4) and still return the exact dyadic 3.
+        # x = x/2 + 3/2 has LFP 3, above 1, under the asserted q*max bound 4:
+        # the first witness grid, unscaled (u = 0), returns the exact dyadic
+        # 3, and the theorem's rescaling is never needed.
         sys = univariate(0, "1/2", "3/2")
         report = solve(sys, rat(1, 2**10), SolveOptions(qmax_exponent_assert=2))
-        assert report.params.u == 2
+        assert report.bounds.qmax_exponent == 2
+        assert (report.certificate.kind, report.params.h, report.params.u) == ("witness", 12, 0)
         assert report.approximation[0].value() == rat(3)
         assert report.bounds.qmax_source == "user-asserted"
 
@@ -339,7 +342,7 @@ class TestSolveCertified:
         ids=["adaptive", "certified-h", "adaptive-h"],
     )
     def test_every_other_mode_probes_before_newton(self, monkeypatch, options):
-        # Outside certified doubling the grid loop probes first as well.
+        # With u > 0 (no flag here) every mode and schedule probes first.
         calls = []
 
         def counting_run_rnm(*args, **kwargs):
@@ -372,12 +375,13 @@ class TestSolveCertified:
         # doubled_chain(1) is x = x^2/4 + 1 with q* = 2 <= 2**1, but its
         # normal form's product variable x^2 is 4.  The assertion bounds
         # that system by 2**(1 * 2); read as 2**1 it certified divergence.
-        # Its theorem grid is h = 163; q* = 2 is the witness on grid 10.
+        # Its theorem grid is h = 163; q* = 2 is the witness on grid 20, the
+        # second rung of the unscaled ladder 10, 20.
         eps = rat(1, 2**8)
         report = solve(doubled_chain(1), eps, SolveOptions(qmax_exponent_assert=1))
         assert report.status == "certified-eps"
         assert (report.certificate.kind, report.certificate.upper) == ("witness", (2,))
-        assert (report.params.h, report.params.u, report.bounds.qmax_exponent) == (10, 2, 2)
+        assert (report.params.h, report.params.u, report.bounds.qmax_exponent) == (20, 0, 2)
         assert 0 <= 2 - report.approximation[0].value() <= eps
         plain = solve(doubled_chain(1), eps, SolveOptions(qmax_exponent_assert=1, use_snf=False))
         assert plain.bounds.qmax_exponent == 1
@@ -394,10 +398,10 @@ class TestSolveCertified:
 
     def test_worst_case_params_infeasible_without_probability_flag(self):
         # Certified mode without any q*max knowledge takes an astronomical
-        # exponent u: the theorem's grid and every witness grid h + u lie
-        # above the ceiling, which must catch it.
-        with pytest.raises(ParamsInfeasible):
-            solve(leaky_chain(3, rat(1, 2**200)), rat(1, 2), SolveOptions(max_h=10_000))
+        # exponent u, so the theorem's grid lies above the ceiling, which
+        # must catch it.  No witness grid can pass on the critical quartic.
+        with pytest.raises(ParamsInfeasible, match=r"\(u = 22968750\)"):
+            solve(critical_quartic(), rat(1, 2), SolveOptions(max_h=10_000))
 
     def test_manual_override(self):
         # x = x^2/4 + 1 is critical at q* = 2: one bit per step from 0.

@@ -19,11 +19,17 @@ same inputs.  The corpus:
   of ``demos/data``;
 - two systems that diverge under ``--assume-prob``, one caught by the
   divergence probe and one by the first Newton iterate;
+- four systems solved without a flag, in both modes, so that the
+  worst-case bound on q* sets u;
 - a missing file, a parse error and a bad epsilon;
 - the standard output of every demo.
 
-Every solve here passes ``--assume-prob`` or has q* <= 1: a certified solve
-of a q* > 1 system without it can run for minutes.
+Outside the flagless group every solve passes ``--assume-prob`` or has
+q* <= 1.  The flagless group takes u from the worst-case formula, 5100 to
+10**8 here.  The witness grids do not depend on u, so three of its systems
+are certified on small grids in both modes; the quartic, which no witness
+can certify, is refused in certified mode, because its theorem's grid is
+above the ceiling.
 
 Each run is one in-process call of ``lfpsolve.cli.main`` (or one demo
 script), and its record is its arguments, exit code, standard output and
@@ -73,6 +79,33 @@ DIVERGENT = {
     ],
     "linear-escape": [[{"c": "1/2", "m": {"x": 1}}, {"c": "1", "m": {}}]],
 }
+# Systems solved without a flag: x = x^2/12 + 3 (q* = 6, critical); the
+# depth-3 chain x_i = x_i^2/2 + x_(i-1)/2 whose bottom constant is 1/2 -
+# 2**-200 (q* within 2**-24 of 1, nearly critical); a = a^2/4 + 1, b = b/2 +
+# a/8 (q* = (2, 1/2)); and x = x^4 + 2x^3 + 1/4, whose q* = (sqrt(3) - 1)/2
+# is a critical double root.
+FLAGLESS = {
+    "x2-over-12-plus-3": {"vars": ["x"], "eqs": [[{"c": "1/12", "m": {"x": 2}}, {"c": "3", "m": {}}]]},
+    "leaky-chain3": {
+        "vars": ["x0", "x1", "x2"],
+        "eqs": [
+            [{"c": "1/2", "m": {"x0": 2}}, {"c": f"{2**199 - 1}/{2**200}", "m": {}}],
+            [{"c": "1/2", "m": {"x1": 2}}, {"c": "1/2", "m": {"x0": 1}}],
+            [{"c": "1/2", "m": {"x2": 2}}, {"c": "1/2", "m": {"x1": 1}}],
+        ],
+    },
+    "quartic": {
+        "vars": ["x"],
+        "eqs": [[{"c": "1", "m": {"x": 4}}, {"c": "2", "m": {"x": 3}}, {"c": "1/4", "m": {}}]],
+    },
+    "mixed2": {
+        "vars": ["a", "b"],
+        "eqs": [
+            [{"c": "1/4", "m": {"a": 2}}, {"c": "1", "m": {}}],
+            [{"c": "1/2", "m": {"b": 1}}, {"c": "1/8", "m": {"a": 1}}],
+        ],
+    },
+}
 
 
 def _captured(call) -> tuple:
@@ -111,6 +144,11 @@ def _cli_runs(tmp: Path, workloads, models) -> list:
         for extra in ([], ["--h", "40"], ["--mode", "adaptive"]):
             argv = ["solve", "--assume-prob", "--epsilon", EPS, *extra, str(path)]
             runs.append((f"divergent/{name}", argv))
+    for name, doc in FLAGLESS.items():
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for extra in ([], ["--mode", "adaptive"]):
+            runs.append((f"flagless/{name}", ["solve", "--epsilon", EPS, *extra, str(path)]))
     runs += [
         ("error/missing-file", ["solve", "--epsilon", EPS, str(tmp / "missing.json")]),
         ("error/parse", ["p1ca-term", "--epsilon", EPS, str(DATA / "chain3.json")]),
