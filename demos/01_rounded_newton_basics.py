@@ -6,6 +6,8 @@ one bit per step here, and the rounded variant does the same until the grid
 stops it, without ever overshooting.
 """
 
+from math import isqrt
+
 from lfpsolve import (
     RnmConfig,
     ceil_log2,
@@ -14,13 +16,17 @@ from lfpsolve import (
     rat,
     run_rnm,
     system_of,
-    univariate_quadratic_lfp,
     value_iterate,
 )
 
 sys1 = system_of(["x"], [("1/2", {"x": 2}), ("1/2", {})])
 print("System: x = x^2/2 + 1/2")
-print("Closed-form least fixed point:", univariate_quadratic_lfp("1/2", 0, "1/2"))
+# The least root of a x^2 - x + c = 0 is (1 - sqrt(1 - 4ac)) / 2a; here the
+# discriminant is 0, a double root.
+a, c = rat(1, 2), rat(1, 2)
+disc = 1 - 4 * a * c
+root = (1 - rat(isqrt(disc.numerator), isqrt(disc.denominator))) / (2 * a)
+print("Closed-form least fixed point:", root)
 
 print("\nValue iteration crawls, and its exact representation explodes:")
 for k in (1, 2, 3, 10, 16):

@@ -9,6 +9,8 @@ picks a polynomial-size rounding parameter for the rest, and certifies the
 answer.
 """
 
+from math import isqrt
+
 from lfpsolve import (
     P1CA,
     Transition,
@@ -17,7 +19,6 @@ from lfpsolve import (
     rounding_params,
     serialize_mps,
     termination_probabilities,
-    univariate_quadratic_lfp,
     validate,
 )
 
@@ -40,8 +41,12 @@ print("Model check:", "ok" if not validate(model) else validate(model))
 print("\nThe induced equation system (one variable per state pair):")
 print(serialize_mps(build_termination_mps(model)))
 
-print("Closed form: least root of x = (2/3)x^2 + 1/3 is",
-      univariate_quadratic_lfp("2/3", 0, "1/3"))
+# The least root of a x^2 - x + c = 0 is (1 - sqrt(1 - 4ac)) / 2a, and the
+# discriminant 1 - 4 (2/3) (1/3) = 1/9 is a rational square.
+a, c = rat(2, 3), rat(1, 3)
+disc = 1 - 4 * a * c
+root = (1 - rat(isqrt(disc.numerator), isqrt(disc.denominator))) / (2 * a)
+print("Closed form: least root of x = (2/3)x^2 + 1/3 is", root)
 
 eps = rat(1, 2**20)
 params = rounding_params(model, eps)

@@ -7,6 +7,8 @@ than a number.  Rescaling x = P(x) to x = 2^-u P(2^u x) divides the fixed
 point by 2^u and commutes with the rounded iteration bit for bit.
 """
 
+from math import isqrt
+
 from lfpsolve import (
     RnmConfig,
     SolveOptions,
@@ -16,7 +18,6 @@ from lfpsolve import (
     run_rnm,
     serialize_mps,
     system_of,
-    univariate_quadratic_lfp,
     value_iterate,
 )
 
@@ -49,8 +50,12 @@ sys1 = system_of(["x"], [("1/2", {"x": 2}), ("1/2", {})])
 # degree-k coefficients times 2^(u(k-1)): 1/2 x^2 -> x^2, and 1/2 -> 1/4
 scaled = system_of(["x"], [("1", {"x": 2}), ("1/4", {})])
 print(serialize_mps(scaled))
-print("New least fixed point:", univariate_quadratic_lfp("1", 0, "1/4"),
-      "(half of the original 1)")
+# The least root of a x^2 - x + c = 0 is (1 - sqrt(1 - 4ac)) / 2a; here the
+# discriminant is 0, a double root.
+a, c = rat(1), rat(1, 4)
+disc = 1 - 4 * a * c
+root = (1 - rat(isqrt(disc.numerator), isqrt(disc.denominator))) / (2 * a)
+print("New least fixed point:", root, "(half of the original 1)")
 
 print("\nThe rounded runs agree mantissa-for-mantissa when the gridshifts too:")
 _, torig = run_rnm(sys1, RnmConfig(h=8, g=5))

@@ -14,12 +14,10 @@ from math import isqrt
 
 from lfpsolve import (
     DivergenceCertified,
-    NoFiniteLfp,
     SingularMatrix,
     rat,
     solve,
     system_of,
-    univariate_quadratic_lfp,
     value_iterate,
 )
 
@@ -32,10 +30,10 @@ def sqrt_upper(q):
 
 
 print("x = x^2 + 1 has no real fixed point (discriminant < 0):")
-try:
-    univariate_quadratic_lfp("1", 0, "1")
-except NoFiniteLfp as exc:
-    print("  oracle:", exc)
+# x = a x^2 + c has a real fixed point only when 1 - 4ac >= 0.
+a, c = rat(1), rat(1)
+if 1 - 4 * a * c < 0:
+    print("  oracle: negative discriminant: the parabola never meets the line")
 
 no_lfp = system_of(["x"], [("1", {"x": 2}), ("1", {})])
 print("  value iteration squares its way past any bound:",
@@ -57,15 +55,15 @@ print("With y = 1 the fixed point is 1; with y = 1 - dy it is 1 - sqrt(dy),")
 print("so a dy perturbation below becomes a sqrt(dy) shift above:")
 for k in (8, 12):
     dy = rat(1, 2**k)
-    root = univariate_quadratic_lfp("1/2", 0, (1 - dy) / 2)
-    hi = root.enclosure(64)[1] if hasattr(root, "enclosure") else root
-    shift = 1 - float(hi)
+    # least root of x = x^2/2 + (1 - dy)/2: 1 - sqrt(dy), exact as dy = 4^-(k/2)
+    root = 1 - sqrt_upper(dy)
+    shift = 1 - float(root)
     print(f"  dy = 2^-{k}: measured shift ~ {shift:.6f}  (sqrt(dy) = 2^-{k//2})")
     alpha = rat(1, 2) * rat(1, 2)  # min(1, c_min) * min(y_min, q*_min / 2)
     # sqrt(4 n alpha^-(3n+1) ||P(1,1)|| dy) with n = 1 and ||P(1,1)|| = 1
     bound = sqrt_upper(4 * (1 / alpha) ** 4 * dy)
     print(f"      certified over-approximation: {float(bound):.6f}"
-          f"  (contains the shift: {rat(1) - hi <= bound})")
+          f"  (contains the shift: {rat(1) - root <= bound})")
 
 print("\nLinear components degrade only linearly:")
 dy = rat(1, 16)

@@ -25,7 +25,6 @@ from .errors import (
     DivergenceCertified,
     InvalidModel,
     LfpError,
-    NoFiniteLfp,
     NotMonotone,
     ParamsInfeasible,
     ParseError,
@@ -52,12 +51,7 @@ from .mps import (
     to_snf,
 )
 from .newton import IterationTrace, RnmConfig, newton_step, run_rnm
-from .oracle import (
-    AlgebraicRoot,
-    detect_divergence,
-    univariate_quadratic_lfp,
-    value_iterate,
-)
+from .oracle import detect_divergence, value_iterate
 from .p1ca import (
     GMatrix,
     P1CA,
@@ -82,7 +76,6 @@ from .ratmath import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraicRoot",
     "Certificate",
     "DegreeTooHigh",
     "Decomposition",
@@ -97,7 +90,6 @@ __all__ = [
     "LfpError",
     "Monomial",
     "MonotoneSystem",
-    "NoFiniteLfp",
     "NotMonotone",
     "P1CA",
     "ParamsInfeasible",
@@ -143,7 +135,6 @@ __all__ = [
     "system_to_json",
     "termination_probabilities",
     "to_snf",
-    "univariate_quadratic_lfp",
     "validate",
     "value_iterate",
 ]

@@ -24,7 +24,6 @@ from .errors import (
     DegreeTooHigh,
     DivergenceCertified,
     InvalidModel,
-    NoFiniteLfp,
     NotMonotone,
     ParamsInfeasible,
     ParseError,
@@ -141,7 +140,7 @@ def _cmd_solve(args) -> int:
     system = parse_mps(_read_input(args.input))
     options = SolveOptions(
         mode=args.mode,
-        assume_probabilistic=args.assume_prob,
+        qmax_exponent_assert=0 if args.assume_prob else None,
         use_snf=not args.no_snf,
         h_override=args.h,
         g_override=args.iters,
@@ -176,7 +175,7 @@ def _cmd_snf(args) -> int:
         {
             "system": snf.system,
             "forms": list(snf.forms),
-            "projection": {system.names[i]: snf.system.names[snf.projection[i]] for i in range(system.n)},
+            "projection": {name: snf.system.names[i] for i, name in enumerate(system.names)},
         }
     )
     return 0
@@ -217,7 +216,7 @@ def _cmd_bounds(args) -> int:
     if cleaned.n == 0:
         _emit({"empty_after_cleaning": True, "snf_applied": snf_applied})
         return 0
-    options = SolveOptions(assume_probabilistic=args.assume_prob)
+    options = SolveOptions(qmax_exponent_assert=0 if args.assume_prob else None)
     bounds = compute_bounds(cleaned, options)
     _emit(
         {
@@ -363,7 +362,7 @@ def main(argv=None) -> int:
     ) as exc:
         _fail(exc)
         return 1
-    except (DivergenceCertified, NoFiniteLfp) as exc:
+    except DivergenceCertified as exc:
         _fail(exc, status="diverged")
         return 2
     except SingularMatrix as exc:

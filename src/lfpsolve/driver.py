@@ -60,9 +60,9 @@ before within eps / 4, at a singular Newton step, or at the ceiling.  Only
 the ceiling and what follows a stop without a witness depend on the mode:
 
 - certified: the ceiling is min(max_h, max((h_theorem - u) / WITNESS_SHARE,
-  min(h0, h_theorem - u - 1))), so the first grid runs whenever it is below
-  the theorem's; then ParamsInfeasible when h_theorem > max_h, and else the
-  theorem's grid.
+  min(2 h0, h_theorem - u - 1))), so the first two grids run whenever they
+  are below the theorem's; then ParamsInfeasible when h_theorem > max_h,
+  and else the theorem's grid.
 - adaptive: the ceiling is max_h; agreeing grids settle as a heuristic, a
   singular step propagates, and ParamsInfeasible is raised at the ceiling.
 - ``h_override`` runs the single given grid in either mode.
@@ -207,14 +207,15 @@ class SolveReport:
 @dataclass(frozen=True)
 class SolveOptions:
     mode: str = "certified"  # "certified" | "adaptive"
-    assume_probabilistic: bool = False
     use_snf: bool = True
     h_override: int | None = None
     g_override: int | None = None
     theorem_h: int | None = None  # h_theorem (a grid of the rescaled system) in place of the formula
     max_h: int = DEFAULT_MAX_H
     keep_traces: bool = False
-    qmax_exponent_assert: int | None = None  # user-asserted bound on log2(q*_max) of the input
+    # k asserts q* <= 2**k on the input; 0 says q* is a vector of
+    # probabilities, and None takes the worst-case formula instead.
+    qmax_exponent_assert: int | None = None
 
 
 # --- bounds on the least fixed point -----------------------------------------
@@ -252,12 +253,11 @@ def qmax_upper_exponent(sys: MonotoneSystem) -> int:
 
 def compute_bounds(sys: MonotoneSystem, options: SolveOptions) -> LfpBounds:
     qmin, source = _qmin_bound(sys)
-    if options.qmax_exponent_assert is not None:
-        exponent, tag = options.qmax_exponent_assert, "user-asserted"
-    elif options.assume_probabilistic:
-        exponent, tag = 0, "probability-flag"
-    else:
+    exponent = options.qmax_exponent_assert
+    if exponent is None:
         exponent, tag = qmax_upper_exponent(sys), "worst-case-formula"
+    else:
+        tag = "probability-flag" if exponent == 0 else "user-asserted"
     if rational_exceeds_pow2(qmin, exponent):
         # The certified lower bound already escapes the claimed upper bound,
         # which can only happen when no finite LFP lies below it.
@@ -554,8 +554,8 @@ def _run_grids(
                 n, d, f = sys.n, decomp.depth, decomp.nonlinear_depth
                 h_theorem = _params_general(n, d, f, u, beta, norm_p_one(sys), epsilon) + 1
             top = h_theorem - u
-            # the first witness grid runs whenever it is below the theorem's
-            ceiling = min(ceiling, max(top // WITNESS_SHARE, min(h0, top - 1)))
+            # the first two witness grids run whenever they are below the theorem's
+            ceiling = min(ceiling, max(top // WITNESS_SHARE, min(2 * h0, top - 1)))
         grids = _ladder(h0, ceiling)
     if u > 0:
         _probe_divergence(sys, bounds)
@@ -651,8 +651,9 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
     Pipeline: optional conversion to simple normal form, removal of zero
     variables, SCC decomposition, the exact q* = 1 pre-pass, then on the
     reduced system bounds and the grid loop of the module docstring, and
-    last reinsertion of the ones and zeros and projection back to the
-    original variables.  ``theorem_h`` replaces the formula's h_theorem.
+    last reinsertion of the ones and zeros, read at the original variables
+    (the first coordinates of the normal form).  ``theorem_h`` replaces the
+    formula's h_theorem.
 
     Raises SingularMatrix (Newton undefined), DivergenceCertified (no finite
     LFP below the working bound), or ParamsInfeasible (certified h above the
@@ -696,9 +697,7 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
             full[kept[v]] = one
         for v, value in zip(rest, values):
             full[kept[v]] = value
-        if snf is not None:
-            return tuple(full[snf.projection[i]] for i in range(sys.n))
-        return tuple(full)
+        return tuple(full[: sys.n])
 
     exact_one = tuple(name for name, one in zip(sys.names, to_input((), False, True)) if one)
     exact_runs = tuple(
@@ -716,7 +715,7 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
         # Every coordinate is a zero variable or proved to be 1: the answer
         # is exact, and it is itself a fixed point.
         params = DriverParams(alpha=ONE, h=1, g=1, u=0, mode=options.mode)
-        qmax_source = "probability-flag" if options.assume_probabilistic else "exact"
+        qmax_source = "probability-flag" if options.qmax_exponent_assert == 0 else "exact"
         bounds = LfpBounds(ONE, "exact", 0, qmax_source)
         dyadics, runs, attempted, kind, upper = (), (), (), "witness", ()
     else:

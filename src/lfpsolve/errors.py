@@ -35,10 +35,6 @@ class ParamsInfeasible(LfpError):
     """The certified rounding parameter exceeds the configured ceiling."""
 
 
-class NoFiniteLfp(LfpError):
-    """Closed-form analysis shows the equation has no finite least fixed point."""
-
-
 class StructureViolation(LfpError):
     """A structural guarantee (e.g. nonlinear depth <= 1 for counter-automaton
     systems) failed; indicates a bug, not bad input."""

@@ -489,12 +489,11 @@ class SnfSystem:
 
     Every equation is either a single unit-coefficient product of two
     variables ("star") or linear ("plus").  Original variables keep their
-    indices; ``projection[i]`` maps original variable i into the SNF system.
+    indices and names, and the product variables follow them.
     """
 
     system: MonotoneSystem
     forms: tuple
-    projection: tuple
 
 
 def to_snf(sys: MonotoneSystem) -> SnfSystem:
@@ -543,7 +542,7 @@ def to_snf(sys: MonotoneSystem) -> SnfSystem:
 
     snf = _system(tuple(sys.names) + tuple(aux_names), tuple(rewritten) + tuple(aux_eqs))
     forms = ("plus",) * n0 + ("star",) * len(aux_eqs)
-    return SnfSystem(snf, forms, tuple(range(n0)))
+    return SnfSystem(snf, forms)
 
 
 # --- zero variables and cleaning -------------------------------------------------

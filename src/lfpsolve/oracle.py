@@ -1,11 +1,7 @@
-"""Value iteration, the divergence probe, and the closed-form univariate
-solver.
+"""Value iteration and the divergence probe.
 
-``univariate_quadratic_lfp`` and ``AlgebraicRoot`` are independent
-oracles: they share no code path with the Newton solver, and the test
-suite holds the solver against them.  ``value_iterate`` is the solver's
-q*_min bound, which ``driver`` computes for every reduced system of up to
-``driver.VALUE_ITERATION_CAP`` variables.
+``value_iterate`` is the solver's q*_min bound, which ``driver`` computes
+for every reduced system of up to ``driver.VALUE_ITERATION_CAP`` variables.
 ``detect_divergence`` is the solver's divergence probe (``driver`` runs it
 in the grid loop of most solves); it steps on ``mps.evaluate_scaled`` over
 ``MonotoneSystem.integer_form``, the integer form that the Newton kernel
@@ -14,24 +10,11 @@ reads too, so it is no independent check of that kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from .errors import NoFiniteLfp
 from .mps import MonotoneSystem, evaluate_scaled
 from .mps import evaluate  # unused here; perfbench/spans.py times it at this import
-from .ratmath import (
-    ONE,
-    ZERO,
-    Rat,
-    den,
-    is_perfect_square,
-    num,
-    rat,
-    rational_exceeds_pow2,
-    sqrt_bounds,
-    sqrt_exact,
-)
+from .ratmath import Rat, rational_exceeds_pow2
 
 PROBE_GRID_BITS = 64  # the divergence probe rounds down to multiples of 2**-64
 
@@ -115,79 +98,3 @@ def _reduced_bits(m: int) -> int:
         return 1  # 0/1
     twos = min((m & -m).bit_length() - 1, PROBE_GRID_BITS)
     return m.bit_length() - twos + PROBE_GRID_BITS - twos + 1
-
-
-@dataclass(frozen=True)
-class AlgebraicRoot:
-    """Exact value (p - sqrt(d)) / q with rational p, q > 0, and d > 0 not a
-    perfect square.  Comparisons against rationals reduce to integer sign
-    tests, so oracle checks stay exact."""
-
-    p: object
-    d: object
-    q: object
-
-    def __post_init__(self):
-        if self.q <= 0 or self.d < 0:
-            raise ValueError("need q > 0 and d >= 0")
-
-    def compare(self, r) -> int:
-        """Sign of (self - r) for rational r."""
-        t = self.p - rat(r) * self.q  # self >= r  <=>  t >= sqrt(d)
-        if t < 0:
-            return -1
-        tt = t * t
-        if tt > self.d:
-            return 1
-        if tt < self.d:
-            return -1
-        return 0
-
-    def __lt__(self, r):
-        return self.compare(r) < 0
-
-    def __le__(self, r):
-        return self.compare(r) <= 0
-
-    def __gt__(self, r):
-        return self.compare(r) > 0
-
-    def __ge__(self, r):
-        return self.compare(r) >= 0
-
-    def enclosure(self, bits: int = 64):
-        lo_s, hi_s = sqrt_bounds(self.d, bits)
-        return (self.p - hi_s) / self.q, (self.p - lo_s) / self.q
-
-    def __float__(self):
-        lo, hi = self.enclosure(60)
-        return float(num(lo + hi)) / float(den(lo + hi)) / 2.0
-
-
-def univariate_quadratic_lfp(a, b, c):
-    """Least non-negative root of x = a*x**2 + b*x + c, exactly.
-
-    Returns a rational when the root is rational and an AlgebraicRoot in
-    (p - sqrt(D))/q form otherwise; raises NoFiniteLfp when no non-negative
-    fixed point exists (negative discriminant, or both roots negative).
-    """
-    a, b, c = rat(a), rat(b), rat(c)
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("need a, b, c >= 0")
-    if a == 0:
-        if b < 1:
-            return c / (ONE - b)
-        if c == 0:
-            return ZERO
-        raise NoFiniteLfp(f"x = {b}x + {c} has no finite least fixed point")
-    disc = (b - ONE) ** 2 - 4 * a * c
-    if disc < 0:
-        raise NoFiniteLfp("negative discriminant: the parabola never meets the line")
-    if c == 0:
-        return ZERO  # 0 is a root and no root is smaller than 0
-    if b >= 1:
-        # With c > 0 both roots share a sign and their sum (1-b)/a is <= 0.
-        raise NoFiniteLfp("both fixed points are negative")
-    if is_perfect_square(disc):
-        return ((ONE - b) - sqrt_exact(disc)) / (2 * a)
-    return AlgebraicRoot(p=ONE - b, d=disc, q=2 * a)

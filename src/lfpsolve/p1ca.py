@@ -240,11 +240,6 @@ class GMatrix:
     params: dict
     report: SolveReport
 
-    def value(self, u: str, v: str):
-        iu = self.states.index(u)
-        iv = self.states.index(v)
-        return self.entries[iu][iv].value()
-
 
 def termination_probabilities(
     model: P1CA,
@@ -271,7 +266,7 @@ def termination_probabilities(
     params = rounding_params(model, eps)
     options = SolveOptions(
         mode=mode,
-        assume_probabilistic=True,
+        qmax_exponent_assert=0,  # termination probabilities are at most 1
         use_snf=False,  # the system is already quadratic; the certified h is stated for it
         theorem_h=params["h"],
         max_h=max_h,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import SingularMatrix
@@ -111,30 +111,6 @@ def rational_exceeds_pow2(q, exponent: int) -> bool:
     if gap >= 0:
         return a > (b << gap)
     return (a << -gap) > b
-
-
-def is_perfect_square(q) -> bool:
-    """Whether q is the square of a rational (q in lowest terms)."""
-    if q < 0:
-        return False
-    p, s = num(q), den(q)
-    return isqrt(p) ** 2 == p and isqrt(s) ** 2 == s
-
-
-def sqrt_exact(q):
-    """Exact square root of a perfect rational square."""
-    p, s = num(q), den(q)
-    return Rat(isqrt(p), isqrt(s))
-
-
-def sqrt_bounds(q, bits: int = 64):
-    """Rational bracket (lo, hi) with lo <= sqrt(q) <= hi and hi - lo <= 2**-bits."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    p, s = num(q), den(q)
-    r = isqrt((p << (2 * bits)) * s)
-    denom = s << bits
-    return Rat(r, denom), Rat(r + 1, denom)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,12 @@ tests can hold the solver and the paper's claims against them.
 - ``linear_lfp``: the exact LFP of a linear system.
 - ``brute_force_decomposition``: SCCs, their order, linearity and heights
   from their definitions, independent of ``decomposition.decompose``.
-- ``sqrt_upper`` and ``mat_vec_mul``: the rational helpers of the above.
+- ``univariate_quadratic_lfp`` and ``AlgebraicRoot``: the least
+  non-negative root of x = a x**2 + b x + c in closed form, exact also
+  when it is irrational; ``NoFiniteLfp`` when there is none.  They share
+  no code with the Newton solver.
+- ``sqrt_upper``, ``is_perfect_square``, ``sqrt_exact``, ``sqrt_bounds``
+  and ``mat_vec_mul``: the rational helpers of the above.
 
 Two more are the rational forms of checks the solver runs in integers, kept
 so that the tests can hold the integer versions to them:
@@ -26,9 +31,11 @@ so that the tests can hold the integer versions to them:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import isqrt
 
 from lfpsolve import (
+    LfpError,
     Monomial,
     MonotoneSystem,
     RnmConfig,
@@ -164,6 +171,110 @@ def sqrt_upper(q):
     if r * r == p * s:
         return Rat(r, s)
     return Rat(r + 1, s)
+
+
+def is_perfect_square(q) -> bool:
+    """Whether q is the square of a rational (q in lowest terms)."""
+    if q < 0:
+        return False
+    p, s = int(q.numerator), int(q.denominator)
+    return isqrt(p) ** 2 == p and isqrt(s) ** 2 == s
+
+
+def sqrt_exact(q):
+    """Exact square root of a perfect rational square."""
+    return Rat(isqrt(int(q.numerator)), isqrt(int(q.denominator)))
+
+
+def sqrt_bounds(q, bits: int = 64):
+    """Rational bracket (lo, hi) with lo <= sqrt(q) <= hi and hi - lo <= 2**-bits."""
+    if q < 0:
+        raise ValueError("negative radicand")
+    p, s = int(q.numerator), int(q.denominator)
+    r = isqrt((p << (2 * bits)) * s)
+    denom = s << bits
+    return Rat(r, denom), Rat(r + 1, denom)
+
+
+class NoFiniteLfp(LfpError):
+    """Closed-form analysis shows the equation has no finite least fixed point."""
+
+
+@dataclass(frozen=True)
+class AlgebraicRoot:
+    """Exact value (p - sqrt(d)) / q with rational p, q > 0, and d > 0 not a
+    perfect square.  Comparisons against rationals reduce to integer sign
+    tests, so oracle checks stay exact."""
+
+    p: object
+    d: object
+    q: object
+
+    def __post_init__(self):
+        if self.q <= 0 or self.d < 0:
+            raise ValueError("need q > 0 and d >= 0")
+
+    def compare(self, r) -> int:
+        """Sign of (self - r) for rational r."""
+        t = self.p - rat(r) * self.q  # self >= r  <=>  t >= sqrt(d)
+        if t < 0:
+            return -1
+        tt = t * t
+        if tt > self.d:
+            return 1
+        if tt < self.d:
+            return -1
+        return 0
+
+    def __lt__(self, r):
+        return self.compare(r) < 0
+
+    def __le__(self, r):
+        return self.compare(r) <= 0
+
+    def __gt__(self, r):
+        return self.compare(r) > 0
+
+    def __ge__(self, r):
+        return self.compare(r) >= 0
+
+    def enclosure(self, bits: int = 64):
+        lo_s, hi_s = sqrt_bounds(self.d, bits)
+        return (self.p - hi_s) / self.q, (self.p - lo_s) / self.q
+
+    def __float__(self):
+        lo, hi = self.enclosure(60)
+        mid = lo + hi
+        return float(mid.numerator) / float(mid.denominator) / 2.0
+
+
+def univariate_quadratic_lfp(a, b, c):
+    """Least non-negative root of x = a*x**2 + b*x + c, exactly.
+
+    Returns a rational when the root is rational and an AlgebraicRoot in
+    (p - sqrt(D))/q form otherwise; raises NoFiniteLfp when no non-negative
+    fixed point exists (negative discriminant, or both roots negative).
+    """
+    a, b, c = rat(a), rat(b), rat(c)
+    if a < 0 or b < 0 or c < 0:
+        raise ValueError("need a, b, c >= 0")
+    if a == 0:
+        if b < 1:
+            return c / (ONE - b)
+        if c == 0:
+            return ZERO
+        raise NoFiniteLfp(f"x = {b}x + {c} has no finite least fixed point")
+    disc = (b - ONE) ** 2 - 4 * a * c
+    if disc < 0:
+        raise NoFiniteLfp("negative discriminant: the parabola never meets the line")
+    if c == 0:
+        return ZERO  # 0 is a root and no root is smaller than 0
+    if b >= 1:
+        # With c > 0 both roots share a sign and their sum (1-b)/a is <= 0.
+        raise NoFiniteLfp("both fixed points are negative")
+    if is_perfect_square(disc):
+        return ((ONE - b) - sqrt_exact(disc)) / (2 * a)
+    return AlgebraicRoot(p=ONE - b, d=disc, q=2 * a)
 
 
 def mat_vec_mul(a, x) -> list:

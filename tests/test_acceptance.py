@@ -16,7 +16,6 @@ import pytest
 
 from lfpsolve import (
     DivergenceCertified,
-    NoFiniteLfp,
     RnmConfig,
     SingularMatrix,
     SolveOptions,
@@ -31,7 +30,6 @@ from lfpsolve import (
     solve,
     system_of,
     termination_probabilities,
-    univariate_quadratic_lfp,
 )
 from lfpsolve.ratmath import rational_exceeds_pow2
 
@@ -43,7 +41,14 @@ from conftest import (
     repeated_squaring,
     univariate,
 )
-from reference import linear_lfp, perturbation_bound, rescale, zero_set_oracle
+from reference import (
+    NoFiniteLfp,
+    linear_lfp,
+    perturbation_bound,
+    rescale,
+    univariate_quadratic_lfp,
+    zero_set_oracle,
+)
 
 
 @contextmanager
@@ -68,7 +73,7 @@ def test_1_one_bit_law():
 def test_2_certified_error_on_chain():
     with criterion(2, "certified error, 3-variable chain"):
         eps = rat(1, 2**16)
-        report = solve(chain_system(3), eps, SolveOptions(assume_probabilistic=True))
+        report = solve(chain_system(3), eps, SolveOptions(qmax_exponent_assert=0))
         assert report.status == "certified-eps"
         for d in report.approximation:
             value = d.value()

@@ -111,7 +111,7 @@ def random_outcomes(mode):
     for seed in range(20):
         system = random_substochastic(random.Random(seed), 8)
         try:
-            report = solve(system, SUBSTOCH_EPS, SolveOptions(mode=mode, assume_probabilistic=True))
+            report = solve(system, SUBSTOCH_EPS, SolveOptions(mode=mode, qmax_exponent_assert=0))
         except ParamsInfeasible as exc:
             outcomes.append([seed, mode, type(exc).__name__])
             continue
@@ -246,7 +246,7 @@ def test_random_substochastic_witnesses_recheck(n):
     for seed in range(20):
         system = random_substochastic(random.Random(seed), n)
         try:
-            report = solve(system, SUBSTOCH_EPS, SolveOptions(assume_probabilistic=True))
+            report = solve(system, SUBSTOCH_EPS, SolveOptions(qmax_exponent_assert=0))
         except ParamsInfeasible:
             continue  # no q*_min bound at this size after normal form
         assert report.status == "certified-eps"
@@ -281,7 +281,9 @@ def test_first_witness_grid_certifies_generated_traffic(bits):
     # / 4; that still certifies every system the test generators draw here.
     eps = rat(1, 2**bits)
     reports = [
-        solve(random_substochastic(random.Random(seed), 4), eps, SolveOptions(assume_probabilistic=True))
+        solve(
+            random_substochastic(random.Random(seed), 4), eps, SolveOptions(qmax_exponent_assert=0)
+        )
         for seed in range(120)
     ]
     reports += [
@@ -315,7 +317,7 @@ def test_chain3_is_certified_by_the_cap():
     # the simplest rational within eps above an iterate within eps of 1,
     # certifies the first such grid, far below the theorem's h = 4499.
     system = LEAKY_CHAIN3
-    report = solve(system, CHAIN_EPS, SolveOptions(assume_probabilistic=True))
+    report = solve(system, CHAIN_EPS, SolveOptions(qmax_exponent_assert=0))
     cert = report.certificate
     assert report.status == "certified-eps"
     assert cert.kind == "witness"
@@ -329,7 +331,7 @@ def test_chain3_is_certified_by_the_cap():
 def test_critical_chain_falls_back_to_theorem():
     # A nearly critical chain with irrational q* has neither witness on the
     # grids below h_theorem / 8, so the theorem's grid decides.
-    report = solve(LEAKY_CHAIN2, CHAIN_EPS, SolveOptions(assume_probabilistic=True))
+    report = solve(LEAKY_CHAIN2, CHAIN_EPS, SolveOptions(qmax_exponent_assert=0))
     cert = report.certificate
     assert report.status == "certified-eps"
     assert cert.kind == "theorem" and cert.upper is None
@@ -383,6 +385,20 @@ def test_first_witness_grid_runs_below_a_small_theorem_grid():
         solve(system, CHAIN_EPS, SolveOptions(qmax_exponent_assert=1, use_snf=False, max_h=17))
 
 
+def test_second_witness_grid_runs_below_a_small_theorem_grid():
+    # With normal form, x = x^2/4 + 1 under q* <= 2 has u = 2 and h_theorem
+    # = 181, so (h_theorem - u) / 8 = 22 lies below the second witness grid
+    # 36.  Grid 18 finds no witness there; the ceiling of at least 2 h0
+    # still runs grid 36, which certifies, instead of the theorem's grid 179.
+    system = univariate("1/4", 0, "1")
+    report = solve(system, CHAIN_EPS, SolveOptions(qmax_exponent_assert=1))
+    cert = report.certificate
+    assert (cert.kind, cert.upper, cert.attempted_h) == ("witness", (2,), (18, 36))
+    assert (report.params.h, report.params.g, report.params.u) == (36, 35, 0)
+    with pytest.raises(ParamsInfeasible, match=r"certified h = 181 \(u = 2\)"):
+        solve(system, CHAIN_EPS, SolveOptions(qmax_exponent_assert=1, max_h=35))
+
+
 def test_adaptive_matches_certified_where_a_witness_passes():
     # At u = 0 both modes double h from the same first grid and try the same
     # witness on each, so wherever certified mode finds a witness, adaptive
@@ -392,12 +408,12 @@ def test_adaptive_matches_certified_where_a_witness_passes():
     witnessed = 0
     for system, eps in cases:
         try:
-            certified = solve(system, eps, SolveOptions(assume_probabilistic=True))
+            certified = solve(system, eps, SolveOptions(qmax_exponent_assert=0))
         except ParamsInfeasible:
             continue  # no q*_min bound at this size after normal form
         if certified.certificate.kind != "witness":
             continue
-        adaptive = solve(system, eps, SolveOptions(mode="adaptive", assume_probabilistic=True))
+        adaptive = solve(system, eps, SolveOptions(mode="adaptive", qmax_exponent_assert=0))
         assert adaptive.status == "certified-eps"
         assert adaptive.approximation == certified.approximation
         assert (adaptive.params.h, adaptive.params.g) == (certified.params.h, certified.params.g)
@@ -454,21 +470,21 @@ def test_both_modes_climb_the_same_ladder():
     # same answer, when a witness passes.
     cases = [
         (LEAKY_CHAIN3, CHAIN_EPS, {}),
-        (LEAKY_CHAIN3, CHAIN_EPS, {"assume_probabilistic": True}),
-        (LEAKY_CHAIN2, CHAIN_EPS, {"assume_probabilistic": True}),
+        (LEAKY_CHAIN3, CHAIN_EPS, {"qmax_exponent_assert": 0}),
+        (LEAKY_CHAIN2, CHAIN_EPS, {"qmax_exponent_assert": 0}),
         (LEAKY_CHAIN2, rat(1, 2**8), {"qmax_exponent_assert": 3, "use_snf": False}),
         (doubled_chain(3), CHAIN_EPS, {}),
         (doubled_chain(3), CHAIN_EPS, {"qmax_exponent_assert": 1}),
         (MIXED2, CHAIN_EPS, {}),
         (MIXED2, CHAIN_EPS, {"qmax_exponent_assert": 1}),
-        (critical_quartic(), CHAIN_EPS, {"assume_probabilistic": True}),
+        (critical_quartic(), CHAIN_EPS, {"qmax_exponent_assert": 0}),
         (NEAR_CRITICAL, CHAIN_EPS, {}),
         (univariate("1/12", 0, "3"), CHAIN_EPS, {}),
     ]
     cases += [
         (random_substochastic(random.Random(seed), 4), SUBSTOCH_EPS, flag)
         for seed in range(30)
-        for flag in ({}, {"assume_probabilistic": True})
+        for flag in ({}, {"qmax_exponent_assert": 0})
     ]
     witnessed = 0
     for system, eps, options in cases:
@@ -487,7 +503,7 @@ def test_both_modes_climb_the_same_ladder():
 def test_adaptive_falls_back_to_agreement():
     # With no witness, adaptive doubling settles where two grids agree
     # within eps/4, uncertified, after trying each grid.
-    options = SolveOptions(mode="adaptive", assume_probabilistic=True)
+    options = SolveOptions(mode="adaptive", qmax_exponent_assert=0)
     report = solve(LEAKY_CHAIN2, CHAIN_EPS, options)
     cert = report.certificate
     assert report.status == "adaptive-heuristic"
@@ -509,7 +525,7 @@ def test_cap_requires_exact_post_fixed_point_check():
     report = solve(
         system,
         CHAIN_EPS,
-        SolveOptions(assume_probabilistic=True, use_snf=False, h_override=24),
+        SolveOptions(qmax_exponent_assert=0, use_snf=False, h_override=24),
     )
     assert 1 - report.approximation[0].value() <= CHAIN_EPS
     assert report.status == "uncertified"
@@ -643,7 +659,7 @@ def test_override_without_witness_is_uncertified():
 def test_override_with_witness_stays_certified():
     system = random_substochastic(random.Random(0), 4)
     report = solve(
-        system, SUBSTOCH_EPS, SolveOptions(assume_probabilistic=True, h_override=64)
+        system, SUBSTOCH_EPS, SolveOptions(qmax_exponent_assert=0, h_override=64)
     )
     assert report.status == "certified-eps"
     assert report.certificate.kind == "witness"

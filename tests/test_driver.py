@@ -22,7 +22,6 @@ from lfpsolve import (
     run_rnm,
     solve,
     system_of,
-    univariate_quadratic_lfp,
 )
 from lfpsolve.driver import VALUE_ITERATION_CAP, _qmin_bound, compute_bounds
 from lfpsolve.ratmath import rational_exceeds_pow2
@@ -36,7 +35,7 @@ from conftest import (
     repeated_squaring,
     univariate,
 )
-from reference import linear_lfp, perturbation_bound, rescale
+from reference import linear_lfp, perturbation_bound, rescale, univariate_quadratic_lfp
 
 
 class TestQminLowerBound:
@@ -72,9 +71,9 @@ class TestQminLowerBound:
         with pytest.raises(DegreeTooHigh):
             _qmin_bound(sys)
         with pytest.raises(DegreeTooHigh):
-            compute_bounds(sys, SolveOptions(assume_probabilistic=True))
+            compute_bounds(sys, SolveOptions(qmax_exponent_assert=0))
         # its normal form is quadratic, and solve bounds q*_min soundly there
-        report = solve(sys, rat(1, 2**10), SolveOptions(assume_probabilistic=True))
+        report = solve(sys, rat(1, 2**10), SolveOptions(qmax_exponent_assert=0))
         assert report.bounds.qmin_lower <= rat(1, 16)
         assert [d.value() for d in report.approximation] == [rat(1, 2), rat(1, 16)]
 
@@ -105,7 +104,35 @@ class TestQmaxUpperExponent:
     def test_bounds_object_rejects_contradiction(self):
         sys = univariate(0, 0, "2")  # q* = 2 > 1, flag is a lie
         with pytest.raises(DivergenceCertified):
-            compute_bounds(sys, SolveOptions(assume_probabilistic=True))
+            compute_bounds(sys, SolveOptions(qmax_exponent_assert=0))
+
+
+class TestQmaxAssertion:
+    """``qmax_exponent_assert`` is the one option that asserts q*_max <=
+    2**k: 0 says q* is a vector of probabilities, any other k is the
+    caller's bound, and None takes the worst-case formula."""
+
+    @pytest.mark.parametrize(
+        "k, source", [(0, "probability-flag"), (3, "user-asserted"), (None, "worst-case-formula")]
+    )
+    def test_one_field_sets_the_bound_and_its_tag(self, k, source):
+        sys = univariate("2/3", 0, "1/3")  # q* = 1/2
+        options = SolveOptions(qmax_exponent_assert=k, use_snf=False)
+        bounds = compute_bounds(sys, options)
+        exponent = qmax_upper_exponent(sys) if k is None else k
+        assert (bounds.qmax_exponent, bounds.qmax_source) == (exponent, source)
+        report = solve(sys, rat(1, 2**10), options)
+        assert report.certificate.attempted_h != ()  # the grid path ran
+        assert report.bounds == bounds
+
+    def test_zero_is_the_probability_flag_when_every_coordinate_is_exact(self):
+        # The pre-pass proves q* = 1 everywhere, so no grid runs and the
+        # bounds are exact; the tag says whether the caller asserted q* <= 1.
+        eps = rat(1, 2**10)
+        for k, source in ((0, "probability-flag"), (None, "exact"), (1, "exact")):
+            report = solve(chain_system(3), eps, SolveOptions(qmax_exponent_assert=k))
+            assert report.certificate.attempted_h == ()
+            assert (report.bounds.qmax_exponent, report.bounds.qmax_source) == (0, source)
 
 
 class TestRescale:
@@ -225,14 +252,14 @@ class TestSolveCertified:
             [("1/2", {"x2": 2}), ("1/2", {})],
         )
         eps = rat(1, 2**12)
-        report = solve(sys, eps, SolveOptions(assume_probabilistic=True))
+        report = solve(sys, eps, SolveOptions(qmax_exponent_assert=0))
         for d in report.approximation:
             assert rat(1) - d.value() <= eps
             assert d.value() <= 1
 
     def test_chain3_smoke(self):
         eps = rat(1, 2**8)
-        report = solve(chain_system(3), eps, SolveOptions(assume_probabilistic=True))
+        report = solve(chain_system(3), eps, SolveOptions(qmax_exponent_assert=0))
         assert report.status == "certified-eps"
         assert report.info["snf_applied"]
         for d in report.approximation:
@@ -240,9 +267,9 @@ class TestSolveCertified:
 
     def test_no_snf_matches_snf_route(self):
         eps = rat(1, 2**8)
-        with_snf = solve(chain_system(2), eps, SolveOptions(assume_probabilistic=True))
+        with_snf = solve(chain_system(2), eps, SolveOptions(qmax_exponent_assert=0))
         without = solve(
-            chain_system(2), eps, SolveOptions(assume_probabilistic=True, use_snf=False)
+            chain_system(2), eps, SolveOptions(qmax_exponent_assert=0, use_snf=False)
         )
         for a, b in zip(with_snf.approximation, without.approximation):
             assert abs(a.value() - b.value()) <= 2 * eps
@@ -300,7 +327,7 @@ class TestSolveCertified:
             [("1/2", {"alive": 2}), ("1/2", {})],
         )
         eps = rat(1, 2**8)
-        report = solve(sys, eps, SolveOptions(assume_probabilistic=True))
+        report = solve(sys, eps, SolveOptions(qmax_exponent_assert=0))
         assert report.approximation[0].value() == 0
         assert rat(1) - report.approximation[1].value() <= eps
         # the normal-form product fed by the dead variable is dead too
@@ -316,7 +343,7 @@ class TestSolveCertified:
 
     def test_divergence_certified_under_false_probability_flag(self):
         with pytest.raises(DivergenceCertified):
-            solve(univariate("1", 0, "1"), rat(1, 4), SolveOptions(assume_probabilistic=True))
+            solve(univariate("1", 0, "1"), rat(1, 4), SolveOptions(qmax_exponent_assert=0))
 
     def test_rescaled_route_probes_before_newton(self, monkeypatch):
         # Without the probability flag u > 0, so the probe runs before any
@@ -360,7 +387,7 @@ class TestSolveCertified:
         # is what finds it.
         monkeypatch.setattr("lfpsolve.driver.detect_divergence", lambda *args, **kwargs: False)
         with pytest.raises(DivergenceCertified, match="linear component"):
-            solve(univariate(0, "2", "1"), rat(1, 4), SolveOptions(assume_probabilistic=True))
+            solve(univariate(0, "2", "1"), rat(1, 4), SolveOptions(qmax_exponent_assert=0))
 
     def test_linear_component_above_the_qmax_bound(self, monkeypatch):
         # x = x/2 + 1 + 2^-41 solves to 2 + 2^-40 > 2^1.  Grid 24 floors it
@@ -382,6 +409,7 @@ class TestSolveCertified:
         assert report.status == "certified-eps"
         assert (report.certificate.kind, report.certificate.upper) == ("witness", (2,))
         assert (report.params.h, report.params.u, report.bounds.qmax_exponent) == (20, 0, 2)
+        assert report.bounds.qmax_source == "user-asserted"
         assert 0 <= 2 - report.approximation[0].value() <= eps
         plain = solve(doubled_chain(1), eps, SolveOptions(qmax_exponent_assert=1, use_snf=False))
         assert plain.bounds.qmax_exponent == 1
@@ -393,7 +421,7 @@ class TestSolveCertified:
             solve(
                 leaky_chain(3, rat(1, 2**200)),
                 rat(1, 2**16),
-                SolveOptions(assume_probabilistic=True, max_h=64),
+                SolveOptions(qmax_exponent_assert=0, max_h=64),
             )
 
     def test_worst_case_params_infeasible_without_probability_flag(self):
@@ -419,7 +447,7 @@ class TestSolveAdaptive:
     def test_chain_adaptive_close_to_analytic(self):
         eps = rat(1, 2**16)
         report = solve(
-            chain_system(3), eps, SolveOptions(mode="adaptive", assume_probabilistic=True)
+            chain_system(3), eps, SolveOptions(mode="adaptive", qmax_exponent_assert=0)
         )
         assert report.status == "certified-eps" and report.certificate.kind == "witness"
         for d in report.approximation:
@@ -467,7 +495,7 @@ class TestCertifiedSoundness:
             (chain_system(2), [rat(1), rat(1)]),
         ]
         for sys, truth in cases:
-            report = solve(sys, eps, SolveOptions(assume_probabilistic=True))
+            report = solve(sys, eps, SolveOptions(qmax_exponent_assert=0))
             for d, q in zip(report.approximation, truth):
                 assert d.value() <= q
                 assert q - d.value() <= eps

@@ -18,8 +18,8 @@ from lfpsolve import SolveOptions, rat, serialize_mps, solve, system_of, termina
 from lfpsolve.cli import main
 from lfpsolve.errors import ParamsInfeasible, SingularMatrix
 from lfpsolve.mps import evaluate
-from lfpsolve.oracle import univariate_quadratic_lfp
 from lfpsolve.p1ca import p1ca_to_json
+from reference import univariate_quadratic_lfp
 
 EPS = rat(1, 2**16)
 
@@ -45,7 +45,7 @@ def assert_exact_ones(report):
 
 
 def test_chain5_is_exact_without_newton_steps():
-    report = solve(chain_system(5), rat(1, 2**30), SolveOptions(assume_probabilistic=True))
+    report = solve(chain_system(5), rat(1, 2**30), SolveOptions(qmax_exponent_assert=0))
     assert_exact_ones(report)
     assert report.status == "certified-eps"
     assert report.certificate.kind == "witness" and report.certificate.upper == (1,) * 5
@@ -89,7 +89,7 @@ def test_mixed_is_certified_far_below_the_old_theorem_grid():
     # flag the reduced system's own theorem grid is h = 48, below 8 times
     # the first witness grid 18, which still runs once and certifies.
     # Without the flag u = 340, and the first witness grid certifies.
-    flagged = solve(MIXED, EPS, SolveOptions(assume_probabilistic=True))
+    flagged = solve(MIXED, EPS, SolveOptions(qmax_exponent_assert=0))
     assert flagged.status == "certified-eps"
     assert (flagged.certificate.kind, flagged.params.h) == ("witness", 18)
     report = solve(MIXED, EPS)
@@ -113,7 +113,7 @@ def test_lower_dependency_below_one_is_not_marked():
     system = system_of(
         ["a", "b"], [("3/4", {"a": 2}), ("1/4", {})], [("1/2", {"b": 1}), ("1/2", {"a": 1})]
     )
-    report = solve(system, EPS, SolveOptions(assume_probabilistic=True))
+    report = solve(system, EPS, SolveOptions(qmax_exponent_assert=0))
     assert report.certificate.exact_one == ()
     for d in report.approximation:
         assert d.value() <= rat(1, 3) <= d.value() + EPS

@@ -14,14 +14,13 @@ from lfpsolve import (
     rat,
     round_down_dyadic,
     run_rnm,
-    univariate_quadratic_lfp,
 )
 from lfpsolve.mps import eval_jacobian
 from lfpsolve.newton import _rounded_step, newton_rows
 from lfpsolve.ratmath import identity_minus, solve_integer, solve_linear
 
 from conftest import univariate
-from reference import certify_params_scc
+from reference import certify_params_scc, univariate_quadratic_lfp
 
 CRITICAL = univariate("1/2", 0, "1/2")  # x = x^2/2 + 1/2, LFP 1
 

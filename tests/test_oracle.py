@@ -7,20 +7,17 @@ import math
 import pytest
 
 from lfpsolve import (
-    AlgebraicRoot,
-    NoFiniteLfp,
     detect_divergence,
     detect_zero_variables,
     evaluate,
     oracle,
     rat,
     system_of,
-    univariate_quadratic_lfp,
     value_iterate,
 )
 
 from conftest import random_with_zero_variables, univariate
-from reference import zero_set_oracle
+from reference import AlgebraicRoot, NoFiniteLfp, univariate_quadratic_lfp, zero_set_oracle
 
 CRITICAL = univariate("1/2", 0, "1/2")
 

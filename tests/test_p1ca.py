@@ -24,12 +24,12 @@ from lfpsolve import (
     rounding_params,
     solve,
     termination_probabilities,
-    univariate_quadratic_lfp,
     validate,
 )
 from lfpsolve.p1ca import max_prob_bits, pair_name
 
 from conftest import gamblers_ruin, random_p1ca
+from reference import univariate_quadratic_lfp
 
 
 class TestValidate:

@@ -18,10 +18,11 @@ from conftest import random_substochastic, univariate
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from lfpsolve import SolveOptions, solve, system_of, univariate_quadratic_lfp
-from lfpsolve.errors import DivergenceCertified, NoFiniteLfp, ParamsInfeasible, SingularMatrix
+from lfpsolve import SolveOptions, solve, system_of
+from lfpsolve.errors import DivergenceCertified, ParamsInfeasible, SingularMatrix
 from lfpsolve.mps import evaluate
 from lfpsolve.ratmath import ceil_log2
+from reference import NoFiniteLfp, univariate_quadratic_lfp
 
 ALLOWED = (DivergenceCertified, ParamsInfeasible, SingularMatrix)
 MAX_H = 2000  # small, so that theorem fallbacks end fast
@@ -51,7 +52,7 @@ def test_certified_answer_brackets_the_lfp(bound, a, b, c, bits, slack):
         options = SolveOptions(qmax_exponent_assert=exponent + slack, max_h=MAX_H)
     else:
         assume(q is not None and q <= 1)
-        options = SolveOptions(assume_probabilistic=True, max_h=MAX_H)
+        options = SolveOptions(qmax_exponent_assert=0, max_h=MAX_H)
     eps = Fraction(1, 2**bits)
     system = univariate(a, b, c)
     try:
@@ -134,7 +135,7 @@ def _assert_witness_brackets(rows, report, eps):
 def test_substochastic_witness_rechecks(rows, bits):
     eps = Fraction(1, 2**bits)
     try:
-        report = solve(_system(rows), eps, SolveOptions(assume_probabilistic=True, max_h=512))
+        report = solve(_system(rows), eps, SolveOptions(qmax_exponent_assert=0, max_h=512))
     except (ParamsInfeasible, SingularMatrix) as exc:
         event(type(exc).__name__)
         return
@@ -159,7 +160,7 @@ def test_multivariate_witness_is_sound(seed, n, bits, mode, h_override):
     # certificate backs it.  A coarse --h grid gives runs without one.
     system = random_substochastic(random.Random(seed), n)
     eps = Fraction(1, 2**bits)
-    options = SolveOptions(mode=mode, assume_probabilistic=True, h_override=h_override)
+    options = SolveOptions(mode=mode, qmax_exponent_assert=0, h_override=h_override)
     try:
         report = solve(system, eps, options)
     except ParamsInfeasible as exc:

@@ -15,8 +15,8 @@ from test_bench_spans import _boundaries
 from test_private_names import PACKAGE, _references
 
 # Called only from outside the package: building a system in Python,
-# writing one out, the closed-form oracle, and the p1CA writer.
-ENTRY_POINTS = {"system_of", "serialize_mps", "univariate_quadratic_lfp", "p1ca_to_json"}
+# writing one out, and the p1CA writer.
+ENTRY_POINTS = {"system_of", "serialize_mps", "p1ca_to_json"}
 
 
 def test_every_public_definition_is_used():

@@ -13,14 +13,12 @@ from hypothesis import strategies as st
 from lfpsolve import Dyadic, SingularMatrix, ceil_log2, rat, rat_str, round_down_dyadic, solve_linear
 from lfpsolve.ratmath import (
     identity_minus,
-    is_perfect_square,
     parse_rat,
     rational_exceeds_pow2,
     solve_integer,
-    sqrt_bounds,
 )
 
-from reference import mat_vec_mul, sqrt_upper
+from reference import is_perfect_square, mat_vec_mul, sqrt_bounds, sqrt_upper
 
 
 def rand_rat(rng, span=50, den_span=50):

@@ -32,16 +32,16 @@ can certify, is refused in certified mode, because its theorem's grid is
 above the ceiling.
 
 Each run is one in-process call of ``lfpsolve.cli.main`` (or one demo
-script), and its record is its arguments, exit code, standard output and
-standard error, with the temporary directory and this checkout written as
-``<tmp>`` and ``<root>``.  The tool prints the record count, a histogram
-of exit codes and the SHA-256 of all records, then one SHA-256 per group
-of records: the first part of the label, split by whether the run passes
-``--mode adaptive``, with the group's record count.  Comparing two trees
-group by group shows which kinds of run moved.  ``--records PATH`` also
-writes the records to PATH as JSON lines, in order, exactly as digested,
-so that a line-by-line diff of two such files names the records that
-moved.  A run takes a few seconds.
+script), and its record is its arguments, exit code (or the exception that
+escaped the run), standard output and standard error, with the temporary
+directory and this checkout written as ``<tmp>`` and ``<root>``.  The tool
+prints the record count, a histogram of exit codes and the SHA-256 of all
+records, then one SHA-256 per group of records: the first part of the
+label, split by whether the run passes ``--mode adaptive``, with the
+group's record count.  Comparing two trees group by group shows which
+kinds of run moved.  ``--records PATH`` also writes the records to PATH as
+JSON lines, in order, exactly as digested, so that a line-by-line diff of
+two such files names the records that moved.  A run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -109,13 +109,18 @@ FLAGLESS = {
 
 
 def _captured(call) -> tuple:
-    """Exit code, standard output and standard error of call()."""
+    """Exit code, standard output and standard error of call().  An
+    exception that escapes call() is the run's outcome, written as "Type:
+    message" in place of the exit code, so that one failing run does not
+    end the replay."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = call()
         except SystemExit as exc:  # argparse errors and --version
             code = exc.code
+        except Exception as exc:
+            code = f"{type(exc).__name__}: {exc}"
     return code, out.getvalue(), err.getvalue()
 
 
