@@ -157,14 +157,7 @@ def _cmd_solve(args) -> int:
 def _cmd_clean(args) -> int:
     system = parse_mps(_read_input(args.input))
     cleaned, kept = clean(system)
-    removed = _removed_names(system, kept)
-    _emit(
-        {
-            "system": cleaned,
-            "removed": removed,
-            "kept_indices": list(kept),
-        }
-    )
+    _emit({"system": cleaned, "removed": _removed_names(system, kept), "kept_indices": list(kept)})
     return 0
 
 
@@ -184,11 +177,10 @@ def _cmd_snf(args) -> int:
 def _cmd_decompose(args) -> int:
     system = parse_mps(_read_input(args.input))
     cleaned, kept = clean(system)
-    removed = _removed_names(system, kept)
     decomp = decompose(build_graph(cleaned), cleaned)
     _emit(
         {
-            "removed_zero_variables": removed,
+            "removed_zero_variables": _removed_names(system, kept),
             "sccs": [
                 {
                     "vars": [cleaned.names[v] for v in scc.vars],
@@ -207,12 +199,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_bounds(args) -> int:
     system = parse_mps(_read_input(args.input))
-    work = system
-    snf_applied = False
-    if system.degree() > 2:
-        work = to_snf(system).system
-        snf_applied = True
-    cleaned, _ = clean(work)
+    snf_applied = system.degree() > 2
+    cleaned, _ = clean(to_snf(system).system if snf_applied else system)
     if cleaned.n == 0:
         _emit({"empty_after_cleaning": True, "snf_applied": snf_applied})
         return 0
@@ -249,12 +237,7 @@ def _cmd_value_iter(args) -> int:
 
 def _cmd_p1ca_term(args) -> int:
     model = parse_p1ca(_read_input(args.input))
-    result = termination_probabilities(
-        model,
-        _epsilon(args),
-        mode=args.mode,
-        keep_traces=args.trace,
-    )
+    result = termination_probabilities(model, _epsilon(args), mode=args.mode, keep_traces=args.trace)
     if args.trace:
         _emit_traces(result.report)
     _emit(
@@ -284,11 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified least-fixed-point solver for monotone polynomial systems.",
     )
     versions = ", ".join(f"{k}={v}" for k, v in sorted(SCHEMA_VERSIONS.items()))
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"lfpsolve {__version__} (schemas: {versions})",
-    )
+    version = f"lfpsolve {__version__} (schemas: {versions})"
+    parser.add_argument("--version", action="version", version=version)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_input(p):

@@ -44,20 +44,23 @@ bounds their error.  When nothing is left, the answer (0 on zero variables,
 Every mode then runs one loop on the reduced system: rounded decomposed
 Newton on the ladder of grids h = h0 2**k, k = 0, 1, ..., with g = h - 1
 steps, h0 = ceil(log2(1 / eps)) + WITNESS_HEADROOM, trying a witness on
-each.  Iterates never overshoot q*, so on any grid a witness settles it: y =
-approx + (a small step along (I - B(approx))^-1 1), or else the rationals
-with the least denominators within epsilon above approx (q* itself at a
-rational critical q*, and y = 1 for q* within epsilon of 1), within epsilon
-of approx and passing the exact check P(y) <= y, so q* <= y by
-Knaster-Tarski.  The check is integer arithmetic over the common
-coefficient denominator L: for y = x / s with integer numerators x, P_i(y)
-<= y_i is L s**D P_i(y) <= L s**(D-1) x_i, D the degree, and the left side
-is a sum of integer terms; it calls neither ``newton_rows`` nor
-``solve_integer``, so it stays independent of the Newton kernel.  A witness
-needs no bound on q*, so the ladder is the same in every mode.  It stops at
-the first grid with a witness, at the first grid that agrees with the one
-before within eps / 4, at a singular Newton step, or at the ceiling.  Only
-the ceiling and what follows a stop without a witness depend on the mode:
+each.  A grid keeps one mantissa list; each component reads its rows from
+the reduced system's integer form in place, its lower variables constants at
+their mantissas, so no subsystem is built.  Iterates never overshoot q*, so
+on any grid a witness settles it: y = approx + (a small step along (I -
+B(approx))^-1 1), or else the rationals with the least denominators within
+epsilon above approx (q* itself at a rational critical q*, and y = 1 for q*
+within epsilon of 1), within epsilon of approx and passing the exact check
+P(y) <= y, so q* <= y by Knaster-Tarski.  The check is integer arithmetic
+over the common coefficient denominator L: for y = x / s with integer
+numerators x, P_i(y) <= y_i is L s**D P_i(y) <= L s**(D-1) x_i, D the
+degree, and the left side is a sum of integer terms; it calls neither
+``newton_rows`` nor ``solve_integer``, so it stays independent of the Newton
+kernel.  A witness needs no bound on q*, so the ladder is the same in every
+mode.  It stops at the first grid with a witness, at the first grid that
+agrees with the one before within eps / 4, at a singular Newton step, or at
+the ceiling.  Only the ceiling and what follows a stop without a witness
+depend on the mode:
 
 - certified: the ceiling is min(max_h, max((h_theorem - u) / WITNESS_SHARE,
   min(2 h0, h_theorem - u - 1))), so the first two grids run whenever they
@@ -90,7 +93,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import gcd, lcm
 
-from .decomposition import Decomposition, Scc, build_graph, decompose
+from .decomposition import Decomposition, build_graph, decompose
 from .errors import DegreeTooHigh, DivergenceCertified, ParamsInfeasible, SingularMatrix
 from .mps import (
     MonotoneSystem,
@@ -162,7 +165,9 @@ class DriverParams:
 class SccRun:
     names: tuple
     nonlinear: bool
-    iterations: int  # Newton steps computed; 1 for a linear component, 0 when q* = 1 is proved
+    # Newton steps on the answer's grid, not on failed witness grids; 1 for a
+    # linear component, 0 when q* = 1 is proved
+    iterations: int
     trace: IterationTrace | None
 
 
@@ -330,62 +335,55 @@ def _exact_ones(sys: MonotoneSystem, decomp: Decomposition) -> set:
 # --- component-wise rounded Newton ---------------------------------------------
 
 
-def _solve_scc(
-    sub: MonotoneSystem, scc: Scc, h: int, g: int, threshold: int | None, keep_trace: bool
-):
-    if scc.nonlinear:
-        final, trace = run_rnm(
-            sub, RnmConfig(h, g), divergence_exponent=threshold, keep_trace=keep_trace
-        )
-        return list(final), trace, trace.steps
-    # Linear component: one exact Newton step from 0 gives 2**h q* = p / q.
-    rows, rhs = newton_rows(sub, [0] * sub.n, h)
-    exact = solve_integer(rows, rhs)
-    for p, q in exact:
-        if p < 0:
-            raise DivergenceCertified(
-                "linear component has no non-negative fixed point, "
-                "so the system has no finite least fixed point"
-            )
-        if threshold is not None and rational_exceeds_pow2(Rat(p, q << h), threshold):
-            raise DivergenceCertified(
-                f"linear component solution exceeds the q*_max bound 2**{threshold}"
-            )
-    return [Dyadic(p // q, h) for p, q in exact], None, 1
-
-
 def _run_rdnm(
     sys: MonotoneSystem,
     decomp: Decomposition,
     h: int,
     g: int,
-    threshold: int | None,
+    threshold: int,
     keep_traces: bool,
 ):
     """Bottom-up rounded decomposed Newton over an already-cleaned system.
 
     Components run in order of height (stable, so ties keep the
     decomposition's order), which solves every dependency first and fixes
-    the order of the reported runs.
+    the order of the reported runs.  One mantissa list on the 2**-h grid
+    holds the solved variables, which each component reads in place as
+    constants (``newton_rows``) before it writes its own.
     """
-    solved: list = [None] * sys.n
-    dyadics: list = [None] * sys.n
+    m = [0] * sys.n
     runs = []
     for scc in sorted(decomp.sccs, key=lambda scc: scc.height):
-        sub = restrict(sys, scc.vars, solved)
-        final, trace, iterations = _solve_scc(sub, scc, h, g, threshold, keep_traces)
-        for v, d in zip(scc.vars, final):
-            dyadics[v] = d
-            solved[v] = d.value()
-        runs.append(
-            SccRun(
-                names=tuple(sys.names[v] for v in scc.vars),
-                nonlinear=scc.nonlinear,
-                iterations=iterations,
-                trace=trace if keep_traces else None,
+        trace = None
+        if scc.nonlinear:
+            _, trace = run_rnm(
+                sys,
+                RnmConfig(h, g),
+                divergence_exponent=threshold,
+                keep_trace=keep_traces,
+                members=scc.vars,
+                mantissas=m,
             )
-        )
-    return dyadics, tuple(runs)
+            iterations = trace.steps
+        else:
+            # One exact Newton step from 0 (the members' entries are still
+            # 0) gives 2**h q* = p / q.
+            rows, rhs = newton_rows(sys, m, h, scc.vars)
+            for v, (p, q) in zip(scc.vars, solve_integer(rows, rhs)):
+                if p < 0:
+                    raise DivergenceCertified(
+                        "linear component has no non-negative fixed point, "
+                        "so the system has no finite least fixed point"
+                    )
+                if rational_exceeds_pow2(Rat(p, q << h), threshold):
+                    raise DivergenceCertified(
+                        f"linear component solution exceeds the q*_max bound 2**{threshold}"
+                    )
+                m[v] = p // q
+            iterations = 1
+        names = tuple(sys.names[v] for v in scc.vars)
+        runs.append(SccRun(names, scc.nonlinear, iterations, trace if keep_traces else None))
+    return [Dyadic(mi, h) for mi in m], tuple(runs)
 
 
 # --- post-fixed-point witnesses ----------------------------------------------------

@@ -588,10 +588,11 @@ def restrict(sys: MonotoneSystem, members: Sequence[int], values: Sequence) -> M
 
     A value of 0 deletes each monomial that mentions v (never a constant
     term); any other value is folded into the coefficient.  The entries of
-    ``values`` at the members are never read.  Removing zero variables,
-    substituting the proved q* = 1 set, and handing each component its
-    solved lower variables are all this one substitution.  A monomial whose
-    variables all keep their index is returned as it is, and so is an
+    ``values`` at the members are never read.  The solver makes two
+    substitutions, at most once each per solve: 0 for the zero variables
+    (``clean``) and 1 for the proved q* = 1 set; components read their
+    solved lower variables in place (``newton.newton_rows``).  A monomial
+    whose variables all keep their index is returned as it is, and so is an
     equation of such monomials; the rest are built unchecked, and so is the
     system.
     """

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DivergenceCertified
-from .mps import MonotoneSystem, eval_jacobian, evaluate, evaluate_scaled
+from .mps import MonotoneSystem, eval_jacobian, evaluate
 from .ratmath import (
     ZERO,
     Dyadic,
@@ -71,15 +71,16 @@ def newton_step(sys: MonotoneSystem, z) -> list:
     return [zi + di for zi, di in zip(z, delta)]
 
 
-def _record(sys: MonotoneSystem, k: int, m: list, h: int) -> TraceRecord:
-    """The iterate x = m 2**-h and ||P(x) - x||_inf, from the integers
-    L 2**(hD) P_i(x) - L 2**(h(D-1)) m_i over L 2**(hD)."""
-    back = sys.integer_form.back_scale(1 << h)
-    gaps = [abs(acc - back * mi) for acc, mi in zip(evaluate_scaled(sys, m, 1 << h), m)]
-    return TraceRecord(k, tuple(Dyadic(mi, h) for mi in m), Rat(max(gaps, default=0), back << h))
+def _record(sys: MonotoneSystem, k: int, m: list, h: int, members=None) -> TraceRecord:
+    """The members' iterate x = m 2**-h and max |P_i(x) - x_i| over them,
+    from ``newton_rows``' right-hand sides r = N(m) - s m over s 2**h."""
+    _, rhs = newton_rows(sys, m, h, members)
+    iterate = m if members is None else [m[v] for v in members]
+    residual = Rat(max(map(abs, rhs), default=0), sys.integer_form.back_scale(1 << h) << h)
+    return TraceRecord(k, tuple(Dyadic(mi, h) for mi in iterate), residual)
 
 
-def newton_rows(sys: MonotoneSystem, m: list, h: int) -> tuple:
+def newton_rows(sys: MonotoneSystem, m: list, h: int, members=None) -> tuple:
     """Integer rows A = s I - J(m) and r = N(m) - s m at x = m 2**-h, the one
     place the solver builds I - B rows, read from ``sys.integer_form``.
 
@@ -87,14 +88,22 @@ def newton_rows(sys: MonotoneSystem, m: list, h: int) -> tuple:
     P(x), each term shifted left by its degree gap times h, and its integer
     Jacobian J(m) = s B(x), I - B(x) = A / s and P(x) - x = r / (s 2**h).
     Zero patterns match the rational rows', and so does any SingularMatrix.
+
+    ``members`` (increasing indices, all by default) picks a component: its
+    rows, columns renumbered in its order, with every other variable a
+    constant at its mantissa in ``m``.  That is the system ``mps.restrict``
+    would build, its rows scaled by one positive integer: A^-1 r is the same.
     """
     form = sys.integer_form
     s = form.back_scale(1 << h)
+    if members is None:
+        members = range(sys.n)
+    local = {v: k for k, v in enumerate(members)}
     rows, rhs = [], []
-    for i, terms in enumerate(form.equations):
+    for i in members:
         total = 0
         jac = {}
-        for coeff, exponents, gap in terms:
+        for coeff, exponents, gap in form.equations[i]:
             if not exponents:
                 total += coeff << (gap * h)
             elif len(exponents) == 2:
@@ -116,19 +125,21 @@ def newton_rows(sys: MonotoneSystem, m: list, h: int) -> tuple:
                     total += coeff * mv * mv
                     jac[v] = jac.get(v, 0) + 2 * coeff * mv
         diagonal = s - jac.pop(i, 0)
-        row = {j: -value for j, value in jac.items()}
+        row = {local[j]: -value for j, value in jac.items() if j in local}
         if diagonal:
-            row[i] = diagonal
+            row[local[i]] = diagonal
         rows.append(row)
         rhs.append(total - s * m[i])
     return rows, rhs
 
 
-def _rounded_step(sys: MonotoneSystem, m: list, h: int) -> list:
-    """Mantissas of round_down(x + (I - B(x))^-1 (P(x) - x), h) at x = m 2**-h:
-    max(0, m + floor(A^-1 r)) for the rows of ``newton_rows``."""
-    rows, rhs = newton_rows(sys, m, h)
-    return [max(0, mi + p // q) for mi, (p, q) in zip(m, solve_integer(rows, rhs))]
+def _rounded_step(sys: MonotoneSystem, m: list, h: int, members=None) -> list:
+    """Mantissas of round_down(x + (I - B(x))^-1 (P(x) - x), h) at x = m 2**-h,
+    at ``members`` (all by default): max(0, m + floor(A^-1 r)) for the rows
+    of ``newton_rows``."""
+    rows, rhs = newton_rows(sys, m, h, members)
+    current = m if members is None else [m[v] for v in members]
+    return [max(0, mi + p // q) for mi, (p, q) in zip(current, solve_integer(rows, rhs))]
 
 
 def run_rnm(
@@ -136,6 +147,8 @@ def run_rnm(
     cfg: RnmConfig,
     divergence_exponent: int | None = None,
     keep_trace: bool = True,
+    members=None,
+    mantissas: list | None = None,
 ):
     """Rounded-down Newton from the all-zero vector.
 
@@ -145,35 +158,46 @@ def run_rnm(
     the trace: the number of Newton steps computed and, with
     ``keep_trace``, one record per iterate (residuals are recorded for
     diagnostics; they are never a stopping criterion, and cost one extra
-    evaluation of P per step).
+    row build per step).
+
+    With ``members`` and ``mantissas`` (the whole system's mantissas on the
+    grid) it runs one component in place: ``members`` from 0, every other
+    variable v fixed at ``mantissas[v]`` 2**-h.  The members' entries are
+    never read; they hold each iterate, so on return the final one.
 
     When ``divergence_exponent`` is given, any iterate coordinate exceeding
     2**divergence_exponent raises DivergenceCertified: iterates of a system
     with a finite LFP below that bound can never get there.
     """
-    n, h = sys.n, cfg.h
-    if sys.degree() > 2:
-        eval_jacobian(sys, [ZERO] * n)  # raises DegreeTooHigh naming the equation
-    m = [0] * n
-    records = [_record(sys, 0, m, h)] if keep_trace else []
+    h = cfg.h
+    if sys.integer_form.degree > 2:
+        eval_jacobian(sys, [ZERO] * sys.n)  # raises DegreeTooHigh naming the equation
+    members = range(sys.n) if members is None else members
+    m = [0] * sys.n if mantissas is None else mantissas
+    x = [0] * len(members)
+    for v in members:
+        m[v] = 0
+    records = [_record(sys, 0, m, h, members)] if keep_trace else []
     steps = cfg.g
     for k in range(1, cfg.g + 1):
-        rounded = _rounded_step(sys, m, h)
-        if rounded == m:
+        rounded = _rounded_step(sys, m, h, members)
+        if rounded == x:
             # The rounded step is a deterministic map, so a repeated iterate
             # is pinned forever: x^[g] equals this iterate exactly and the
             # remaining iterations can be skipped without changing anything.
             steps = k
             break
-        m = rounded
+        x = rounded
+        for v, xi in zip(members, x):
+            m[v] = xi
         if divergence_exponent is not None:
             # The crossing test is monotone in the mantissa: the largest decides,
             # and m * 2**-h > 2**e is the integer test m > 2**(h + e).
-            if rational_exceeds_pow2(max(m), h + divergence_exponent):
+            if rational_exceeds_pow2(max(x), h + divergence_exponent):
                 raise DivergenceCertified(
                     f"iterate {k} exceeds the q*_max bound 2**{divergence_exponent}; "
                     "no finite least fixed point below it exists"
                 )
         if keep_trace:
-            records.append(_record(sys, k, m, h))
-    return tuple(Dyadic(mi, h) for mi in m), IterationTrace(tuple(records), steps)
+            records.append(_record(sys, k, m, h, members))
+    return tuple(Dyadic(xi, h) for xi in x), IterationTrace(tuple(records), steps)

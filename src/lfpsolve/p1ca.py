@@ -288,11 +288,4 @@ def termination_probabilities(
     mask = tuple(
         tuple(system.names[u * r + v] in zeros for v in range(r)) for u in range(r)
     )
-    return GMatrix(
-        states=tuple(model.states),
-        entries=entries,
-        epsilon=eps,
-        zero_mask=mask,
-        params=params,
-        report=report,
-    )
+    return GMatrix(tuple(model.states), entries, eps, mask, params, report)

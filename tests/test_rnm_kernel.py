@@ -1,7 +1,9 @@
-"""Property test: ``run_rnm`` gives the same iterates, the same step count
+"""Property tests: ``run_rnm`` gives the same iterates, the same step count
 and the same exception as rounded Newton written from the exact rational
 operator ``newton_step`` and ``round_down_dyadic``, on random quadratic
-systems with zero diagonals and singular I - B among them."""
+systems with zero diagonals and singular I - B among them; and a run on one
+component, read in place, matches a run on the system that ``restrict``
+builds for it."""
 
 from __future__ import annotations
 
@@ -17,12 +19,16 @@ from lfpsolve import (
     MonotoneSystem,
     RnmConfig,
     SingularMatrix,
+    SolveOptions,
     make_monomial,
     newton_step,
+    rat,
     round_down_dyadic,
     run_rnm,
+    solve,
     system_of,
 )
+from lfpsolve.mps import restrict
 
 COEFFICIENTS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(2)]
 
@@ -94,3 +100,81 @@ def test_kernel_matches_exact_loop(sys, h, g, divergence_exponent):
     expected = exact_rounded_newton(sys, h, g, divergence_exponent)
     event(expected[0])
     assert kernel_rounded_newton(sys, h, g, divergence_exponent) == expected
+
+
+def outcome(run):
+    """Iterates, step count and trace residuals of run(), or the type and
+    message of the exception it raised."""
+    try:
+        final, trace = run()
+    except (SingularMatrix, DivergenceCertified) as exc:
+        return (type(exc).__name__, str(exc))
+    records = [(record.k, record.iterate, record.residual) for record in trace.records]
+    return ("steps", final, trace.steps, records)
+
+
+@st.composite
+def components(draw):
+    """A system, a member set, and non-negative input mantissas on grid h
+    (the members' entries are noise, which the component run never reads)."""
+    sys = draw(quadratic_systems())
+    members = sorted(draw(st.sets(st.integers(0, sys.n - 1), min_size=1)))
+    h = draw(st.integers(1, 40))
+    mantissas = draw(st.lists(st.integers(0, 3 << h), min_size=sys.n, max_size=sys.n))
+    return sys, members, h, mantissas
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    case=components(),
+    g=st.integers(1, 20),
+    divergence_exponent=st.one_of(st.none(), st.integers(-3, 3)),
+)
+def test_component_run_matches_restricted_system(case, g, divergence_exponent):
+    sys, members, h, mantissas = case
+    values = [rat(mi, 1 << h) for mi in mantissas]
+    sub = restrict(sys, members, values)
+    cfg = RnmConfig(h, g)
+    expected = outcome(lambda: run_rnm(sub, cfg, divergence_exponent=divergence_exponent))
+    event(expected[0])
+    vector = list(mantissas)
+    got = outcome(
+        lambda: run_rnm(
+            sys, cfg, divergence_exponent=divergence_exponent, members=members, mantissas=vector
+        )
+    )
+    assert got == expected
+    if expected[0] == "steps":
+        final = expected[1]
+        assert [vector[v] for v in members] == [d.mantissa for d in final]
+        outside = [i for i in range(sys.n) if i not in members]
+        assert [vector[i] for i in outside] == [mantissas[i] for i in outside]
+
+
+def test_restrict_runs_at_most_once_per_solve(monkeypatch):
+    # a has q* = 1 (a critical chain link the pre-pass proves); b0 and b1
+    # are a doubled chain fed by a, and c is linear on top.  Three grids
+    # run three components each, and only the q* = 1 reduction substitutes.
+    system = system_of(
+        ["a", "b0", "b1", "c"],
+        [("1/2", {"a": 2}), ("1/2", {})],
+        [("1/4", {"b0": 2}), ("1", {"a": 1})],
+        [("1/4", {"b1": 2}), ("1/2", {"b0": 1})],
+        [("1/3", {"c": 1}), ("1/3", {"b1": 1}), ("1/8", {})],
+    )
+    calls = []
+
+    def counting_restrict(*args):
+        calls.append(args)
+        return restrict(*args)
+
+    monkeypatch.setattr("lfpsolve.driver.restrict", counting_restrict)
+    for mode in ("certified", "adaptive"):
+        calls.clear()
+        report = solve(system, rat(1, 2**16), SolveOptions(mode=mode))
+        assert len(report.certificate.attempted_h) == 3
+        assert [run.iterations > 0 for run in report.scc_runs] == [False, True, True, True]
+        assert len(calls) == 1
+    calls.clear()
+    solve(system_of(["x"], [("1/4", {"x": 2}), ("1/2", {})]), rat(1, 2**16))
+    assert calls == []

@@ -34,14 +34,15 @@ above the ceiling.
 Each run is one in-process call of ``lfpsolve.cli.main`` (or one demo
 script), and its record is its arguments, exit code (or the exception that
 escaped the run), standard output and standard error, with the temporary
-directory and this checkout written as ``<tmp>`` and ``<root>``.  The tool
-prints the record count, a histogram of exit codes and the SHA-256 of all
-records, then one SHA-256 per group of records: the first part of the
-label, split by whether the run passes ``--mode adaptive``, with the
-group's record count.  Comparing two trees group by group shows which
-kinds of run moved.  ``--records PATH`` also writes the records to PATH as
-JSON lines, in order, exactly as digested, so that a line-by-line diff of
-two such files names the records that moved.  A run takes a few seconds.
+directory written as ``<tmp>`` and both TREE and this checkout as
+``<root>``.  The tool prints the record count, a histogram of exit codes
+and the SHA-256 of all records, then one SHA-256 per group of records: the
+first part of the label, split by whether the run passes ``--mode
+adaptive``, with the group's record count.  Comparing two trees group by
+group shows which kinds of run moved.  ``--records PATH`` also writes the
+records to PATH as JSON lines, in order, exactly as digested, so that a
+line-by-line diff of two such files names the records that moved.  A run
+takes a few seconds.
 """
 
 from __future__ import annotations
@@ -184,11 +185,16 @@ def _run_demo(path: Path) -> int:
     return 0
 
 
-def _normalized(record: dict, tmp: Path) -> str:
-    """The record as one JSON line, with the temporary directory and this
-    checkout written as ``<tmp>`` and ``<root>``."""
+def _normalized(record: dict, tmp: Path, tree: Path) -> str:
+    """The record as one JSON line, with the temporary directory written as
+    ``<tmp>`` and both the replayed tree and this checkout as ``<root>``,
+    longest path first, so that a run naming a file of either tree records
+    the same line whichever checkout replays it."""
     line = json.dumps(record, sort_keys=True)
-    return line.replace(json.dumps(str(tmp))[1:-1], "<tmp>").replace(json.dumps(str(ROOT))[1:-1], "<root>")
+    paths = {str(tmp): "<tmp>", str(tree): "<root>", str(ROOT): "<root>"}
+    for path in sorted(paths, key=len, reverse=True):
+        line = line.replace(json.dumps(path)[1:-1], paths[path])
+    return line
 
 
 def main() -> int:
@@ -196,7 +202,8 @@ def main() -> int:
     parser.add_argument("tree", type=Path, help="checkout whose src/ is replayed")
     parser.add_argument("--records", type=Path, help="also write the records here as JSON lines")
     args = parser.parse_args()
-    src = args.tree.resolve() / "src"
+    tree = args.tree.resolve()
+    src = tree / "src"
     if not (src / "lfpsolve").is_dir():
         parser.error(f"no lfpsolve package under {src}")
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
@@ -207,10 +214,10 @@ def main() -> int:
     print(f"lfpsolve: {Path(cli.__file__).parent}")
     with tempfile.TemporaryDirectory() as tmp:
         records = _records(Path(tmp), workloads, models, cli)
-        lines = [_normalized(record, Path(tmp)) for record in records]
+        lines = [_normalized(record, Path(tmp), tree) for record in records]
     if args.records is not None:
         args.records.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    exits = Counter(record["exit"] for record in records)
+    exits = Counter(json.loads(line)["exit"] for line in lines)
     print(f"records: {len(records)}")
     print("exit codes: " + ", ".join(f"{code}: {count}" for code, count in sorted(exits.items(), key=str)))
     print(f"sha256: {_digest(lines)}")
