@@ -14,7 +14,9 @@ get the top within 1 of its value, the bottom component needs about
 that cost with a grid of thousands of bits.  Since q* = 2 is rational, the
 solver certifies it far below that grid: once the iterate is within eps
 below 2, the simplest rational within eps above it is 2 itself, and
-P(2) <= 2 holds exactly.
+P(2) <= 2 holds exactly.  With q* in [iterate, 2], the reported answer is
+the simplest rational in [2 - eps, iterate], here 2 - eps: denominator
+2^16, where the iterate's is up to 2^h.
 """
 
 from lfpsolve import (
@@ -41,8 +43,8 @@ def doubled_chain(k):
     return chain(k, square="1/4", constant="1")
 
 
-def gap_below_two(d):
-    gap = 2 - d.value()
+def gap_below_two(value):
+    gap = 2 - value
     if gap == 0:
         return "exactly 2"
     return f"below 2 by about 2^-{gap.denominator.bit_length() - gap.numerator.bit_length()}"
@@ -59,7 +61,7 @@ print("\nq* = 1 is proved exactly, with no probability flag and no Newton step:"
 eps = rat(1, 2**16)
 for label, system in (("chain(3)", chain(3)), ("x = x^2/2 + 1/2", chain(1))):
     report = solve(system, eps)
-    values = [str(d.value()) for d in report.approximation]
+    values = [str(a) for a in report.approximation]
     steps = [run.iterations for run in report.scc_runs]
     print(f"  {label}: {report.status}, approximation {values}")
     print(f"    proved exactly 1: {report.certificate.exact_one}; Newton steps per component {steps}")
@@ -85,14 +87,17 @@ print("q* <= 2 (no normal form, so u = 1; the theorem's grid is h = 2530).  u")
 print("enters only that grid: the witness grids h0, 2 h0, ... run unscaled with")
 print("h - 1 steps each.  The Newton-direction witness fails at the critical q*,")
 print("and q* = 2 itself certifies the first grid whose iterate is within eps")
-print("below it:")
-report = solve(doubled_chain(3), eps, SolveOptions(qmax_exponent_assert=1, use_snf=False))
+print("below it.  The answer is the simplest rational in [2 - eps, iterate]:")
+report = solve(
+    doubled_chain(3), eps, SolveOptions(qmax_exponent_assert=1, use_snf=False, keep_traces=True)
+)
 cert = report.certificate
 print(f"  status {report.status}; certificate {cert.kind} after grids {cert.attempted_h}")
 print(f"  h = {report.params.h}, g = {report.params.g}")
 print(f"  Newton steps per component: {[run.iterations for run in report.scc_runs]}")
-for name, d in zip(report.names, report.approximation):
-    print(f"  {name}: {gap_below_two(d)}  (eps = 2^-16)")
+iterate = {run.names[0]: run.trace.records[-1].iterate[0].value() for run in report.scc_runs}
+for name, a in zip(report.names, report.approximation):
+    print(f"  {name}: iterate {gap_below_two(iterate[name])}, answer {a} (eps = 2^-16)")
 
 print("\nThe same solve in adaptive mode (it climbs the same grids, so it settles")
 print("on the same witness):")
@@ -100,5 +105,5 @@ report = solve(
     doubled_chain(3), eps, SolveOptions(mode="adaptive", qmax_exponent_assert=1, use_snf=False)
 )
 print(f"  status {report.status}; settled at h={report.params.h}")
-for name, d in zip(report.names, report.approximation):
-    print(f"  {name}: {gap_below_two(d)}")
+for name, a in zip(report.names, report.approximation):
+    print(f"  {name}: {gap_below_two(a)}")

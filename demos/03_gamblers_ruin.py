@@ -54,7 +54,7 @@ print(f"\nClosed-form certified rounding parameter for eps = 2^-20: h = {params[
 print(f"  (r = {params['r']} state, probability width m = {params['m']} bits)")
 
 matrix = termination_probabilities(model, eps)
-value = matrix.entries[0][0].value()
+value = matrix.entries[0][0]
 print(f"Computed G-matrix entry: {value}")
 print(f"  |value - 1/2| = {float(abs(value - rat(1, 2))):.3e} <= 2^-20")
 report = matrix.report
@@ -64,7 +64,7 @@ print("\nUnfavourable odds (up-probability 1/3): ruin is certain.  Every row")
 print("has P(1) = 1 and B(1) = 2/3 <= 1, so an exact pre-pass proves q* = 1")
 print("before any Newton step:")
 matrix = termination_probabilities(gambler("1/3"), eps)
-print(f"  entry = {matrix.entries[0][0].value()}, proved exactly 1: {matrix.report.certificate.exact_one}")
+print(f"  entry = {matrix.entries[0][0]}, proved exactly 1: {matrix.report.certificate.exact_one}")
 
 print("\nA two-state automaton with a zero row in its G-matrix:")
 model2 = P1CA(
@@ -78,6 +78,6 @@ model2 = P1CA(
 )
 matrix = termination_probabilities(model2, rat(1, 2**12))
 for u, row in zip(matrix.states, matrix.entries):
-    shown = ", ".join(f"{u}->{v}: {d.value()}" for v, d in zip(matrix.states, row))
+    shown = ", ".join(f"{u}->{v}: {a}" for v, a in zip(matrix.states, row))
     print(f"  {shown}")
 print("  zero mask:", matrix.zero_mask)

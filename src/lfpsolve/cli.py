@@ -89,7 +89,7 @@ def _report_json(report: SolveReport) -> dict:
         "status": report.status,
         "epsilon": rat_str(report.epsilon),
         "vars": list(report.names),
-        "approximation": [rat_str(d.value()) for d in report.approximation],
+        "approximation": [rat_str(a) for a in report.approximation],
         "grid_bits": report.params.h,
         "params": {
             "mode": report.params.mode,
@@ -244,7 +244,7 @@ def _cmd_p1ca_term(args) -> int:
         {
             "states": list(result.states),
             "epsilon": rat_str(result.epsilon),
-            "entries": [[rat_str(d.value()) for d in row] for row in result.entries],
+            "entries": [[rat_str(a) for a in row] for row in result.entries],
             "zero_mask": [list(row) for row in result.zero_mask],
             "params": result.params,
             "status": result.report.status,

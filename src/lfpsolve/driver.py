@@ -74,6 +74,12 @@ The divergence probe runs before the ladder when u > 0 (a divergent system
 would otherwise climb grids first), and otherwise after it, only without a
 witness or when the witness exceeds 2**qmax_exponent.
 
+A witness y fixes q* in [x, y], x the grid's iterate, and y - x <= eps, so
+every a in [y - eps, x] has a <= q* <= a + eps.  The answer is then the
+rational with the least denominator there, about half x's bits (Dirichlet);
+``params`` and traces still describe the grid and its iterates.  Without a
+witness the answer is x itself.
+
 The status is "certified-eps" for a witness or the theorem's grid, else
 "adaptive-heuristic" in adaptive mode and "uncertified" otherwise.  The
 convergence theorem gives the grid h_theorem of x = 2**-u P(2**u x), u =
@@ -178,7 +184,8 @@ class Certificate:
     ``kind`` is "witness" when ``upper`` (a rational per original variable,
     zeros reinserted) satisfies P(upper) <= upper exactly and
     approx <= upper <= approx + epsilon: then q* <= upper by Knaster-Tarski,
-    and approx <= q* because rounded Newton iterates never overshoot.  It is
+    and approx <= q* because approx is at most the rounded Newton iterate,
+    which never overshoots.  It is
     "theorem" when the convergence theorem's parameters were run, and
     "none" when nothing certifies the answer (an ``h_override`` grid, or
     adaptive grids that agreed).  ``attempted_h`` lists the grids tried for
@@ -195,7 +202,9 @@ class Certificate:
 
 @dataclass(frozen=True)
 class SolveReport:
-    approximation: tuple  # Dyadic per original variable, zeros reinserted
+    # a rational per original variable, zeros reinserted: the grid iterate,
+    # or with a witness y the simplest rational in [y - eps, iterate]
+    approximation: tuple
     names: tuple
     params: DriverParams
     bounds: LfpBounds
@@ -206,7 +215,7 @@ class SolveReport:
     certificate: Certificate
 
     def values(self) -> list:
-        return [d.value() for d in self.approximation]
+        return list(self.approximation)
 
 
 @dataclass(frozen=True)
@@ -650,8 +659,10 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
     variables, SCC decomposition, the exact q* = 1 pre-pass, then on the
     reduced system bounds and the grid loop of the module docstring, and
     last reinsertion of the ones and zeros, read at the original variables
-    (the first coordinates of the normal form).  ``theorem_h`` replaces the
-    formula's h_theorem.
+    (the first coordinates of the normal form).  With a witness y each
+    answer is the simplest rational in [max(0, y - eps), x], x the grid's
+    iterate; without one it is x.  ``theorem_h`` replaces the formula's
+    h_theorem.
 
     Raises SingularMatrix (Newton undefined), DivergenceCertified (no finite
     LFP below the working bound), or ParamsInfeasible (certified h above the
@@ -746,9 +757,10 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
         status = "certified-eps"
     else:
         status = "adaptive-heuristic" if options.mode == "adaptive" else "uncertified"
-    approx = to_input(dyadics, Dyadic(0, params.h), Dyadic(1 << params.h, params.h))
+    approx = to_input([dy.value() for dy in dyadics], ZERO, ONE)
     if upper is not None:
         upper = to_input(upper, ZERO, ONE)
+        approx = tuple(_simplest_rational(max(ZERO, y - epsilon), x) for x, y in zip(approx, upper))
     return SolveReport(
         approximation=approx,
         names=tuple(sys.names),

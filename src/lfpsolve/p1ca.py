@@ -227,14 +227,14 @@ def rounding_params(model: P1CA, epsilon) -> dict:
 
 @dataclass(frozen=True)
 class GMatrix:
-    """Dyadic approximations of the termination probabilities q*_{uv}.
+    """Exact rational approximations of the termination probabilities q*_{uv}.
 
     ``entries[u][v]`` approximates the probability of first hitting counter
     zero in state v from (u, 1); masked pairs are exactly zero.
     """
 
     states: tuple
-    entries: tuple  # r x r of Dyadic
+    entries: tuple  # r x r of rationals, read from ``report.approximation``
     epsilon: object
     zero_mask: tuple  # r x r of bool, True where q*_{uv} == 0 exactly
     params: dict

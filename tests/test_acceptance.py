@@ -75,8 +75,7 @@ def test_2_certified_error_on_chain():
         eps = rat(1, 2**16)
         report = solve(chain_system(3), eps, SolveOptions(qmax_exponent_assert=0))
         assert report.status == "certified-eps"
-        for d in report.approximation:
-            value = d.value()
+        for value in report.approximation:
             assert value <= 1
             assert rat(1) - value <= eps
 
@@ -111,11 +110,11 @@ def test_4_gamblers_ruin():
         truth = univariate_quadratic_lfp("2/3", 0, "1/3")
         assert truth == rat(1, 2)
         matrix = termination_probabilities(gamblers_ruin("2/3"), eps)
-        assert abs(matrix.entries[0][0].value() - truth) <= eps
+        assert abs(matrix.entries[0][0] - truth) <= eps
 
         symmetric = termination_probabilities(gamblers_ruin("1/3"), eps)
         assert univariate_quadratic_lfp("1/3", 0, "2/3") == rat(1)
-        assert rat(1) - symmetric.entries[0][0].value() <= eps
+        assert rat(1) - symmetric.entries[0][0] <= eps
 
 
 def _clean_then_dirtied(rng: random.Random):
@@ -222,7 +221,7 @@ def test_7_bound_validity():
             r = len(model.states)
             floor = min(c_min(system), rat(1)) ** (r**3)
             positive = [
-                matrix.entries[u][v].value()
+                matrix.entries[u][v]
                 for u in range(r)
                 for v in range(r)
                 if not matrix.zero_mask[u][v]

@@ -50,10 +50,10 @@ P1CA_EPS = rat(1, 2**20)
 SUBSTOCH_EPS = rat(1, 2**30)
 CHAIN_EPS = rat(1, 2**16)
 
-# SHA-256 of json.dumps([rat_str(x) for x in approximation]) for
-# doubled_chain(3) (q* = 2) at 2**-16 without normal form, under the
-# asserted bound q* <= 2, on the theorem's grid h = 2530, g = 2530.
-DOUBLED_CHAIN3_THEOREM_ANSWER = "57eb17d932d6d63a3e2030d35f0b29e54912d795d369b843186134d7cd79093c"
+# SHA-256 of json.dumps([rat_str(x) for x in iterate]) for the last Newton
+# iterate of doubled_chain(3) (q* = 2) at 2**-16 without normal form, under
+# the asserted bound q* <= 2, on the theorem's grid h = 2530, g = 2530.
+DOUBLED_CHAIN3_THEOREM_ITERATE = "57eb17d932d6d63a3e2030d35f0b29e54912d795d369b843186134d7cd79093c"
 # The same digest for LEAKY_CHAIN2 (below) at 2**-16 under the probability
 # flag, on its theorem grid h = 1067, and at 2**-8 without normal form
 # under q* <= 4, on its theorem grid h = 753.
@@ -62,8 +62,8 @@ LEAKY_CHAIN2_RESCALED_ANSWER = "c717887c3f6450becca57867e83fac29068115376805b3d4
 # SHA-256 of random_outcomes(mode) below: substochastic n = 8, seeds 0-19,
 # and in certified mode also random_p1ca(Random(7), r) for r = 1..3.
 RANDOM_OUTCOMES = {
-    "certified": "3f83e60e3b871ec36b1675d44d178bd7e25929c06f0191de4a8656abd2b3acf5",
-    "adaptive": "449d1f30b770951c6e84e3a12505d74e8f59dcbcad79713ce8df031fd0e8bd4f",
+    "certified": "f581439cc2b8104d3d6f48ed5f911596f4b935ff1d729361956e3ee8e68f3a1c",
+    "adaptive": "d2cabda6f220727c97f70d5b69b1f8ecbac567b7d2cfadbad43c67bed53ce527",
 }
 
 # SHA-256 of rescaled_outcomes() below: small substochastic systems under
@@ -71,7 +71,7 @@ RANDOM_OUTCOMES = {
 # twice that with it (its product variables are quadratic in the input's).
 # The witness grids are the unscaled ladder h0 2**k, so only the runs that
 # reach the theorem's grid report u > 0.
-RESCALED_OUTCOMES = "c7210cda84385b536be33cf2dfec0312e6f603beeefc185ab0f70f44a3a2e076"
+RESCALED_OUTCOMES = "2fc50ac29c96466e32d31bf8b2460a3312813316fc2ac87d0b046c1c23587d41"
 
 # a = a^2/4 + 1, b = b/2 + a/8: q* = (2, 1/2).  a is critical, so the
 # Newton-direction witness fails, and b is far from 1; q* is rational, so
@@ -93,47 +93,68 @@ LEAKY_CHAIN2 = leaky_chain(2, rat(1, 2**32))
 
 
 def answer_digest(report):
-    answer = json.dumps([rat_str(d.value()) for d in report.approximation])
+    answer = json.dumps([rat_str(a) for a in report.approximation])
     return hashlib.sha256(answer.encode()).hexdigest()
 
 
+def last_iterate(report):
+    """The grid's iterate at the original variables, read from the last
+    trace record of each nonlinear component (``keep_traces=True``); None
+    where no component traced the variable (linear, proved 1, or zero)."""
+    last = {}
+    for run in report.scc_runs:
+        if run.trace is not None:
+            last.update(zip(run.names, run.trace.records[-1].iterate))
+    return [rat_str(last[name].value()) if name in last else None for name in report.names]
+
+
+def last_iterate_digest(report):
+    """``answer_digest`` of ``last_iterate``."""
+    return hashlib.sha256(json.dumps(last_iterate(report)).encode()).hexdigest()
+
+
 def _outcome(report):
+    """The answer, its certificate and the last traced iterate, which pins
+    the Newton kernel where a witnessed answer is coarser than it."""
     cert = report.certificate
     upper = None if cert.upper is None else [rat_str(rat(y)) for y in cert.upper]
-    approx = [rat_str(d.value()) for d in report.approximation]
-    return [report.status, report.params.h, approx, cert.kind, upper, list(cert.attempted_h)]
+    approx = [rat_str(a) for a in report.approximation]
+    iterate = last_iterate(report)
+    return [report.status, report.params.h, approx, cert.kind, upper, list(cert.attempted_h), iterate]
 
 
 def random_outcomes(mode):
-    """Every exact answer and certificate of a fixed set of random inputs in
-    one mode."""
+    """Every exact answer, certificate and last traced iterate of a fixed set
+    of random inputs in one mode."""
     outcomes = []
     for seed in range(20):
         system = random_substochastic(random.Random(seed), 8)
         try:
-            report = solve(system, SUBSTOCH_EPS, SolveOptions(mode=mode, qmax_exponent_assert=0))
+            options = SolveOptions(mode=mode, qmax_exponent_assert=0, keep_traces=True)
+            report = solve(system, SUBSTOCH_EPS, options)
         except ParamsInfeasible as exc:
             outcomes.append([seed, mode, type(exc).__name__])
             continue
         outcomes.append([seed, mode, _outcome(report)])
     if mode == "certified":
         for r in (1, 2, 3):
-            result = termination_probabilities(random_p1ca(random.Random(7), r), P1CA_EPS)
-            entries = [[rat_str(d.value()) for d in row] for row in result.entries]
+            result = termination_probabilities(random_p1ca(random.Random(7), r), P1CA_EPS, keep_traces=True)
+            entries = [[rat_str(a) for a in row] for row in result.entries]
             outcomes.append([r, entries, _outcome(result.report)])
     return hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
 
 
 def rescaled_outcomes():
-    """Answers, params and certificates at u = 1 and u = 2, where the theorem
-    is stated on x = 2**-u P(2**u x) and its grid runs on the input."""
+    """Answers, params, certificates and last traced iterates at u = 1 and
+    u = 2, where the theorem is stated on x = 2**-u P(2**u x) and its grid
+    runs on the input."""
     outcomes = []
     for seed in range(20):
         system = random_substochastic(random.Random(seed), 1 + seed % 3)
         for u in (1, 2):
             for use_snf in (True, False):
                 for bits in (10, 20):
-                    options = SolveOptions(qmax_exponent_assert=u, use_snf=use_snf)
+                    options = SolveOptions(qmax_exponent_assert=u, use_snf=use_snf, keep_traces=True)
                     try:
                         report = solve(system, rat(1, 2**bits), options)
                     except LfpError as exc:
@@ -223,7 +244,7 @@ def test_p1ca_certificates(label, model, kind, h):
     report = result.report
     assert report.status == "certified-eps"
     assert (report.certificate.kind, report.params.h) == (kind, h)
-    approx = [d.value() for d in report.approximation]
+    approx = list(report.approximation)
     assert_witness(build_termination_mps(model), approx, report.certificate.upper, P1CA_EPS)
 
 
@@ -252,7 +273,7 @@ def test_random_substochastic_witnesses_recheck(n):
         assert report.status == "certified-eps"
         if report.certificate.kind == "witness":
             witnesses += 1
-            approx = [d.value() for d in report.approximation]
+            approx = list(report.approximation)
             assert_witness(system, approx, report.certificate.upper, SUBSTOCH_EPS)
     assert witnesses >= 15
 
@@ -262,17 +283,20 @@ def chain3_theorem_grid():
     # The certified route runs the theorem's grid h_theorem - u = 2530 with
     # g = h_theorem - 1 = 2530 steps here (u = 1); the override runs exactly
     # that grid.
-    return solve(
-        doubled_chain(3),
-        CHAIN_EPS,
-        SolveOptions(qmax_exponent_assert=1, use_snf=False, h_override=2530, g_override=2530),
+    options = SolveOptions(
+        qmax_exponent_assert=1, use_snf=False, h_override=2530, g_override=2530, keep_traces=True
     )
+    return solve(doubled_chain(3), CHAIN_EPS, options)
 
 
 def test_chain3_theorem_grid_is_unchanged(chain3_theorem_grid):
+    # The iterate stays bit for bit; q* = 2 is the witness, so the answer is
+    # the simplest rational in [2 - eps, iterate], its lower end.
     report = chain3_theorem_grid
     assert report.params.h == 2530 and report.params.g == 2530
-    assert answer_digest(report) == DOUBLED_CHAIN3_THEOREM_ANSWER
+    assert last_iterate_digest(report) == DOUBLED_CHAIN3_THEOREM_ITERATE
+    assert report.certificate.upper == (2, 2, 2)
+    assert report.approximation == (2 - CHAIN_EPS,) * 3
 
 
 @pytest.mark.parametrize("bits", [16, 30])
@@ -324,7 +348,7 @@ def test_chain3_is_certified_by_the_cap():
     assert report.params.h == 72 and cert.attempted_h == (18, 36, 72)
     assert [run.iterations for run in report.scc_runs] == [71, 41, 23]
     assert cert.upper == (1, 1, 1)
-    approx = [d.value() for d in report.approximation]
+    approx = list(report.approximation)
     assert_witness(system, approx, cert.upper, CHAIN_EPS)
 
 
@@ -367,7 +391,7 @@ def test_rational_critical_q_is_the_witness(system, q_star, mode, h, attempted, 
     assert (report.params.h, cert.attempted_h) == (h, attempted)
     assert [run.iterations for run in report.scc_runs] == steps
     assert cert.upper == q_star
-    approx = [d.value() for d in report.approximation]
+    approx = list(report.approximation)
     assert_witness(system, approx, cert.upper, CHAIN_EPS)
 
 
@@ -442,7 +466,7 @@ def test_flagless_runs_find_the_witness_of_the_flagged_ones(system, h, attempted
     assert report.bounds.qmax_source == "worst-case-formula"
     assert report.status == "certified-eps" and cert.kind == "witness"
     assert (report.params.h, report.params.u, cert.attempted_h) == (h, 0, attempted)
-    approx = [d.value() for d in report.approximation]
+    approx = list(report.approximation)
     assert_witness(system, approx, cert.upper, CHAIN_EPS)
 
 
@@ -527,7 +551,7 @@ def test_cap_requires_exact_post_fixed_point_check():
         CHAIN_EPS,
         SolveOptions(qmax_exponent_assert=0, use_snf=False, h_override=24),
     )
-    assert 1 - report.approximation[0].value() <= CHAIN_EPS
+    assert 1 - report.approximation[0] <= CHAIN_EPS
     assert report.status == "uncertified"
     assert report.certificate.kind == "none" and report.certificate.upper is None
 
@@ -545,7 +569,7 @@ def test_rescaled_route_finds_witness():
     assert report.bounds.qmax_exponent == qmax_upper_exponent(system)
     assert report.params.u == 0
     assert report.params.h == 22 and cert.attempted_h == (22,)
-    approx = [d.value() for d in report.approximation]
+    approx = list(report.approximation)
     assert_witness(system, approx, cert.upper, eps)
 
 
@@ -562,7 +586,7 @@ def test_worst_case_u_route_finds_witness():
     assert report.bounds.qmax_exponent == 950000
     assert (report.params.h, report.params.g, report.params.u) == (12, 11, 0)
     assert cert.attempted_h == (12,)
-    approx = [d.value() for d in report.approximation]
+    approx = list(report.approximation)
     assert_witness(system, approx, cert.upper, eps)
 
 
@@ -603,7 +627,7 @@ def test_critical_cap_without_probability_flag():
     assert report.status == "certified-eps"
     assert cert.kind == "witness" and cert.upper == (1,)
     assert (report.params.h, report.params.u) == (36, 0) and cert.attempted_h == (18, 36)
-    assert_witness(NEAR_CRITICAL, [report.approximation[0].value()], cert.upper, CHAIN_EPS)
+    assert_witness(NEAR_CRITICAL, [report.approximation[0]], cert.upper, CHAIN_EPS)
 
 
 def test_cli_critical_cap_without_probability_flag(tmp_path):
@@ -650,7 +674,7 @@ def test_override_without_witness_is_uncertified():
     report = solve(
         doubled_chain(3), CHAIN_EPS, SolveOptions(qmax_exponent_assert=2, h_override=4)
     )
-    assert [d.value() for d in report.approximation] == [rat(7, 4), rat(5, 4), rat(3, 4)]
+    assert list(report.approximation) == [rat(7, 4), rat(5, 4), rat(3, 4)]
     assert report.status == "uncertified"
     assert report.certificate.kind == "none"
     assert report.certificate.attempted_h == (4,)
@@ -663,7 +687,7 @@ def test_override_with_witness_stays_certified():
     )
     assert report.status == "certified-eps"
     assert report.certificate.kind == "witness"
-    approx = [d.value() for d in report.approximation]
+    approx = list(report.approximation)
     assert_witness(system, approx, report.certificate.upper, SUBSTOCH_EPS)
 
 

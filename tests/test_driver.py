@@ -75,7 +75,7 @@ class TestQminLowerBound:
         # its normal form is quadratic, and solve bounds q*_min soundly there
         report = solve(sys, rat(1, 2**10), SolveOptions(qmax_exponent_assert=0))
         assert report.bounds.qmin_lower <= rat(1, 16)
-        assert [d.value() for d in report.approximation] == [rat(1, 2), rat(1, 16)]
+        assert list(report.approximation) == [rat(1, 2), rat(1, 16)]
 
     def test_below_true_minimum_on_analytic_fixtures(self):
         for n in range(2, 9):
@@ -243,7 +243,7 @@ class TestSolveCertified:
     def test_linear_system_is_exact(self):
         report = solve(univariate(0, "1/2", "1/4"), rat(1, 2**10))
         assert report.status == "certified-eps"
-        assert report.approximation[0].value() == rat(1, 2)
+        assert report.approximation[0] == rat(1, 2)
 
     def test_two_scc_chain(self):
         sys = system_of(
@@ -253,17 +253,17 @@ class TestSolveCertified:
         )
         eps = rat(1, 2**12)
         report = solve(sys, eps, SolveOptions(qmax_exponent_assert=0))
-        for d in report.approximation:
-            assert rat(1) - d.value() <= eps
-            assert d.value() <= 1
+        for a in report.approximation:
+            assert rat(1) - a <= eps
+            assert a <= 1
 
     def test_chain3_smoke(self):
         eps = rat(1, 2**8)
         report = solve(chain_system(3), eps, SolveOptions(qmax_exponent_assert=0))
         assert report.status == "certified-eps"
         assert report.info["snf_applied"]
-        for d in report.approximation:
-            assert 0 <= rat(1) - d.value() <= eps
+        for a in report.approximation:
+            assert 0 <= rat(1) - a <= eps
 
     def test_no_snf_matches_snf_route(self):
         eps = rat(1, 2**8)
@@ -272,7 +272,7 @@ class TestSolveCertified:
             chain_system(2), eps, SolveOptions(qmax_exponent_assert=0, use_snf=False)
         )
         for a, b in zip(with_snf.approximation, without.approximation):
-            assert abs(a.value() - b.value()) <= 2 * eps
+            assert abs(a - b) <= 2 * eps
 
     def test_rescaled_route_on_supercritical_lfp(self):
         # x = x/2 + 3/2 has LFP 3, above 1, under the asserted q*max bound 4:
@@ -282,7 +282,7 @@ class TestSolveCertified:
         report = solve(sys, rat(1, 2**10), SolveOptions(qmax_exponent_assert=2))
         assert report.bounds.qmax_exponent == 2
         assert (report.certificate.kind, report.params.h, report.params.u) == ("witness", 12, 0)
-        assert report.approximation[0].value() == rat(3)
+        assert report.approximation[0] == rat(3)
         assert report.bounds.qmax_source == "user-asserted"
 
     def test_rescaled_route_nonlinear(self):
@@ -291,7 +291,7 @@ class TestSolveCertified:
         eps = rat(1, 2**10)
         report = solve(sys, eps, SolveOptions(qmax_exponent_assert=1, use_snf=False))
         root = univariate_quadratic_lfp("1/8", 0, "1")
-        value = report.approximation[0].value()
+        value = report.approximation[0]
         assert root.compare(value) >= 0
         lo, _ = root.enclosure(bits=40)
         assert lo - value <= eps
@@ -312,12 +312,12 @@ class TestSolveCertified:
         sys = system_of(["a", "b"], [("1", {"b": 1})], [("1", {"a": 1})])
         report = solve(sys, rat(1, 4))
         assert report.status == "certified-eps"
-        assert [d.value() for d in report.approximation] == [rat(0), rat(0)]
+        assert list(report.approximation) == [rat(0), rat(0)]
 
     def test_zero_polynomial_equation(self):
         sys = system_of(["x"], [])  # x = 0 (empty polynomial)
         report = solve(sys, rat(1, 4))
-        assert report.approximation[0].value() == rat(0)
+        assert report.approximation[0] == rat(0)
         assert report.status == "certified-eps"
 
     def test_zero_coordinates_reinserted(self):
@@ -328,8 +328,8 @@ class TestSolveCertified:
         )
         eps = rat(1, 2**8)
         report = solve(sys, eps, SolveOptions(qmax_exponent_assert=0))
-        assert report.approximation[0].value() == 0
-        assert rat(1) - report.approximation[1].value() <= eps
+        assert report.approximation[0] == 0
+        assert rat(1) - report.approximation[1] <= eps
         # the normal-form product fed by the dead variable is dead too
         assert "dead" in report.info["removed_zero_variables"]
 
@@ -410,7 +410,7 @@ class TestSolveCertified:
         assert (report.certificate.kind, report.certificate.upper) == ("witness", (2,))
         assert (report.params.h, report.params.u, report.bounds.qmax_exponent) == (20, 0, 2)
         assert report.bounds.qmax_source == "user-asserted"
-        assert 0 <= 2 - report.approximation[0].value() <= eps
+        assert 0 <= 2 - report.approximation[0] <= eps
         plain = solve(doubled_chain(1), eps, SolveOptions(qmax_exponent_assert=1, use_snf=False))
         assert plain.bounds.qmax_exponent == 1
 
@@ -432,15 +432,20 @@ class TestSolveCertified:
             solve(critical_quartic(), rat(1, 2), SolveOptions(max_h=10_000))
 
     def test_manual_override(self):
-        # x = x^2/4 + 1 is critical at q* = 2: one bit per step from 0.
+        # x = x^2/4 + 1 is critical at q* = 2: one bit per step from 0.  The
+        # witness y = 2 reports the simplest rational in [2 - 1/4, iterate].
         report = solve(
             univariate("1/4", 0, "1"),
             rat(1, 4),
-            SolveOptions(h_override=12, g_override=11, use_snf=False, qmax_exponent_assert=1),
+            SolveOptions(
+                h_override=12, g_override=11, use_snf=False, qmax_exponent_assert=1, keep_traces=True
+            ),
         )
         assert report.params.h == 12
         assert report.params.g == 11
-        assert report.approximation[0].value() == rat(2**11 - 1, 2**10)
+        assert report.scc_runs[0].trace.records[-1].iterate[0].value() == rat(2**11 - 1, 2**10)
+        assert report.certificate.upper == (2,)
+        assert report.approximation[0] == rat(7, 4)
 
 
 class TestSolveAdaptive:
@@ -450,12 +455,12 @@ class TestSolveAdaptive:
             chain_system(3), eps, SolveOptions(mode="adaptive", qmax_exponent_assert=0)
         )
         assert report.status == "certified-eps" and report.certificate.kind == "witness"
-        for d in report.approximation:
-            assert 0 <= rat(1) - d.value() <= eps
+        for a in report.approximation:
+            assert 0 <= rat(1) - a <= eps
 
     def test_without_probability_flag(self):
         report = solve(univariate(0, "1/2", "1/4"), rat(1, 2**6), SolveOptions(mode="adaptive"))
-        assert report.approximation[0].value() == rat(1, 2)
+        assert report.approximation[0] == rat(1, 2)
 
     def test_manual_override_reports_its_grid(self):
         report = solve(
@@ -496,9 +501,9 @@ class TestCertifiedSoundness:
         ]
         for sys, truth in cases:
             report = solve(sys, eps, SolveOptions(qmax_exponent_assert=0))
-            for d, q in zip(report.approximation, truth):
-                assert d.value() <= q
-                assert q - d.value() <= eps
+            for a, q in zip(report.approximation, truth):
+                assert a <= q
+                assert q - a <= eps
 
     def test_bound_validity_on_fixtures(self, rng):
         fixtures = []

@@ -39,7 +39,7 @@ def run_cli(argv, document, tmp_path):
 
 
 def assert_exact_ones(report):
-    assert [d.value() for d in report.approximation] == [1] * len(report.names)
+    assert list(report.approximation) == [1] * len(report.names)
     assert report.certificate.exact_one == report.names
     assert report.scc_runs and all(run.iterations == 0 for run in report.scc_runs)
 
@@ -98,9 +98,9 @@ def test_mixed_is_certified_far_below_the_old_theorem_grid():
     assert cert.kind == "witness" and cert.exact_one == ("a",)
     assert report.params.h == 18 and cert.attempted_h == (18,)
     for run in (flagged, report):
-        assert [d.value() for d in run.approximation] == [1, rat(1, 2)]
+        assert list(run.approximation) == [1, rat(1, 2)]
         assert [(r.names, r.iterations) for r in run.scc_runs] == [(("a", "w1"), 0), (("b",), 1)]
-    approx = [d.value() for d in report.approximation]
+    approx = list(report.approximation)
     y = cert.upper
     assert y[0] == 1
     assert all(p <= yi for p, yi in zip(evaluate(MIXED, y), y))
@@ -115,14 +115,14 @@ def test_lower_dependency_below_one_is_not_marked():
     )
     report = solve(system, EPS, SolveOptions(qmax_exponent_assert=0))
     assert report.certificate.exact_one == ()
-    for d in report.approximation:
-        assert d.value() <= rat(1, 3) <= d.value() + EPS
+    for a in report.approximation:
+        assert a <= rat(1, 3) <= a + EPS
 
 
 def test_gamblers_ruin_terminates_surely_at_one_half_and_one_third(tmp_path):
     for p_up in ("1/2", "1/3"):
         result = termination_probabilities(gamblers_ruin(p_up), rat(1, 2**20))
-        assert result.entries[0][0].value() == 1
+        assert result.entries[0][0] == 1
         assert result.report.certificate.exact_one == ("s→s",)
         document = json.dumps(p1ca_to_json(gamblers_ruin(p_up)))
         code, doc = run_cli(["p1ca-term", "--epsilon", "1/1048576"], document, tmp_path)
@@ -132,7 +132,7 @@ def test_gamblers_ruin_terminates_surely_at_one_half_and_one_third(tmp_path):
     # at 2/3 the walk drifts up: q* = 1/2, and nothing is marked
     result = termination_probabilities(gamblers_ruin("2/3"), rat(1, 2**20))
     assert result.report.certificate.exact_one == ()
-    assert result.entries[0][0].value() <= rat(1, 2)
+    assert result.entries[0][0] <= rat(1, 2)
 
 
 # --- the univariate property ---------------------------------------------------
@@ -169,7 +169,7 @@ def test_marked_iff_the_lfp_is_exactly_one(abc):
         assert not is_one  # a proved q* = 1 returns before any grid
         return
     assert (report.certificate.exact_one == ("x",)) == is_one
-    x = report.approximation[0].value()
+    x = report.approximation[0]
     if is_one:
         assert x == 1 and all(run.iterations == 0 for run in report.scc_runs)
     assert x <= q <= x + EPS

@@ -185,7 +185,7 @@ class TestTerminationProbabilities:
     def test_gamblers_ruin_supercritical(self):
         eps = rat(1, 2**10)
         matrix = termination_probabilities(gamblers_ruin("2/3"), eps)
-        value = matrix.entries[0][0].value()
+        value = matrix.entries[0][0]
         assert abs(value - rat(1, 2)) <= eps
         assert matrix.report.status == "certified-eps"
         assert matrix.zero_mask == ((False,),)
@@ -193,12 +193,12 @@ class TestTerminationProbabilities:
     def test_gamblers_ruin_subcritical(self):
         eps = rat(1, 2**10)
         matrix = termination_probabilities(gamblers_ruin("1/3"), eps)
-        assert rat(1) - matrix.entries[0][0].value() <= eps
+        assert rat(1) - matrix.entries[0][0] <= eps
 
     def test_immediate_termination_exact(self):
         model = P1CA(("u",), (Transition("u", rat(1), -1, "u"),), ())
         matrix = termination_probabilities(model, rat(1, 2**10))
-        assert matrix.entries[0][0].value() == rat(1)
+        assert matrix.entries[0][0] == rat(1)
 
     def test_invalid_model_raises(self):
         bad = P1CA(("u",), (Transition("u", rat(7, 6), -1, "u"),), ())
@@ -215,7 +215,7 @@ class TestTerminationProbabilities:
             for u in range(r):
                 row_sum = rat(0)
                 for v in range(r):
-                    value = matrix.entries[u][v].value()
+                    value = matrix.entries[u][v]
                     assert 0 <= value <= 1
                     assert matrix.zero_mask[u][v] == ((u * r + v) in zeros)
                     if matrix.zero_mask[u][v]:
@@ -253,7 +253,7 @@ class TestTerminationProbabilities:
         previous_error = None
         for k in (4, 8, 12, 16):
             matrix = termination_probabilities(gamblers_ruin("2/3"), rat(1, 2**k))
-            error = truth - matrix.entries[0][0].value()
+            error = truth - matrix.entries[0][0]
             assert error >= 0
             if previous_error is not None:
                 assert error <= previous_error
@@ -273,7 +273,7 @@ class TestTerminationProbabilities:
             r = len(model.states)
             floor = min(c_min(system), rat(1)) ** (r**3)
             positive = [
-                matrix.entries[u][v].value()
+                matrix.entries[u][v]
                 for u in range(r)
                 for v in range(r)
                 if not matrix.zero_mask[u][v]
@@ -288,7 +288,7 @@ class TestTerminationProbabilities:
         eps = rat(1, 2**12)
         certified = termination_probabilities(gamblers_ruin("2/3"), eps)
         adaptive = termination_probabilities(gamblers_ruin("2/3"), eps, mode="adaptive")
-        gap = abs(certified.entries[0][0].value() - adaptive.entries[0][0].value())
+        gap = abs(certified.entries[0][0] - adaptive.entries[0][0])
         assert gap <= 2 * eps
         assert adaptive.report.status == "certified-eps"
         assert adaptive.report.certificate.kind == "witness"

@@ -6,7 +6,9 @@ itself prove that bound.  On random substochastic systems of up to four
 variables and on critical univariate quadratics, every witness is checked
 with plain ``Fraction`` arithmetic on the test's own copy of the
 polynomials, and on the test generator's substochastic systems, in both
-modes, with ``mps.evaluate``."""
+modes, with ``mps.evaluate``.  On a random quadratic with linear tails, a
+witnessed answer must be the simplest rational at most eps below its
+witness and still at most the exact LFP."""
 
 from __future__ import annotations
 
@@ -64,7 +66,7 @@ def test_certified_answer_brackets_the_lfp(bound, a, b, c, bits, slack):
     assert report.status == "certified-eps"
     cert = report.certificate
     event(cert.kind)
-    x = report.approximation[0].value()
+    x = report.approximation[0]
     assert x <= q <= x + eps
     if cert.kind == "witness":
         # the witness itself must prove the bound, checked exactly
@@ -123,7 +125,7 @@ def _system(rows):
 
 
 def _assert_witness_brackets(rows, report, eps):
-    approx = [d.value() for d in report.approximation]
+    approx = list(report.approximation)
     upper = [Fraction(y) for y in report.certificate.upper]
     assert all(p <= y for p, y in zip(_evaluate_rows(rows, upper), upper))
     assert all(x <= y <= x + eps for x, y in zip(approx, upper))
@@ -170,7 +172,7 @@ def test_multivariate_witness_is_sound(seed, n, bits, mode, h_override):
     event(cert.kind)
     assert (report.status == "certified-eps") == (cert.kind != "none")
     if cert.kind == "witness":
-        approx = [Fraction(d.value()) for d in report.approximation]
+        approx = [Fraction(a) for a in report.approximation]
         upper = [Fraction(y) for y in cert.upper]
         assert all(x <= y <= x + eps for x, y in zip(approx, upper))
         assert all(p <= y for p, y in zip(evaluate(system, upper), upper))
@@ -200,8 +202,85 @@ def test_critical_witness_brackets_the_double_root(a, b, bits, use_snf):
         event("ParamsInfeasible")
         return
     event(report.certificate.kind)
-    x = report.approximation[0].value()
+    x = report.approximation[0]
     assert x <= q_star <= x + eps
     if report.certificate.kind == "witness":
         (x,), (y,) = _assert_witness_brackets(rows, report, eps)
         assert x <= q_star <= y
+
+
+def _sign(q, r) -> int:
+    """Sign of q - r for a rational r and an exact root q of the reference."""
+    if isinstance(q, Fraction):
+        return (q > r) - (q < r)
+    return q.compare(r)
+
+
+def _affine_sign(root, scale, shift, r) -> int:
+    """Sign of scale q + shift - r, q the exact root and scale >= 0: the sign
+    of q - (r - shift) / scale when scale > 0."""
+    return _sign(root, (r - shift) / scale) if scale else _sign(Fraction(shift), r)
+
+
+def _left_farey_neighbour(a: Fraction) -> Fraction:
+    """The largest rational below a whose denominator is below a's: a's left
+    neighbour in the Farey sequence of order den(a) (Hardy-Wright, ch. 3),
+    p' / q' with p q' - p' q = 1 and 0 < q' < q.  Every rational with a
+    smaller denominator than a's is at most this neighbour or above a."""
+    p, q = a.numerator, a.denominator
+    q_left = pow(p, -1, q)
+    return Fraction((p * q_left - 1) // q, q_left)
+
+
+@st.composite
+def quadratic_with_linear_tails(draw):
+    """x = a x^2 + b x + c and k <= 3 tails z_j = beta_j z_j + gamma_j w +
+    delta_j, w the variable before z_j, with the exact LFP of x from the
+    reference and each z_j's as an affine map A_j q*_x + B_j."""
+    a, b, c = (draw(coefficient) for _ in range(3))
+    try:
+        root = univariate_quadratic_lfp(a, b, c)
+    except NoFiniteLfp:
+        assume(False)
+    names, equations, affine = ["x"], [[(a, {"x": 2}), (b, {"x": 1}), (c, {})]], [(1, 0)]
+    for j in range(draw(st.integers(0, 3))):
+        beta = draw(st.fractions(min_value=0, max_value=Fraction(7, 8), max_denominator=8))
+        gamma, delta = draw(coefficient), draw(coefficient)
+        names.append(f"z{j}")
+        equations.append([(beta, {names[-1]: 1}), (gamma, {names[-2]: 1}), (delta, {})])
+        scale, shift = affine[-1]
+        affine.append((gamma * scale / (1 - beta), (gamma * shift + delta) / (1 - beta)))
+    equations = [[term for term in eq if term[0]] for eq in equations]
+    return system_of(names, *equations), root, affine
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    case=quadratic_with_linear_tails(),
+    bits=st.sampled_from([8, 16]),
+    mode=st.sampled_from(["certified", "adaptive"]),
+    use_snf=st.booleans(),
+)
+def test_witnessed_answer_is_the_simplest_below_the_lfp(case, bits, mode, use_snf):
+    # A witness y gives q* <= y, and the iterate x <= q* with y - x <= eps, so
+    # the answer a, the simplest rational in [max(0, y - eps), x], must have
+    # a <= q* <= y, y - a <= eps, and no rational with a smaller denominator
+    # in [max(0, y - eps), a]; q* is checked exactly against the reference.
+    system, root, affine = case
+    eps = Fraction(1, 2**bits)
+    tops = [scale * _upper(root) + shift for scale, shift in affine]
+    exponent = max([0] + [ceil_log2(t) for t in tops if t > 0])
+    options = SolveOptions(mode=mode, use_snf=use_snf, qmax_exponent_assert=exponent, max_h=512)
+    try:
+        report = solve(system, eps, options)
+    except ALLOWED as exc:
+        event(type(exc).__name__)
+        return
+    event(report.certificate.kind)
+    if report.certificate.kind != "witness":
+        return
+    for a, y, (scale, shift) in zip(report.approximation, report.certificate.upper, affine):
+        assert _affine_sign(root, scale, shift, a) >= 0 >= _affine_sign(root, scale, shift, y)
+        assert 0 <= y - a <= eps
+        if a.denominator > 1:
+            assert max(0, y - eps) > _left_farey_neighbour(a)

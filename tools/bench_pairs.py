@@ -110,7 +110,9 @@ def _replay(tree: Path) -> dict:
     codes = re.search(r"^exit codes: (.*)$", out, re.M).group(1)
     return {
         "records": int(re.search(r"^records: (\d+)$", out, re.M).group(1)),
-        "exit_codes": {code: int(count) for code, count in (part.split(": ") for part in codes.split(", "))},
+        # an exit code can be an escaped exception's "Type: message", which
+        # itself holds ": ", so each entry ends at ": <count>" and ", " or the end
+        "exit_codes": {code: int(count) for code, count in re.findall(r"(.+?): (\d+)(?:, |$)", codes)},
         "sha256": re.search(r"^sha256: (\w+)$", out, re.M).group(1),
         "groups": dict(re.findall(r"^sha256 (.+ \(\d+\)): (\w+)$", out, re.M)),
     }
