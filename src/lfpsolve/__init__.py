@@ -2,11 +2,12 @@
 
 The package computes the least non-negative solution q* of x = P(x), where
 every monomial coefficient of P is positive, to a requested additive error
-with an actual certificate: all arithmetic is exact rational, iterates are
-rounded down onto a dyadic grid whose resolution is chosen from provable
-bounds, and the result never overshoots q*.  A probabilistic one-counter
-automaton front end maps termination probabilities onto such systems and
-solves them with polynomial-size parameters.
+with an actual certificate: all arithmetic is exact (integers inside,
+rationals at the edges), iterates are rounded down onto a dyadic grid whose
+resolution is chosen from provable bounds, and the result never overshoots
+q*.  A probabilistic one-counter automaton front end maps termination
+probabilities onto such systems and solves them with polynomial-size
+parameters.
 """
 
 from .decomposition import Decomposition, DependencyGraph, Scc, build_graph, decompose

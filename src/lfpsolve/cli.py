@@ -30,10 +30,11 @@ from .errors import (
     SingularMatrix,
     StructureViolation,
 )
-from .mps import clean, evaluate, json_text, parse_mps, to_snf
+from .mps import clean, json_text, parse_mps, to_snf
 from .mps import system_to_json  # unused here; perfbench/spans.py times it at this import
 from .p1ca import parse_p1ca, termination_probabilities, validate
-from .ratmath import ZERO, parse_rat, rat_str
+from .oracle import value_iterates
+from .ratmath import ZERO, Rat, parse_rat, rat_str
 
 SCHEMA_VERSIONS = {"mps": 1, "p1ca": 1, "solve-report": 1, "g-matrix": 1}
 
@@ -224,8 +225,8 @@ def _cmd_value_iter(args) -> int:
         raise ValueError("--steps must be >= 0")
     budget = _value_iter_bit_budget()
     iterate = [ZERO] * system.n
-    for step in range(1, args.steps + 1):
-        iterate = evaluate(system, iterate)
+    for step, (numerators, scale) in zip(range(1, args.steps + 1), value_iterates(system)):
+        iterate = [Rat(p, scale) for p in numerators]
         if any(max(x.numerator.bit_length(), x.denominator.bit_length()) > budget for x in iterate):
             raise ValueError(
                 f"value iterate {step} has a numerator or denominator of more than "

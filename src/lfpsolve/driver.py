@@ -118,7 +118,6 @@ from .ratmath import (
     HALF,
     ONE,
     ZERO,
-    Dyadic,
     Rat,
     ceil_log2,
     rat,
@@ -358,7 +357,7 @@ def _run_rdnm(
     decomposition's order), which solves every dependency first and fixes
     the order of the reported runs.  One mantissa list on the 2**-h grid
     holds the solved variables, which each component reads in place as
-    constants (``newton_rows``) before it writes its own.
+    constants (``newton_rows``) before it writes its own; it is returned.
     """
     m = [0] * sys.n
     runs = []
@@ -392,7 +391,7 @@ def _run_rdnm(
             iterations = 1
         names = tuple(sys.names[v] for v in scc.vars)
         runs.append(SccRun(names, scc.nonlinear, iterations, trace if keep_traces else None))
-    return [Dyadic(mi, h) for mi in m], tuple(runs)
+    return m, tuple(runs)
 
 
 # --- post-fixed-point witnesses ----------------------------------------------------
@@ -418,20 +417,19 @@ def _is_post_fixed_point(sys: MonotoneSystem, x: list, s: int) -> bool:
     return all(acc <= back * xi for acc, xi in zip(evaluate_scaled(sys, x, s), x))
 
 
-def _newton_direction_candidate(sys: MonotoneSystem, lower, epsilon, h: int):
+def _newton_direction_candidate(sys: MonotoneSystem, m: list, epsilon, h: int):
     """y = x + round_down(eps d / ||d||_inf) on the 2**-(h + STEP_BITS) grid,
     d = (I - B(x))^-1 1, when every d_i > 0 and P(y) <= y; else None.
 
-    Works on the mantissas of x and on ``solve_integer``'s pairs d_i = p_i /
-    q_i (q_i > 0): the largest d_k comes from cross-multiplication, and with
-    t = h + STEP_BITS and eps = eps_n / eps_d the mantissas of y over 2**t
-    are (m_i << STEP_BITS) + floor(2**t eps_n p_i q_k / (eps_d q_i p_k)).
-    Each step is at most 2**t eps, so 0 <= y - x <= eps holds without a
-    check.  The step's grid is finer than the iterate's, so the direction
-    keeps its resolution when the iterate's grid is only a few bits finer
-    than eps.
+    Works on the mantissas m of x = m 2**-h and on ``solve_integer``'s
+    pairs d_i = p_i / q_i (q_i > 0): the largest d_k comes from
+    cross-multiplication, and with t = h + STEP_BITS and eps = eps_n /
+    eps_d the mantissas of y over 2**t are (m_i << STEP_BITS) + floor(2**t
+    eps_n p_i q_k / (eps_d q_i p_k)).  Each step is at most 2**t eps, so
+    0 <= y - x <= eps holds without a check.  The step's grid is finer than
+    the iterate's, so the direction keeps its resolution when the iterate's
+    grid is only a few bits finer than eps.
     """
-    m = [dy.mantissa for dy in lower]
     rows, _ = newton_rows(sys, m, h)
     try:  # A = s (I - B(x)), so A^-1 (s 1) = (I - B(x))^-1 1
         d = solve_integer(rows, [sys.integer_form.back_scale(1 << h)] * sys.n)
@@ -472,19 +470,19 @@ def _simplest_rational(lo, hi):
     return Rat(a * t + b, c * t + d)
 
 
-def _simplest_candidate(sys: MonotoneSystem, lower, epsilon):
-    y = [_simplest_rational(x, x + epsilon) for x in (dy.value() for dy in lower)]
+def _simplest_candidate(sys: MonotoneSystem, m: list, epsilon, h: int):
+    y = [_simplest_rational(x, x + epsilon) for x in (Rat(mi, 1 << h) for mi in m)]
     s = lcm(*(yi.denominator for yi in y))
     numerators = [yi.numerator * (s // yi.denominator) for yi in y]
     return y if _is_post_fixed_point(sys, numerators, s) else None
 
 
-def post_fixed_point_witness(sys: MonotoneSystem, lower, epsilon, h: int):
-    """An exactly checked post-fixed point at most epsilon above ``lower``
-    (Dyadics on the 2**-h grid).
+def post_fixed_point_witness(sys: MonotoneSystem, m: list, epsilon, h: int):
+    """An exactly checked post-fixed point at most epsilon above x = m 2**-h,
+    the grid's iterate given by its mantissas m.
 
     Returns y as rationals when P(y) <= y and 0 <= y - x <= epsilon hold
-    exactly for x = lower, otherwise None.  P(y) <= y is checked in integers
+    exactly, otherwise None.  P(y) <= y is checked in integers
     over the common coefficient denominator by ``_is_post_fixed_point``,
     with y's numerators over 2**(h + STEP_BITS) for the first candidate and
     over the lcm of its denominators for the second.  Two candidates are
@@ -506,8 +504,8 @@ def post_fixed_point_witness(sys: MonotoneSystem, lower, epsilon, h: int):
       components with q* = 1 exactly never get here, because the pre-pass
       sets them.
     """
-    y = _newton_direction_candidate(sys, lower, epsilon, h)
-    return y if y is not None else _simplest_candidate(sys, lower, epsilon)
+    y = _newton_direction_candidate(sys, m, epsilon, h)
+    return y if y is not None else _simplest_candidate(sys, m, epsilon, h)
 
 
 # --- the grid loop -------------------------------------------------------------
@@ -534,8 +532,8 @@ def _run_grids(
     sys: MonotoneSystem, decomp: Decomposition, epsilon, bounds: LfpBounds, options: SolveOptions
 ):
     """The grid loop of the module docstring on a cleaned system.  Returns
-    (params, dyadics, runs, certificate kind, witness or None, grids tried
-    for a witness).
+    (params, the mantissas of the answer's grid ``params.h``, runs,
+    certificate kind, witness or None, grids tried for a witness).
 
     Both modes climb the same unscaled ladder and stop at the first grid
     with a witness, at the first that agrees with the one before within
@@ -571,20 +569,21 @@ def _run_grids(
     for h, g in grids:
         attempted.append(h)
         try:
-            dyadics, runs = _run_rdnm(sys, decomp, h, g, threshold, options.keep_traces)
+            m, runs = _run_rdnm(sys, decomp, h, g, threshold, options.keep_traces)
         except SingularMatrix as exc:
             singular = exc
             break
-        upper = post_fixed_point_witness(sys, dyadics, epsilon, h)
+        upper = post_fixed_point_witness(sys, m, epsilon, h)
         if upper is not None:
             break
-        current = [dy.value() for dy in dyadics]
+        # |a 2**-h - b 2**-hp| <= eps / 4 in integers, hp < h the grid before
         agreed = previous is not None and all(
-            abs(a - b) <= epsilon / 4 for a, b in zip(current, previous)
+            abs(a - (b << (h - hp))) * (epsilon.denominator << 2) <= epsilon.numerator << h
+            for a, b in zip(m, previous)
         )
         if agreed:
             break
-        previous = current
+        previous, hp = m, h
 
     if u == 0 and (upper is None or any(rational_exceeds_pow2(y, threshold) for y in upper)):
         _probe_divergence(sys, bounds)
@@ -599,10 +598,10 @@ def _run_grids(
                 f"certified h = {h_theorem}{rescaled} exceeds the ceiling {options.max_h}"
             )
         h, g = h_theorem - u, h_theorem - 1
-        dyadics, runs = _run_rdnm(sys, decomp, h, g, threshold, options.keep_traces)
+        m, runs = _run_rdnm(sys, decomp, h, g, threshold, options.keep_traces)
         # u <= h_theorem <= max_h here, so 2**(2u) is affordable
         params = DriverParams(beta / (1 << (2 * u)), h, g, u, options.mode)
-        return params, dyadics, runs, "theorem", None, attempted
+        return params, m, runs, "theorem", None, attempted
     if singular is not None:
         raise singular
     if fallback and not agreed:
@@ -610,7 +609,7 @@ def _run_grids(
             f"adaptive refinement passed the ceiling {options.max_h} without settling"
         )
     kind = "none" if upper is None else "witness"
-    return DriverParams(beta, h, g, 0, options.mode), dyadics, runs, kind, upper, attempted
+    return DriverParams(beta, h, g, 0, options.mode), m, runs, kind, upper, attempted
 
 
 # --- certified parameter formulas ---------------------------------------------
@@ -726,7 +725,7 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
         params = DriverParams(alpha=ONE, h=1, g=1, u=0, mode=options.mode)
         qmax_source = "probability-flag" if options.qmax_exponent_assert == 0 else "exact"
         bounds = LfpBounds(ONE, "exact", 0, qmax_source)
-        dyadics, runs, attempted, kind, upper = (), (), (), "witness", ()
+        m, runs, attempted, kind, upper = [], (), (), "witness", ()
     else:
         reduced = cleaned
         if ones:  # every variable outside rest is in the proved set
@@ -749,7 +748,7 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
                 "newton_rate": _newton_rate_info(n, d, f, bits, epsilon),
             }
         )
-        params, dyadics, runs, kind, upper, attempted = _run_grids(
+        params, m, runs, kind, upper, attempted = _run_grids(
             reduced, decomp, epsilon, bounds, options
         )
 
@@ -757,7 +756,7 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
         status = "certified-eps"
     else:
         status = "adaptive-heuristic" if options.mode == "adaptive" else "uncertified"
-    approx = to_input([dy.value() for dy in dyadics], ZERO, ONE)
+    approx = to_input([Rat(mi, 1 << params.h) for mi in m], ZERO, ONE)
     if upper is not None:
         upper = to_input(upper, ZERO, ONE)
         approx = tuple(_simplest_rational(max(ZERO, y - epsilon), x) for x, y in zip(approx, upper))

@@ -18,7 +18,7 @@ from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DegreeTooHigh, NotMonotone, ParseError
-from .ratmath import ONE, ZERO, den, num, rat, rat_str
+from .ratmath import ONE, ZERO, Rat, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,15 @@ class MonotoneSystem:
     def integer_form(self) -> IntegerForm:
         """P over its common coefficient denominator, built on first use and
         kept in the instance ``__dict__`` (which a frozen dataclass allows)."""
-        denominator = lcm(*(den(mono.coeff) for terms in self.equations for mono in terms))
+        denominator = lcm(*(mono.coeff.denominator for terms in self.equations for mono in terms))
         degree = max(self.degree(), 1)
         equations = tuple(
             tuple(
-                (num(mono.coeff) * (denominator // den(mono.coeff)), mono.exponents, degree - mono.degree)
+                (
+                    mono.coeff.numerator * (denominator // mono.coeff.denominator),
+                    mono.exponents,
+                    degree - mono.degree,
+                )
                 for mono in terms
             )
             for terms in self.equations
@@ -366,7 +370,7 @@ def encoding_size(sys: MonotoneSystem) -> int:
     total = 0
     for terms in sys.equations:
         for mono in terms:
-            total += num(mono.coeff).bit_length() + den(mono.coeff).bit_length()
+            total += mono.coeff.numerator.bit_length() + mono.coeff.denominator.bit_length()
             for v, e in mono.exponents:
                 total += (v + 1).bit_length() + e.bit_length()
     return max(total, sys.n, 1)
@@ -392,9 +396,7 @@ def evaluate_scaled(sys: MonotoneSystem, x: Sequence[int], s: int) -> list:
     s >= 1, with L and D those of ``MonotoneSystem.integer_form``: every
     term is an integer at that scale, so no rational is ever normalized."""
     form = sys.integer_form
-    powers = [1]
-    for _ in range(form.degree):
-        powers.append(powers[-1] * s)
+    powers = [1] + [None] * form.degree  # s**gap, computed once for each gap that occurs
     out = []
     for terms in form.equations:
         acc = 0
@@ -406,7 +408,10 @@ def evaluate_scaled(sys: MonotoneSystem, x: Sequence[int], s: int) -> list:
                     break
                 value *= xv if e == 1 else xv**e
             else:
-                acc += value * powers[gap]
+                power = powers[gap]
+                if power is None:
+                    power = powers[gap] = s**gap
+                acc += value * power
         out.append(acc)
     return out
 
@@ -459,25 +464,16 @@ def _add_entry(row: dict, j: int, value) -> None:
 
 
 def c_min(sys: MonotoneSystem):
-    """Smallest coefficient or constant appearing in the system."""
-    smallest = None
-    for terms in sys.equations:
-        for mono in terms:
-            if smallest is None or mono.coeff < smallest:
-                smallest = mono.coeff
-    return smallest if smallest is not None else ONE
+    """Smallest coefficient or constant in the system (1 if none), from ``integer_form``."""
+    form = sys.integer_form
+    lowest = min((c for terms in form.equations for c, _, _ in terms), default=form.denominator)
+    return Rat(lowest, form.denominator)
 
 
 def norm_p_one(sys: MonotoneSystem):
-    """||P(1)||_inf, i.e. the largest per-equation coefficient sum."""
-    worst = ZERO
-    for terms in sys.equations:
-        acc = ZERO
-        for mono in terms:
-            acc = acc + mono.coeff
-        if acc > worst:
-            worst = acc
-    return worst
+    """||P(1)||_inf, the largest per-equation coefficient sum, from ``integer_form``."""
+    form = sys.integer_form
+    return Rat(max((sum(c for c, _, _ in terms) for terms in form.equations), default=0), form.denominator)
 
 
 # --- simple normal form ---------------------------------------------------------

@@ -4,21 +4,20 @@ One Newton iteration at z is z + (I - B(z))^{-1} (P(z) - z), computed
 exactly; the rounded loop then snaps every coordinate down to the 2**-h
 grid (clamping at 0), which keeps iterate bit-sizes linear in h instead of
 doubling per step, while every iterate remains a lower bound on the least
-fixed point.  Every linear solve of the solver runs on the integer rows of
-``newton_rows``.  ``newton_step`` is the exact rational operator, which no
-solve calls: it stays because the benchmark's traced spans
-(``perfbench/spans.py``) name it, and the tests compare the integer kernel
-against it.
+fixed point.  Every step of the solver runs on integer mantissas and the
+integer rows of ``newton_rows``.  ``newton_step`` is the exact rational
+operator (``evaluate``, ``eval_jacobian``, ``solve_linear``), which no
+solve or command calls: the benchmark's traced spans
+(``perfbench/spans.py``) name it, and the tests check the kernel against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DivergenceCertified
+from .errors import DegreeTooHigh, DivergenceCertified
 from .mps import MonotoneSystem, eval_jacobian, evaluate
 from .ratmath import (
-    ZERO,
     Dyadic,
     Rat,
     identity_minus,
@@ -170,8 +169,15 @@ def run_rnm(
     with a finite LFP below that bound can never get there.
     """
     h = cfg.h
-    if sys.integer_form.degree > 2:
-        eval_jacobian(sys, [ZERO] * sys.n)  # raises DegreeTooHigh naming the equation
+    form = sys.integer_form
+    if form.degree > 2:  # the first term of degree above 2 names its equation, as in eval_jacobian
+        i, gap = next(
+            (i, gap) for i, terms in enumerate(form.equations) for _, _, gap in terms if gap < form.degree - 2
+        )
+        raise DegreeTooHigh(
+            f"equation {sys.names[i]} has a degree-{form.degree - gap} monomial; "
+            "convert to simple normal form first"
+        )
     members = range(sys.n) if members is None else members
     m = [0] * sys.n if mantissas is None else mantissas
     x = [0] * len(members)

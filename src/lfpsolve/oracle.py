@@ -1,11 +1,11 @@
 """Value iteration and the divergence probe.
 
-``value_iterate`` is the solver's q*_min bound, which ``driver`` computes
-for every reduced system of up to ``driver.VALUE_ITERATION_CAP`` variables.
-``detect_divergence`` is the solver's divergence probe (``driver`` runs it
-in the grid loop of most solves); it steps on ``mps.evaluate_scaled`` over
-``MonotoneSystem.integer_form``, the integer form that the Newton kernel
-reads too, so it is no independent check of that kernel.
+``value_iterate`` (the q*_min bound of reduced systems of up to
+``driver.VALUE_ITERATION_CAP`` variables) and the ``value-iter`` command
+step through ``value_iterates``; ``detect_divergence`` is the grid loop's
+divergence probe.  Both step on ``mps.evaluate_scaled`` over
+``MonotoneSystem.integer_form``, which the Newton kernel reads too, so
+neither is an independent check of that kernel.
 """
 
 from __future__ import annotations
@@ -19,29 +19,34 @@ from .ratmath import Rat, rational_exceeds_pow2
 PROBE_GRID_BITS = 64  # the divergence probe rounds down to multiples of 2**-64
 
 
-def value_iterate(sys: MonotoneSystem, k: int) -> list:
-    """Exact k-fold value iterate P^k(0), in lowest terms.
-
-    Monotone nondecreasing in k, and every coordinate is a certified lower
-    bound on the least fixed point.  The iterate is kept as integer
-    numerators x over one shared scale s, x_k = x / s, starting from x = 0
-    and s = 1: each step is x <- L s**D P(x / s) (``mps.evaluate_scaled``)
-    and s <- L s**D, and then divides out gcd(s, x_1, ..., x_n), which keeps
-    the numbers near the size of the reduced fractions.  Values can grow
-    without bound on systems with no finite LFP; the caller owns the step
-    budget.
-    """
-    if k < 0:
-        raise ValueError("step count must be >= 0")
+def value_iterates(sys: MonotoneSystem):
+    """Yield the exact value iterates P^k(0) = x / s, k = 1, 2, ..., as
+    integer numerators x over one shared scale s.  From x = 0 and s = 1,
+    each step is x <- L s**D P(x / s) (``mps.evaluate_scaled``) and s <- L
+    s**D, and then divides out gcd(s, x_1, ..., x_n), so s is the lcm of
+    the reduced denominators.  Values can grow without bound on systems with
+    no finite LFP; the caller owns the step budget."""
     form = sys.integer_form
     x, s = [0] * sys.n, 1
-    for _ in range(k):
+    while True:
         x = evaluate_scaled(sys, x, s)
         s = form.denominator * s**form.degree
         g = gcd(s, *x)
         if g > 1:
             x = [xi // g for xi in x]
             s //= g
+        yield x, s
+
+
+def value_iterate(sys: MonotoneSystem, k: int) -> list:
+    """P^k(0) in lowest terms, step k of ``value_iterates``: monotone
+    nondecreasing in k, and every coordinate is a certified lower bound on
+    the least fixed point."""
+    if k < 0:
+        raise ValueError("step count must be >= 0")
+    x, s = [0] * sys.n, 1
+    for _, (x, s) in zip(range(k), value_iterates(sys)):
+        pass
     return [Rat(xi, s) for xi in x]
 
 

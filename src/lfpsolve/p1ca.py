@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .driver import DEFAULT_MAX_H, SolveOptions, SolveReport, solve
 from .errors import InvalidModel, ParseError, StructureViolation
 from .mps import Monomial, MonotoneSystem
-from .ratmath import ONE, ceil_log2, den, num, rat, rat_str
+from .ratmath import ONE, ceil_log2, rat, rat_str
 
 # Unused here; perfbench/spans.py times these at this module's imports.
 from .decomposition import build_graph, decompose
@@ -198,8 +198,8 @@ def build_termination_mps(model: P1CA) -> MonotoneSystem:
 def max_prob_bits(model: P1CA) -> int:
     """Largest numerator/denominator bit length over all probabilities."""
     worst = 1
-    for t in model.delta + model.delta0:
-        worst = max(worst, num(t.probability).bit_length(), den(t.probability).bit_length())
+    for p in (t.probability for t in model.delta + model.delta0):
+        worst = max(worst, p.numerator.bit_length(), p.denominator.bit_length())
     return worst
 
 

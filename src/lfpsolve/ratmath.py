@@ -2,33 +2,27 @@
 linear algebra.
 
 Every certificate in this package rests on intermediate values being exact,
-so this module offers no floating-point escape hatch.  Linear systems are
-solved by one fraction-free sparse elimination on integer rows with content
-reduction (``solve_integer``); ``solve_linear`` scales rational rows to
-integers and feeds it.  Rationals are arbitrary-precision fractions kept in
-lowest terms; gmpy2's ``mpq`` is used when present (same semantics as
-``fractions.Fraction``, much faster normalization), with a pure-stdlib
-fallback.  All values are immutable and all functions are pure, so
-everything here is safe to share across threads.
+so this module offers no floating-point escape hatch.  Solves and commands
+compute on Python integers; a rational (``Rat``, ``fractions.Fraction``)
+only enters (parsing, coefficients) or leaves (bounds, witnesses, answers,
+traces).  Linear systems are solved by one fraction-free sparse elimination
+on integer rows (``solve_integer``).  The rational ``solve_linear`` and
+``round_down_dyadic`` run in no solve: the benchmark's traced spans
+(``perfbench/spans.py``) and independent checks use them.  All values are
+immutable and all functions are pure, so everything is thread-safe.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction as Rat
 from math import gcd, lcm
 from typing import Sequence
 
 from .errors import SingularMatrix
 
-try:
-    from gmpy2 import mpq as Rat
-
-    RAT_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rat
-
-    RAT_BACKEND = "fractions"
+RAT_BACKEND = "fractions"  # the one rational type; perfbench/run.py prints it
 
 ZERO = Rat(0)
 ONE = Rat(1)
@@ -68,14 +62,6 @@ def rat_str(q) -> str:
     return str(q)
 
 
-def num(q) -> int:
-    return int(q.numerator)
-
-
-def den(q) -> int:
-    return int(q.denominator)
-
-
 def ceil_log2(q) -> int:
     """Smallest integer L with q <= 2**L, computed exactly.
 
@@ -87,7 +73,7 @@ def ceil_log2(q) -> int:
         raise ValueError("ceil_log2 requires a positive argument")
     # With gap = bitlen(num) - bitlen(den), 2**(gap - 1) < q < 2**(gap + 1),
     # so the answer is gap or gap + 1.
-    gap = num(q).bit_length() - den(q).bit_length()
+    gap = q.numerator.bit_length() - q.denominator.bit_length()
     return gap + 1 if rational_exceeds_pow2(q, gap) else gap
 
 
@@ -100,7 +86,7 @@ def rational_exceeds_pow2(q, exponent: int) -> bool:
     """
     if q <= 0:
         return False
-    a, b = num(q), den(q)
+    a, b = q.numerator, q.denominator
     gap = a.bit_length() - b.bit_length()  # log2(q) lies in (gap-1, gap+1)
     if exponent <= gap - 1:
         return True
@@ -138,7 +124,7 @@ def round_down_dyadic(v, h: int) -> Dyadic:
         raise ValueError("rounding parameter h must be >= 1")
     if v <= 0:
         return Dyadic(0, h)
-    return Dyadic((num(v) << h) // den(v), h)
+    return Dyadic((v.numerator << h) // v.denominator, h)
 
 
 # --- sparse linear algebra ----------------------------------------------------
@@ -186,9 +172,9 @@ def _integer_rows(a: Sequence, b: Sequence) -> tuple:
             if len(row) != n:
                 raise ValueError("matrix must be square")
             entries = {j: v for j, v in enumerate(row) if v != 0}
-        scale = lcm(den(bi), *(den(v) for v in entries.values()))
-        rows.append({j: num(v) * (scale // den(v)) for j, v in entries.items()})
-        rhs.append(num(bi) * (scale // den(bi)))
+        scale = lcm(bi.denominator, *(v.denominator for v in entries.values()))
+        rows.append({j: v.numerator * (scale // v.denominator) for j, v in entries.items()})
+        rhs.append(bi.numerator * (scale // bi.denominator))
     return rows, rhs
 
 

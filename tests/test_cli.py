@@ -142,6 +142,32 @@ class TestSolveCommand:
         assert code == 3
         assert json.loads(out)["status"] == "singular"
 
+    def test_exit_singular_in_adaptive_mode(self, tmp_path):
+        # The ladder's first grid meets the singular step; adaptive mode has
+        # no theorem grid to fall back on, so the grid loop re-raises it.
+        doc = '{"vars":["x"],"eqs":[[{"c":"1","m":{"x":1}},{"c":"1","m":{}}]]}'
+        code, out, _ = run_cli(["solve", "--epsilon", "1/2", "--mode", "adaptive"], doc, tmp_path)
+        assert code == 3
+        assert json.loads(out)["status"] == "singular"
+
+    def test_no_snf_refuses_a_cubic(self, tmp_path):
+        doc = '{"vars":["x"],"eqs":[[{"c":"1/2","m":{"x":3}},{"c":"1/2","m":{}}]]}'
+        code, out, _ = run_cli(["solve", "--epsilon", "1/16", "--no-snf"], doc, tmp_path)
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "DegreeTooHigh",
+            "message": "system has degree > 2; solve requires a quadratic system "
+            "(leave simple-normal-form conversion enabled)",
+        }
+
+    def test_epsilon_outside_the_unit_interval_is_refused(self, tmp_path):
+        code, out, _ = run_cli(["solve", "--epsilon", "3/2"], CHAIN3, tmp_path)
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "ValueError",
+            "message": "--epsilon must be a rational in (0, 1)",
+        }
+
     def test_exit_params_infeasible(self, tmp_path):
         code, out, _ = run_cli(
             ["solve", "--epsilon", "1/65536", "--assume-prob", "--max-h", "16"],

@@ -337,6 +337,11 @@ class TestSolveCertified:
         with pytest.raises(SingularMatrix):
             solve(univariate(0, "1", "1"), rat(1, 4))
 
+    def test_singular_linear_scc_in_adaptive_mode(self):
+        # no theorem grid to fall back on: the ladder's singular step propagates
+        with pytest.raises(SingularMatrix):
+            solve(univariate(0, "1", "1"), rat(1, 4), SolveOptions(mode="adaptive"))
+
     def test_divergence_certified_for_x_squared_plus_one(self):
         with pytest.raises(DivergenceCertified):
             solve(univariate("1", 0, "1"), rat(1, 4))

@@ -213,7 +213,7 @@ def _rational_direction(sys: MonotoneSystem, lower, epsilon, h: int):
 def test_accepted_newton_direction_is_within_epsilon(seed, n, h, epsilon):
     sys = random_substochastic(random.Random(seed), n)
     lower, _ = run_rnm(sys, RnmConfig(h, h), keep_trace=False)
-    y = _newton_direction_candidate(sys, lower, epsilon, h)
+    y = _newton_direction_candidate(sys, [d.mantissa for d in lower], epsilon, h)
     expected = _rational_direction(sys, lower, epsilon, h)
     event("accepted" if y is not None else "rejected")
     if y is None:
@@ -233,7 +233,7 @@ def test_newton_direction_is_accepted_on_most_runs():
     for seed in range(30):
         sys = random_substochastic(random.Random(seed), 4)
         lower, _ = run_rnm(sys, RnmConfig(32, 32), keep_trace=False)
-        accepted += _newton_direction_candidate(sys, lower, Fraction(1, 3 << 10), 32) is not None
+        accepted += _newton_direction_candidate(sys, [d.mantissa for d in lower], Fraction(1, 3 << 10), 32) is not None
     assert accepted >= 20
 
 

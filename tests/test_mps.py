@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -305,6 +306,19 @@ class TestEvaluation:
                 exact = evaluate(sys, [rat(mi, 1 << bits) for mi in m])
                 floors = [acc // back for acc in evaluate_scaled(sys, m, 1 << bits)]
                 assert floors == [math.floor(v * (1 << bits)) for v in exact]
+
+    def test_scaled_evaluation_raises_the_scale_only_to_the_gaps_that_occur(self):
+        # x = x^400 / 2 + 1/2 uses s**0 and s**400 alone: at s = 2**400 all
+        # 401 powers s**0, ..., s**400 would hold 4 MB, the two it uses 20 kB.
+        sys = system_of(["x"], [("1/2", {"x": 400}), ("1/2", {})])
+        tracemalloc.start()
+        try:
+            (acc,) = evaluate_scaled(sys, [1], 1 << 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert acc == 1 + (1 << 160000)
+        assert peak < 1 << 20
 
     def test_helpers(self):
         sys = parse_mps(UNIVARIATE_DOC)

@@ -4,9 +4,10 @@ print a digest of every byte they write.
     python3 tools/replay.py TREE [--records PATH]
 
 TREE is a checkout of this repository; lfpsolve is imported from TREE/src
-and from nowhere else.  The corpus comes from the checkout this file is in,
-so running the same file against two trees compares their output on the
-same inputs.  The corpus:
+and from nowhere else.  The command-line corpus comes from the checkout
+this file is in, so running the same file against two trees compares their
+output on the same inputs; the demos are TREE's own, since a demo is
+written against its tree's API.  The corpus:
 
 - every operation of the four benchmark workloads at seed 1, built by
   ``perfbench/workloads.py`` (imported, not changed);
@@ -22,7 +23,7 @@ same inputs.  The corpus:
 - four systems solved without a flag, in both modes, so that the
   worst-case bound on q* sets u;
 - a missing file, a parse error and a bad epsilon;
-- the standard output of every demo.
+- the standard output of every demo in TREE/demos.
 
 Outside the flagless group every solve passes ``--assume-prob`` or has
 q* <= 1.  The flagless group takes u from the worst-case formula, 5100 to
@@ -163,7 +164,7 @@ def _cli_runs(tmp: Path, workloads, models) -> list:
     return runs
 
 
-def _records(tmp: Path, workloads, models, cli) -> list:
+def _records(tmp: Path, tree: Path, workloads, models, cli) -> list:
     records = []
     for label, argv in _cli_runs(tmp, workloads, models):
         code, out, err = _captured(lambda: cli.main(argv))
@@ -173,7 +174,7 @@ def _records(tmp: Path, workloads, models, cli) -> list:
                 json.dumps(json.loads(out)["system"]), encoding="utf-8"
             )
         records.append({"label": label, "argv": argv, "exit": code, "stdout": out, "stderr": err})
-    for demo in sorted((ROOT / "demos").glob("*.py")):
+    for demo in sorted((tree / "demos").glob("*.py")):
         code, out, err = _captured(lambda: _run_demo(demo))
         record = {"label": f"demos/{demo.name}", "argv": [], "exit": code, "stdout": out, "stderr": err}
         records.append(record)
@@ -213,7 +214,7 @@ def main() -> int:
 
     print(f"lfpsolve: {Path(cli.__file__).parent}")
     with tempfile.TemporaryDirectory() as tmp:
-        records = _records(Path(tmp), workloads, models, cli)
+        records = _records(Path(tmp), tree, workloads, models, cli)
         lines = [_normalized(record, Path(tmp), tree) for record in records]
     if args.records is not None:
         args.records.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
