@@ -323,20 +323,17 @@ def _diagonal_pivots_pass(rows: list) -> bool:
 
 def _exact_ones(sys: MonotoneSystem, decomp: Decomposition) -> set:
     """Indices of a cleaned system whose q* is exactly 1, proved component by
-    component, dependencies first (see the module docstring).  Row i of
-    L(I - B(1)) holds every variable P_i uses, all derivatives at 1 being
-    positive; scaling by L > 0 keeps the pivot signs."""
-    rows, rhs = newton_rows(sys, [1] * sys.n, 0)
-    ones: set = set()
+    component, dependencies first (see the module docstring).  A component
+    whose equations use only its own and proved variables is tested on
+    ``newton_rows`` at 1 with h = 0: rows L(I - B_S(1)) with its inputs held
+    at 1, and r = L(P_S(1) - 1); L > 0 keeps the pivot signs."""
+    equations, at_one, ones = sys.integer_form.equations, [1] * sys.n, set()
     for scc in decomp.sccs:
-        local = {v: k for k, v in enumerate(scc.vars)}
-        if any(rhs[i] for i in scc.vars) or any(
-            j not in local and j not in ones for i in scc.vars for j in rows[i]
-        ):
-            continue
-        own = [{local[j]: a for j, a in rows[i].items() if j in local} for i in scc.vars]
-        if _diagonal_pivots_pass(own):
-            ones.update(scc.vars)
+        used = {v for i in scc.vars for _, powers, _ in equations[i] for v, _ in powers}
+        if used.difference(scc.vars) <= ones:
+            rows, rhs = newton_rows(sys, at_one, 0, scc.vars)
+            if not any(rhs) and _diagonal_pivots_pass(rows):
+                ones.update(scc.vars)
     return ones
 
 

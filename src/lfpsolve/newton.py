@@ -70,15 +70,6 @@ def newton_step(sys: MonotoneSystem, z) -> list:
     return [zi + di for zi, di in zip(z, delta)]
 
 
-def _record(sys: MonotoneSystem, k: int, m: list, h: int, members=None) -> TraceRecord:
-    """The members' iterate x = m 2**-h and max |P_i(x) - x_i| over them,
-    from ``newton_rows``' right-hand sides r = N(m) - s m over s 2**h."""
-    _, rhs = newton_rows(sys, m, h, members)
-    iterate = m if members is None else [m[v] for v in members]
-    residual = Rat(max(map(abs, rhs), default=0), sys.integer_form.back_scale(1 << h) << h)
-    return TraceRecord(k, tuple(Dyadic(mi, h) for mi in iterate), residual)
-
-
 def newton_rows(sys: MonotoneSystem, m: list, h: int, members=None) -> tuple:
     """Integer rows A = s I - J(m) and r = N(m) - s m at x = m 2**-h, the one
     place the solver builds I - B rows, read from ``sys.integer_form``.
@@ -132,12 +123,10 @@ def newton_rows(sys: MonotoneSystem, m: list, h: int, members=None) -> tuple:
     return rows, rhs
 
 
-def _rounded_step(sys: MonotoneSystem, m: list, h: int, members=None) -> list:
-    """Mantissas of round_down(x + (I - B(x))^-1 (P(x) - x), h) at x = m 2**-h,
-    at ``members`` (all by default): max(0, m + floor(A^-1 r)) for the rows
-    of ``newton_rows``."""
-    rows, rhs = newton_rows(sys, m, h, members)
-    current = m if members is None else [m[v] for v in members]
+def _rounded_step(rows: list, rhs: list, current: list) -> list:
+    """Mantissas of round_down(x + (I - B(x))^-1 (P(x) - x), h) from
+    ``newton_rows``' A and r at x = m 2**-h, ``current`` the mantissas of
+    its rows' variables: max(0, m + floor(A^-1 r))."""
     return [max(0, mi + p // q) for mi, (p, q) in zip(current, solve_integer(rows, rhs))]
 
 
@@ -155,9 +144,11 @@ def run_rnm(
     coordinate down to the largest non-negative multiple of 2**-h, on
     integer mantissas (``_rounded_step``).  Returns the final iterate and
     the trace: the number of Newton steps computed and, with
-    ``keep_trace``, one record per iterate (residuals are recorded for
-    diagnostics; they are never a stopping criterion, and cost one extra
-    row build per step).
+    ``keep_trace``, one record per iterate.  One ``newton_rows`` build per
+    iterate gives its next step and its record's residual max |P_i(x) - x_i|
+    = max |r_i| / (s 2**h), s = ``IntegerForm.back_scale(2**h)`` (for
+    diagnostics, never a stopping criterion); only a trace builds the rows
+    after the last step.
 
     With ``members`` and ``mantissas`` (the whole system's mantissas on the
     grid) it runs one component in place: ``members`` from 0, every other
@@ -183,27 +174,30 @@ def run_rnm(
     x = [0] * len(members)
     for v in members:
         m[v] = 0
-    records = [_record(sys, 0, m, h, members)] if keep_trace else []
-    steps = cfg.g
-    for k in range(1, cfg.g + 1):
-        rounded = _rounded_step(sys, m, h, members)
-        if rounded == x:
-            # The rounded step is a deterministic map, so a repeated iterate
-            # is pinned forever: x^[g] equals this iterate exactly and the
-            # remaining iterations can be skipped without changing anything.
-            steps = k
-            break
-        x = rounded
-        for v, xi in zip(members, x):
-            m[v] = xi
-        if divergence_exponent is not None:
+    scale = form.back_scale(1 << h) << h  # P(x) - x = r / scale
+    records, steps = [], cfg.g
+    for k in range(cfg.g + 1):
+        if k:  # step k, from the rows of iterate k - 1
+            rounded = _rounded_step(rows, rhs, x)
+            if rounded == x:
+                # The rounded step is a deterministic map, so a repeated iterate
+                # is pinned forever: x^[g] equals this iterate exactly and the
+                # remaining iterations can be skipped without changing anything.
+                steps = k
+                break
+            x = rounded
+            for v, xi in zip(members, x):
+                m[v] = xi
             # The crossing test is monotone in the mantissa: the largest decides,
             # and m * 2**-h > 2**e is the integer test m > 2**(h + e).
-            if rational_exceeds_pow2(max(x), h + divergence_exponent):
+            if divergence_exponent is not None and rational_exceeds_pow2(max(x), h + divergence_exponent):
                 raise DivergenceCertified(
                     f"iterate {k} exceeds the q*_max bound 2**{divergence_exponent}; "
                     "no finite least fixed point below it exists"
                 )
+        if k < cfg.g or keep_trace:  # the rows after step g serve only the trace
+            rows, rhs = newton_rows(sys, m, h, members)
         if keep_trace:
-            records.append(_record(sys, k, m, h, members))
+            residual = Rat(max(map(abs, rhs), default=0), scale)
+            records.append(TraceRecord(k, tuple(Dyadic(xi, h) for xi in x), residual))
     return tuple(Dyadic(xi, h) for xi in x), IterationTrace(tuple(records), steps)

@@ -293,6 +293,11 @@ class TestOtherSubcommands:
             "stopped before step 12"
         )
 
+    def test_value_iter_rejects_negative_steps(self, tmp_path):
+        code, out, _ = run_cli(["value-iter", "--steps", "-1"], CHAIN3, tmp_path)
+        assert code == 1
+        assert json.loads(out)["error"] == {"type": "ValueError", "message": "--steps must be >= 0"}
+
     def test_snf_and_clean(self, tmp_path):
         from lfpsolve import system_from_json, system_to_json
 

@@ -8,6 +8,7 @@ import pytest
 from lfpsolve import (
     DegreeTooHigh,
     DivergenceCertified,
+    LfpBounds,
     ParamsInfeasible,
     RnmConfig,
     SingularMatrix,
@@ -525,3 +526,17 @@ class TestCertifiedSoundness:
             assert lower <= min(truth)
             exponent = qmax_upper_exponent(sys)
             assert not rational_exceeds_pow2(max(truth), exponent)
+
+
+@pytest.mark.parametrize(
+    "qmin, exponent, message",
+    [
+        (rat(0), 0, "qmin_lower must be positive"),
+        (rat(3), 1, "lower bound exceeds upper bound"),
+        (rat(3, 4), -1, "lower bound exceeds upper bound"),
+    ],
+)
+def test_lfp_bounds_reject_an_empty_interval(qmin, exponent, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LfpBounds(qmin, "test", exponent, "test")
+    assert LfpBounds(rat(1, 1 << 8), "test", exponent, "test").qmax_exponent == exponent

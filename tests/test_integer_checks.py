@@ -17,9 +17,14 @@ from hypothesis import strategies as st
 from reference import fraction_value_iterate, rational_pivots_pass
 
 from lfpsolve import Monomial, MonotoneSystem, RnmConfig, SingularMatrix, run_rnm, value_iterate
-from lfpsolve.driver import _diagonal_pivots_pass, _is_post_fixed_point, _newton_direction_candidate
+from lfpsolve.driver import (
+    _diagonal_pivots_pass,
+    _is_post_fixed_point,
+    _newton_direction_candidate,
+    post_fixed_point_witness,
+)
 from lfpsolve.mps import eval_jacobian, evaluate
-from lfpsolve.newton import _record
+from lfpsolve.newton import newton_rows
 from lfpsolve.ratmath import identity_minus, round_down_dyadic, solve_linear
 
 COEFFICIENTS = [Fraction(c) for c in ('1/3', '2/7', '1/2', '5/6', '3/5', '1', '4/9')]
@@ -237,6 +242,15 @@ def test_newton_direction_is_accepted_on_most_runs():
     assert accepted >= 20
 
 
+def test_singular_newton_direction_falls_back_to_the_simplest_candidate():
+    # x = x^2/2 + 1/2 at its critical q* = 1 (mantissa 1 << h): I - B(1) = 0,
+    # so there is no direction d, and the simplest rational in [1, 1 + eps]
+    # is 1 itself, a fixed point.
+    sys, h, epsilon = univariate("1/2", 0, "1/2"), 20, Fraction(1, 1 << 16)
+    assert _newton_direction_candidate(sys, [1 << h], epsilon, h) is None
+    assert post_fixed_point_witness(sys, [1 << h], epsilon, h) == [1]
+
+
 # --- the trace residual ------------------------------------------------------------
 
 
@@ -244,8 +258,9 @@ def test_newton_direction_is_accepted_on_most_runs():
 @given(data=st.data(), sys=systems(max_degree=2), h=st.integers(0, 40))
 def test_trace_residual_is_the_exact_sup_norm(data, sys, h):
     """Every residual of a kept trace is max_i |P_i(x) - x_i| with exact
-    ``mps.evaluate``, at the iterates of ``run_rnm`` (h >= 1) and at any
-    grid point, on and above q* (h = 0 included)."""
+    ``mps.evaluate``, at the iterates of ``run_rnm`` (h >= 1); and at any
+    grid point, on and above q* (h = 0 included), ``newton_rows``' r_i over
+    s 2**h, which the residual reads, is P_i(x) - x_i."""
     event(f"degree {sys.degree()}")
     records = []
     if h:
@@ -253,8 +268,11 @@ def test_trace_residual_is_the_exact_sup_norm(data, sys, h):
             records += run_rnm(sys, RnmConfig(h, data.draw(st.integers(1, 6))), keep_trace=True)[1].records
         except SingularMatrix:
             pass
-    m = [data.draw(st.integers(0, 3 << h)) for _ in range(sys.n)]
-    records.append(_record(sys, 0, m, h))
     for record in records:
         x = [d.value() for d in record.iterate]
         assert record.residual == max(abs(p - xi) for p, xi in zip(evaluate(sys, x), x))
+    m = [data.draw(st.integers(0, 3 << h)) for _ in range(sys.n)]
+    x = [Fraction(mi, 1 << h) for mi in m]
+    _, rhs = newton_rows(sys, m, h)
+    scale = sys.integer_form.back_scale(1 << h) << h
+    assert [Fraction(r, scale) for r in rhs] == [p - xi for p, xi in zip(evaluate(sys, x), x)]

@@ -624,3 +624,39 @@ class TestRestrict:
         assert restricted.equations == (
             (Monomial(rat(1, 12), ((0, 1),)), Monomial(rat(1, 8), ())),
         )
+
+
+class TestConstructorChecks:
+    # Monomial(...) and MonotoneSystem(...) check their parts; the package's
+    # own builders skip these checks (TestUncheckedConstruction).
+    @pytest.mark.parametrize(
+        "coeff, exponents, error, message",
+        [
+            (rat(0), (), NotMonotone, "coefficient 0 is not positive"),
+            (rat(-1, 2), ((0, 1),), NotMonotone, "coefficient -1/2 is not positive"),
+            (rat(1), ((1, 1), (0, 1)), ValueError, "exponent indices must be strictly increasing"),
+            (rat(1), ((0, 1), (0, 1)), ValueError, "exponent indices must be strictly increasing"),
+            (rat(1), ((0, 0),), ValueError, "exponents must be >= 1"),
+        ],
+    )
+    def test_monomial_rejects(self, coeff, exponents, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            Monomial(coeff, exponents)
+
+    @pytest.mark.parametrize(
+        "names, equations, message",
+        [
+            (("x",), (), "need exactly one equation per variable"),
+            (("x", "x"), ((), ()), "variable names must be unique"),
+            (("",), ((),), "variable names must be non-empty strings"),
+            (("x",), ((Monomial(rat(1), ((1, 1),)),),), "monomial references an unknown variable"),
+        ],
+    )
+    def test_system_rejects(self, names, equations, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MonotoneSystem(names, equations)
+
+    def test_snf_product_variable_avoids_a_taken_name(self):
+        # x = x^3/4 + 1/2 needs x*x; "w1" is taken, so it becomes "_w1".
+        sys = system_of(["x", "w1"], [("1/4", {"x": 3}), ("1/2", {})], [("1/2", {"w1": 1}), ("1/4", {})])
+        assert to_snf(sys).system.names == ("x", "w1", "_w1", "w2")

@@ -115,14 +115,14 @@ class TestIntegerKernel:
         # At x = 11/8 > q* = 1 the exact step lands on 19/16 = 9.5 / 8, so
         # the mantissa floors to 9, not 10.
         assert round_down_dyadic(newton_step(CRITICAL, [rat(11, 8)])[0], 3).mantissa == 9
-        assert _rounded_step(CRITICAL, [11], 3) == [9]
+        assert _rounded_step(*newton_rows(CRITICAL, [11], 3), [11]) == [9]
 
     def test_linear_system_steps_over_the_plain_denominator(self):
         # x = x/2 + 1/3 has D = 1, so s = L = 6 and the step from 0 lands on
         # q* = 2/3, whose mantissa at h = 5 is floor(64/3) = 21.
         sys = univariate(0, "1/2", "1/3")
         assert sys.integer_form.back_scale(1 << 5) == 6
-        assert _rounded_step(sys, [0], 5) == [21]
+        assert _rounded_step(*newton_rows(sys, [0], 5), [0]) == [21]
 
     def test_matches_the_rounded_exact_step_at_any_grid_point(self, rng):
         # Both right-hand sides the solver gives newton_rows' A: r for the
@@ -151,10 +151,10 @@ class TestIntegerKernel:
                 exact = newton_step(sys, x)
             except SingularMatrix as exc:
                 with pytest.raises(SingularMatrix, match=str(exc)):
-                    _rounded_step(sys, m, h)
+                    _rounded_step(*newton_rows(sys, m, h), m)
                 continue
             expected = [round_down_dyadic(v, h).mantissa for v in exact]
-            assert _rounded_step(sys, m, h) == expected
+            assert _rounded_step(*newton_rows(sys, m, h), m) == expected
 
 
 class TestCertifyParams:
@@ -189,3 +189,9 @@ class TestCertifyParams:
             certify_params_scc(1, rat(1, 2), rat(2))
         with pytest.raises(ValueError):
             certify_params_scc(0, rat(1, 2), rat(1, 2))
+
+
+@pytest.mark.parametrize("h, g", [(0, 1), (1, 0)])
+def test_rnm_config_needs_positive_h_and_g(h, g):
+    with pytest.raises(ValueError, match="^need h >= 1 and g >= 1$"):
+        RnmConfig(h, g)

@@ -292,3 +292,30 @@ class TestTerminationProbabilities:
         assert gap <= 2 * eps
         assert adaptive.report.status == "certified-eps"
         assert adaptive.report.certificate.kind == "witness"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ("[]", "top level must be an object"),
+        ('{"states":["s"],"delta":{}}', '"delta" must be a list'),
+        (
+            '{"states":["s"],"delta0":[{"from":"s","p":0.5,"k":1,"to":"s"}]}',
+            '"delta0": probability must be a "p/q" string',
+        ),
+    ],
+)
+def test_parse_rejects_the_wrong_shape(doc, message):
+    from lfpsolve import ParseError
+
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_p1ca(doc)
+
+
+def test_validate_rejects_an_empty_state_name():
+    assert validate(P1CA(("",), (), ())) == ["state names must be non-empty strings"]
+
+
+def test_termination_probabilities_rejects_epsilon_above_one():
+    with pytest.raises(ValueError, match=r"^epsilon must be in \(0, 1\)$"):
+        termination_probabilities(gamblers_ruin("2/3"), 2)

@@ -429,3 +429,8 @@ class TestIntegerElimination:
             solved += 1
             assert solve_linear(sparse, b) == x == _dense_reference(dense, b)
         assert solved >= 40
+
+
+def test_dyadic_rejects_a_negative_scale():
+    with pytest.raises(ValueError, match="^scale must be non-negative$"):
+        Dyadic(1, -1)

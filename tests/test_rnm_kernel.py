@@ -3,11 +3,12 @@ and the same exception as rounded Newton written from the exact rational
 operator ``newton_step`` and ``round_down_dyadic``, on random quadratic
 systems with zero diagonals and singular I - B among them; and a run on one
 component, read in place, matches a run on the system that ``restrict``
-builds for it."""
+builds for it; and each iterate's rows are built once."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 from conftest import univariate
 from hypothesis import event, example, given, settings
@@ -29,6 +30,7 @@ from lfpsolve import (
     system_of,
 )
 from lfpsolve.mps import restrict
+from lfpsolve.newton import newton_rows
 
 COEFFICIENTS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(2)]
 
@@ -149,6 +151,30 @@ def test_component_run_matches_restricted_system(case, g, divergence_exponent):
         assert [vector[v] for v in members] == [d.mantissa for d in final]
         outside = [i for i in range(sys.n) if i not in members]
         assert [vector[i] for i in outside] == [mantissas[i] for i in outside]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=components(), g=st.integers(1, 20), keep_trace=st.booleans())
+def test_each_iterate_builds_its_rows_once(case, g, keep_trace):
+    """One ``newton_rows`` build per iterate serves both its trace record and
+    its next step, so a kept trace builds exactly one per record; without a
+    trace every computed step builds once, and the rows after the last step
+    are never built."""
+    sys, members, h, mantissas = case
+    builds = []
+
+    def counting_rows(*args):
+        builds.append(args)
+        return newton_rows(*args)
+
+    with mock.patch("lfpsolve.newton.newton_rows", counting_rows):
+        try:
+            cfg = RnmConfig(h, g)
+            _, trace = run_rnm(sys, cfg, keep_trace=keep_trace, members=members, mantissas=list(mantissas))
+        except SingularMatrix:
+            return
+    event("pinned" if trace.steps < g else "ran g steps")
+    assert len(builds) == (len(trace.records) if keep_trace else trace.steps)
 
 
 def test_restrict_runs_at_most_once_per_solve(monkeypatch):

@@ -22,6 +22,12 @@ written against its tree's API.  The corpus:
   divergence probe and one by the first Newton iterate;
 - four systems solved without a flag, in both modes, so that the
   worst-case bound on q* sets u;
+- one run for each route that nothing above reaches (``ROUTES``): the
+  divergence probe after the ladder, the certified theorem grid, the
+  adaptive ceiling, the q* = 1 pre-pass with variables left over, a
+  singular Newton step in both modes, ``bounds`` on a system that cleaning
+  empties, ``value-iter`` within and past its bit budget, and
+  ``p1ca-validate`` and ``p1ca-term`` on a valid and an invalid model;
 - a missing file, a parse error and a bad epsilon;
 - the standard output of every demo in TREE/demos.
 
@@ -109,6 +115,91 @@ FLAGLESS = {
     },
 }
 
+# Runs that reach a route no other record reaches, by label: the argv before
+# the input file, the input (a document, or a file of demos/data), the exit
+# code and the output that marks the route, as dotted keys of the JSON on
+# standard output.  tests/test_replay_routes.py runs each through
+# ``cli.main`` and checks both, so a change that moves a run off its route
+# fails a test instead of shrinking what the replay covers.
+X_SQUARED_PLUS_1 = {"vars": ["x"], "eqs": [[{"c": "1", "m": {"x": 2}}, {"c": "1", "m": {}}]]}
+X_PLUS_1 = {"vars": ["x"], "eqs": [[{"c": "1", "m": {"x": 1}}, {"c": "1", "m": {}}]]}
+# a has q* = 1, which the pre-pass proves; b0 and b1 are a doubled chain
+# fed by a, and c is linear on top: the only run that restricts the
+# cleaned system to the variables left after the q* = 1 set.
+PARTIAL_ONES = {
+    "vars": ["a", "b0", "b1", "c"],
+    "eqs": [
+        [{"c": "1/2", "m": {"a": 2}}, {"c": "1/2", "m": {}}],
+        [{"c": "1/4", "m": {"b0": 2}}, {"c": "1", "m": {"a": 1}}],
+        [{"c": "1/4", "m": {"b1": 2}}, {"c": "1/2", "m": {"b0": 1}}],
+        [{"c": "1/3", "m": {"c": 1}}, {"c": "1/3", "m": {"b1": 1}}, {"c": "1/8", "m": {}}],
+    ],
+}
+# an unknown target state, and probabilities from "a" summing to 5/4
+BAD_P1CA = {
+    "states": ["a"],
+    "delta": [
+        {"from": "a", "p": "1/2", "k": -1, "to": "a"},
+        {"from": "a", "p": "3/4", "k": 1, "to": "b"},
+    ],
+    "delta0": [],
+}
+ROUTES = {
+    "probe-after-ladder": (
+        ["solve", "--assume-prob", "--epsilon", EPS],
+        X_SQUARED_PLUS_1,
+        2,
+        {
+            "error.message": "value iteration escapes the q*_max bound 2**0; "
+            "no finite least fixed point below it exists"
+        },
+    ),
+    "theorem-grid": (
+        ["solve", "--assume-prob", "--epsilon", EPS],
+        FLAGLESS["quartic"],
+        0,
+        {"certificate.kind": "theorem", "certificate.attempted_h": [18, 36, 72], "params.h": 603},
+    ),
+    "adaptive-ceiling": (
+        ["solve", "--assume-prob", "--epsilon", EPS, "--mode", "adaptive", "--max-h", "18"],
+        FLAGLESS["quartic"],
+        4,
+        {"error.message": "adaptive refinement passed the ceiling 18 without settling"},
+    ),
+    "partial-ones": (
+        ["solve", "--epsilon", EPS],
+        PARTIAL_ONES,
+        0,
+        {"certificate.kind": "witness", "params.h": 72, "certificate.exact_one": ["a"]},
+    ),
+    "singular": (["solve", "--epsilon", EPS], X_PLUS_1, 3, {"error.type": "SingularMatrix"}),
+    "singular-adaptive": (
+        ["solve", "--epsilon", EPS, "--mode", "adaptive"],
+        X_PLUS_1,
+        3,
+        {"error.type": "SingularMatrix"},
+    ),
+    "bounds-empty": (
+        ["bounds"],
+        {"vars": ["x"], "eqs": [[{"c": "1", "m": {"x": 1}}]]},
+        0,
+        {"empty_after_cleaning": True},
+    ),
+    "value-iter": (["value-iter", "--steps", "3"], "chain3.json", 0, {"steps": 3}),
+    "value-iter-budget": (
+        ["value-iter", "--steps", "40"],
+        {"vars": ["x"], "eqs": [[{"c": "1/4", "m": {"x": 2}}, {"c": "1", "m": {}}]]},
+        1,
+        {
+            "error.message": "value iterate 14 has a numerator or denominator of more than 14284 bits; "
+            "stopped before step 15"
+        },
+    ),
+    "p1ca-validate": (["p1ca-validate"], "gambler.json", 0, {"ok": True}),
+    "p1ca-validate-invalid": (["p1ca-validate"], BAD_P1CA, 1, {"ok": False}),
+    "p1ca-term-invalid": (["p1ca-term", "--epsilon", P1CA_EPS], BAD_P1CA, 1, {"error.type": "InvalidModel"}),
+}
+
 
 def _captured(call) -> tuple:
     """Exit code, standard output and standard error of call().  An
@@ -156,6 +247,13 @@ def _cli_runs(tmp: Path, workloads, models) -> list:
         path.write_text(json.dumps(doc), encoding="utf-8")
         for extra in ([], ["--mode", "adaptive"]):
             runs.append((f"flagless/{name}", ["solve", "--epsilon", EPS, *extra, str(path)]))
+    for name, (argv, source, _, _) in ROUTES.items():
+        if isinstance(source, str):
+            path = DATA / source
+        else:
+            path = tmp / f"route-{name}.json"
+            path.write_text(json.dumps(source), encoding="utf-8")
+        runs.append((f"route/{name}", [*argv, str(path)]))
     runs += [
         ("error/missing-file", ["solve", "--epsilon", EPS, str(tmp / "missing.json")]),
         ("error/parse", ["p1ca-term", "--epsilon", EPS, str(DATA / "chain3.json")]),
