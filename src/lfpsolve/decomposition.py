@@ -7,14 +7,14 @@ judged with lower-component variables treated as constants.
 
 Tarjan's algorithm emits each SCC after every SCC it depends on, so one
 pass in that emission order gives each component its dependencies,
-linearity, height and nonlinear height.  A heap then puts the components
-in the reported order: of those whose dependencies are all placed, the one
-with the smallest variable first.
+linearity, height and nonlinear height.  The components are then listed by
+height, ties by least variable: every dependency has a smaller height, so
+this order is topological, and it is the order every solve runs and
+reports them.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .mps import MonotoneSystem
@@ -47,7 +47,7 @@ class Scc:
 
 @dataclass(frozen=True)
 class Decomposition:
-    sccs: tuple  # topological order: dependencies precede dependents
+    sccs: tuple  # by (height, least variable), so dependencies precede dependents
     depth: int
     nonlinear_depth: int
 
@@ -113,13 +113,10 @@ def decompose(graph: DependencyGraph, sys: MonotoneSystem) -> Decomposition:
     components, comp_of = _tarjan(graph)
     successors = graph.successors
 
-    # One pass in Tarjan's order, where every dependency comes first; it also
-    # counts the dependencies and lists the dependents that the heap needs.
+    # One pass in Tarjan's order, where every dependency comes first.
     built = []
     heights = []
     nl_heights = []
-    dependents: list[list] = [[] for _ in components]
-    outstanding = []
     for cid, comp in enumerate(components):
         if len(comp) == 1:  # own degree > 1 needs a self-loop first
             (v,) = comp
@@ -133,26 +130,13 @@ def decompose(graph: DependencyGraph, sys: MonotoneSystem) -> Decomposition:
         deps.discard(cid)
         h = f = 0
         for d in deps:
-            dependents[d].append(cid)
             if heights[d] > h:
                 h = heights[d]
             if nl_heights[d] > f:
                 f = nl_heights[d]
         heights.append(h + 1)
         nl_heights.append(f + nonlinear)
-        outstanding.append(len(deps))
         built.append(Scc(members, nonlinear, h + 1, f + nonlinear))
 
-    heap = [(scc.vars[0], cid) for cid, scc in enumerate(built) if not outstanding[cid]]
-    heapq.heapify(heap)
-    sccs = []
-    while heap:
-        _, cid = heapq.heappop(heap)
-        sccs.append(built[cid])
-        for parent in dependents[cid]:
-            outstanding[parent] -= 1
-            if not outstanding[parent]:
-                heapq.heappush(heap, (built[parent].vars[0], parent))
-    if len(sccs) != len(built):
-        raise AssertionError("condensation is not acyclic")
+    sccs = sorted(built, key=lambda scc: (scc.height, scc.vars[0]))
     return Decomposition(tuple(sccs), max(heights, default=0), max(nl_heights, default=0))

@@ -350,15 +350,15 @@ def _run_rdnm(
 ):
     """Bottom-up rounded decomposed Newton over an already-cleaned system.
 
-    Components run in order of height (stable, so ties keep the
-    decomposition's order), which solves every dependency first and fixes
-    the order of the reported runs.  One mantissa list on the 2**-h grid
-    holds the solved variables, which each component reads in place as
-    constants (``newton_rows``) before it writes its own; it is returned.
+    Components run in the decomposition's order, which solves every
+    dependency first and is the order of the reported runs.  One mantissa
+    list on the 2**-h grid holds the solved variables, which each component
+    reads in place as constants (``newton_rows``) before it writes its own;
+    it is returned.
     """
     m = [0] * sys.n
     runs = []
-    for scc in sorted(decomp.sccs, key=lambda scc: scc.height):
+    for scc in decomp.sccs:
         trace = None
         if scc.nonlinear:
             _, trace = run_rnm(
@@ -707,7 +707,7 @@ def solve(sys: MonotoneSystem, epsilon, options: SolveOptions | None = None) -> 
     exact_one = tuple(name for name, one in zip(sys.names, to_input((), False, True)) if one)
     exact_runs = tuple(
         SccRun(tuple(cleaned.names[v] for v in scc.vars), scc.nonlinear, 0, None)
-        for scc in sorted(decomp.sccs, key=lambda scc: scc.height)
+        for scc in decomp.sccs
         if scc.vars[0] in ones
     )
     info = {

@@ -296,9 +296,8 @@ def brute_force_decomposition(sys: MonotoneSystem) -> tuple:
     each component as (sorted vars, nonlinear, height, nonlinear height).
 
     Components are the classes of mutual reachability in the graph with an
-    edge i -> j when x_j occurs in P_i.  They come in the pinned order:
-    each after every component it depends on, and among those ready, the
-    one with the smallest variable first.  A component is nonlinear when
+    edge i -> j when x_j occurs in P_i.  They come in the pinned order: by
+    height, ties by smallest variable.  A component is nonlinear when
     some monomial of its equations has degree >= 2 in its own variables;
     its heights count the components, and the nonlinear ones, on the
     longest dependency path that starts at it.
@@ -323,10 +322,8 @@ def brute_force_decomposition(sys: MonotoneSystem) -> tuple:
     def longest(c, weight) -> int:
         return weight(c) + max((longest(d, weight) for d in deps[c]), default=0)
 
-    order, placed = [], set()
-    while len(order) < len(deps):
-        c = min((c for c in deps if c not in placed and deps[c] <= placed), key=min)
-        order.append(c)
-        placed.add(c)
-    sccs = [(tuple(sorted(c)), nonlinear(c), longest(c, lambda _: 1), longest(c, nonlinear)) for c in order]
+    sccs = sorted(
+        ((tuple(sorted(c)), nonlinear(c), longest(c, lambda _: 1), longest(c, nonlinear)) for c in deps),
+        key=lambda s: (s[2], s[0][0]),
+    )
     return sccs, max((s[2] for s in sccs), default=0), max((s[3] for s in sccs), default=0)

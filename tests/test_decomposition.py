@@ -2,14 +2,28 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfpsolve import Monomial, MonotoneSystem, build_graph, clean, decompose, parse_mps, serialize_mps, system_of
+from lfpsolve import (
+    Monomial,
+    MonotoneSystem,
+    SolveOptions,
+    build_graph,
+    clean,
+    decompose,
+    parse_mps,
+    rat,
+    serialize_mps,
+    solve,
+    system_of,
+)
 
-from conftest import chain_system, random_with_zero_variables
+from conftest import chain_system, random_substochastic, random_with_zero_variables
 from reference import brute_force_decomposition
 
 
@@ -137,6 +151,26 @@ class TestDecompose:
         )
         decomp = decompose(build_graph(sys), sys)
         assert [scc.vars for scc in decomp.sccs] == [(0,), (1,)]
+
+    def test_rejects_the_graph_of_another_system(self):
+        one = system_of(["x"], [("1/2", {})])
+        two = system_of(["x", "y"], [("1/2", {})], [("1/2", {"x": 1})])
+        with pytest.raises(ValueError, match="graph and system disagree on dimension"):
+            decompose(build_graph(one), two)
+
+
+class TestOneOrderEndToEnd:
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(2, 8))
+    def test_solve_reports_what_decompose_lists(self, seed, n):
+        # P(1) <= 15/16 on these systems, so no q* = 1 set reorders the runs.
+        sys = random_substochastic(random.Random(seed), n)
+        report = solve(sys, rat(1, 2**10), SolveOptions(use_snf=False, qmax_exponent_assert=0))
+        assert not report.certificate.exact_one
+        cleaned, _ = clean(sys)
+        decomp = decompose(build_graph(cleaned), cleaned)
+        listed = [tuple(cleaned.names[v] for v in scc.vars) for scc in decomp.sccs]
+        assert [run.names for run in report.scc_runs] == listed
 
 
 class TestAgainstBruteForce:

@@ -298,14 +298,15 @@ class TestSolveCertified:
         assert lo - value <= eps
 
     def test_scc_runs_in_height_order(self):
-        # a depends on c; c and b are constants.  decompose lists c, a, b,
-        # while components are solved and reported by height: c, b, a.
+        # a depends on c; c and b are constants.  decompose lists them by
+        # height, then least variable, and solve runs and reports them so:
+        # c, b, a.
         sys = system_of(
             ["a", "c", "b"], [("1/2", {"c": 1}), ("1/4", {})], [("1/2", {})], [("1/2", {})]
         )
         cleaned, _ = clean(sys)
         decomp = decompose(build_graph(cleaned), cleaned)
-        assert [cleaned.names[v] for scc in decomp.sccs for v in scc.vars] == ["c", "a", "b"]
+        assert [cleaned.names[v] for scc in decomp.sccs for v in scc.vars] == ["c", "b", "a"]
         report = solve(sys, rat(1, 2**10), SolveOptions(use_snf=False))
         assert [run.names for run in report.scc_runs] == [("c",), ("b",), ("a",)]
 

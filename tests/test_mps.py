@@ -274,6 +274,12 @@ class TestEvaluation:
         sys = parse_mps(UNIVARIATE_DOC)
         assert evaluate(sys, [rat(1)]) == [rat(1)]
 
+    def test_rejects_a_point_of_the_wrong_length(self):
+        sys = parse_mps(UNIVARIATE_DOC)
+        for point in ([], [rat(1), rat(1)]):
+            with pytest.raises(ValueError, match="point has wrong dimension"):
+                evaluate(sys, point)
+
     def test_monotonicity(self, rng):
         for _ in range(30):
             sys = random_substochastic(rng, rng.randint(1, 4))
@@ -331,6 +337,12 @@ class TestJacobian:
         sys = parse_mps(UNIVARIATE_DOC)
         z = rat(3, 7)
         assert eval_jacobian(sys, [z]) == [{0: z}]
+
+    def test_rejects_a_point_of_the_wrong_length(self):
+        sys = parse_mps(UNIVARIATE_DOC)
+        for point in ([], [rat(1), rat(1)]):
+            with pytest.raises(ValueError, match="point has wrong dimension"):
+                eval_jacobian(sys, point)
 
     def test_product_rule(self):
         sys = system_of(["x1", "x2"], [("1", {"x1": 1, "x2": 1})], [("1/2", {})])

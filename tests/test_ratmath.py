@@ -173,6 +173,10 @@ class TestSparseSolve:
         a = [{1: rat(2)}, {2: rat(3)}, {0: rat(1, 4)}]
         assert solve_linear(a, [rat(1), rat(2), rat(3)]) == [rat(12), rat(1, 2), rat(2, 3)]
 
+    def test_dict_row_past_the_last_column_is_not_square(self):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            solve_linear([{0: rat(1)}, {2: rat(1)}], [rat(1), rat(1)])
+
     def test_rank_deficient_with_nonzero_diagonal(self):
         # Row 2 is row 0 plus row 1; every diagonal entry is nonzero.
         a = [[rat(1), rat(1), rat(0)], [rat(0), rat(1), rat(1)], [rat(1), rat(2), rat(1)]]

@@ -61,6 +61,11 @@ def test_emitter_matches_indented_dumps(value):
     assert json_text(value) == json.dumps(value, indent=2)
 
 
+def test_top_level_booleans_match_dumps():
+    assert json_text(True) == json.dumps(True) == "true"
+    assert json_text(False) == json.dumps(False) == "false"
+
+
 def test_emitter_raises_where_json_cannot_write():
     with pytest.raises(TypeError):
         json_text({"x": [object()]})

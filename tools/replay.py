@@ -24,9 +24,11 @@ written against its tree's API.  The corpus:
   worst-case bound on q* sets u;
 - one run for each route that nothing above reaches (``ROUTES``): the
   divergence probe after the ladder, the certified theorem grid, the
-  adaptive ceiling, the q* = 1 pre-pass with variables left over, a
-  singular Newton step in both modes, ``bounds`` on a system that cleaning
-  empties, ``value-iter`` within and past its bit budget, and
+  adaptive ceiling, the q* = 1 pre-pass with variables left over, the
+  pre-pass's elimination with row scaling, cancellation and division by
+  the content, the component order that ``decompose`` and ``solve`` share,
+  a singular Newton step in both modes, ``bounds`` on a system that
+  cleaning empties, ``value-iter`` within and past its bit budget, and
   ``p1ca-validate`` and ``p1ca-term`` on a valid and an invalid model;
 - a missing file, a parse error and a bad epsilon;
 - the standard output of every demo in TREE/demos.
@@ -135,6 +137,27 @@ PARTIAL_ONES = {
         [{"c": "1/3", "m": {"c": 1}}, {"c": "1/3", "m": {"b1": 1}}, {"c": "1/8", "m": {}}],
     ],
 }
+# w and z are constants, x reads z and y reads w: decompose, solve and the
+# trace all list the components by height, then least variable (w, z, x, y).
+COMPONENT_ORDER = {
+    "vars": ["w", "x", "y", "z"],
+    "eqs": [
+        [{"c": "1/2", "m": {}}],
+        [{"c": "1/2", "m": {"z": 1}}, {"c": "1/4", "m": {}}],
+        [{"c": "1/2", "m": {"w": 1}}, {"c": "1/4", "m": {}}],
+        [{"c": "1/2", "m": {}}],
+    ],
+}
+# x = x^2/4 + y/2 + 1/4, y = x/2 + y^2/4 + 1/4: q* = (1, 1) and critical, so
+# the pre-pass's elimination scales a row, cancels an entry to zero (the
+# last pivot) and divides by a content before it proves the q* = 1 set.
+PREPASS_ELIMINATION = {
+    "vars": ["x", "y"],
+    "eqs": [
+        [{"c": "1/4", "m": {"x": 2}}, {"c": "1/2", "m": {"y": 1}}, {"c": "1/4", "m": {}}],
+        [{"c": "1/2", "m": {"x": 1}}, {"c": "1/4", "m": {"y": 2}}, {"c": "1/4", "m": {}}],
+    ],
+}
 # an unknown target state, and probabilities from "a" summing to 5/4
 BAD_P1CA = {
     "states": ["a"],
@@ -171,6 +194,22 @@ ROUTES = {
         PARTIAL_ONES,
         0,
         {"certificate.kind": "witness", "params.h": 72, "certificate.exact_one": ["a"]},
+    ),
+    "component-order": (
+        ["solve", "--assume-prob", "--epsilon", EPS],
+        COMPONENT_ORDER,
+        0,
+        {
+            "sccs": [
+                {"vars": [name], "nonlinear": False, "iterations": 1} for name in ("w", "z", "x", "y")
+            ]
+        },
+    ),
+    "prepass-elimination": (
+        ["solve", "--epsilon", EPS],
+        PREPASS_ELIMINATION,
+        0,
+        {"certificate.kind": "witness", "certificate.exact_one": ["x", "y"]},
     ),
     "singular": (["solve", "--epsilon", EPS], X_PLUS_1, 3, {"error.type": "SingularMatrix"}),
     "singular-adaptive": (
