@@ -33,8 +33,8 @@ from .errors import (
 from .mps import clean, json_text, parse_mps, to_snf
 from .mps import system_to_json  # unused here; perfbench/spans.py times it at this import
 from .p1ca import parse_p1ca, termination_probabilities, validate
-from .oracle import value_iterates
-from .ratmath import ZERO, Rat, parse_rat, rat_str
+from .oracle import lowest_terms, value_iterates
+from .ratmath import Rat, parse_rat, rat_str
 
 SCHEMA_VERSIONS = {"mps": 1, "p1ca": 1, "solve-report": 1, "g-matrix": 1}
 
@@ -224,15 +224,15 @@ def _cmd_value_iter(args) -> int:
     if args.steps < 0:
         raise ValueError("--steps must be >= 0")
     budget = _value_iter_bit_budget()
-    iterate = [ZERO] * system.n
+    iterate = [(0, 1)] * system.n
     for step, (numerators, scale) in zip(range(1, args.steps + 1), value_iterates(system)):
-        iterate = [Rat(p, scale) for p in numerators]
-        if any(max(x.numerator.bit_length(), x.denominator.bit_length()) > budget for x in iterate):
+        iterate = lowest_terms(system, numerators, scale)
+        if any(max(p.bit_length(), q.bit_length()) > budget for p, q in iterate):
             raise ValueError(
                 f"value iterate {step} has a numerator or denominator of more than "
                 f"{budget} bits; stopped before step {step + 1}"
             )
-    _emit({"steps": args.steps, "iterate": [rat_str(x) for x in iterate]})
+    _emit({"steps": args.steps, "iterate": [rat_str(Rat(p, q)) for p, q in iterate]})
     return 0
 
 

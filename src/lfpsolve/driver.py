@@ -47,20 +47,20 @@ steps, h0 = ceil(log2(1 / eps)) + WITNESS_HEADROOM, trying a witness on
 each.  A grid keeps one mantissa list; each component reads its rows from
 the reduced system's integer form in place, its lower variables constants at
 their mantissas, so no subsystem is built.  Iterates never overshoot q*, so
-on any grid a witness settles it: y = approx + (a small step along (I -
-B(approx))^-1 1), or else the rationals with the least denominators within
-epsilon above approx (q* itself at a rational critical q*, and y = 1 for q*
-within epsilon of 1), within epsilon of approx and passing the exact check
-P(y) <= y, so q* <= y by Knaster-Tarski.  The check is integer arithmetic
-over the common coefficient denominator L: for y = x / s with integer
-numerators x, P_i(y) <= y_i is L s**D P_i(y) <= L s**(D-1) x_i, D the
-degree, and the left side is a sum of integer terms; it calls neither
-``newton_rows`` nor ``solve_integer``, so it stays independent of the Newton
-kernel.  A witness needs no bound on q*, so the ladder is the same in every
-mode.  It stops at the first grid with a witness, at the first grid that
-agrees with the one before within eps / 4, at a singular Newton step, or at
-the ceiling.  Only the ceiling and what follows a stop without a witness
-depend on the mode:
+on any grid a witness settles it: y = approx + (a step of eps / 2, else of
+eps, along (I - B(approx))^-1 1), or else the rationals with the least
+denominators within epsilon above approx (q* itself at a rational critical
+q*, and y = 1 for q* within epsilon of 1), within epsilon of approx and
+passing the exact check P(y) <= y, so q* <= y by Knaster-Tarski.  The check
+is integer arithmetic over the common coefficient denominator L: for y = x /
+s with integer numerators x, P_i(y) <= y_i is L s**D P_i(y) <= L s**(D-1)
+x_i, D the degree, and the left side is a sum of integer terms; it calls
+neither ``newton_rows`` nor ``solve_integer``, so it stays independent of
+the Newton kernel.  A witness needs no bound on q*, so the ladder is the
+same in every mode.  It stops at the first grid with a witness, at the first
+grid that agrees with the one before within eps / 4, at a singular Newton
+step, or at the ceiling.  Only the ceiling and what follows a stop without a
+witness depend on the mode:
 
 - certified: the ceiling is min(max_h, max((h_theorem - u) / WITNESS_SHARE,
   min(2 h0, h_theorem - u - 1))), so the first two grids run whenever they
@@ -76,9 +76,10 @@ witness or when the witness exceeds 2**qmax_exponent.
 
 A witness y fixes q* in [x, y], x the grid's iterate, and y - x <= eps, so
 every a in [y - eps, x] has a <= q* <= a + eps.  The answer is then the
-rational with the least denominator there, about half x's bits (Dirichlet);
-``params`` and traces still describe the grid and its iterates.  Without a
-witness the answer is x itself.
+rational with the least denominator there, about half x's bits (Dirichlet)
+when the interval is about eps / 2 wide or more, as a half-step witness
+leaves it on every coordinate; ``params`` and traces still describe the
+grid and its iterates.  Without a witness the answer is x itself.
 
 The status is "certified-eps" for a witness or the theorem's grid, else
 "adaptive-heuristic" in adaptive mode and "uncertified" otherwise.  The
@@ -415,17 +416,22 @@ def _is_post_fixed_point(sys: MonotoneSystem, x: list, s: int) -> bool:
 
 
 def _newton_direction_candidate(sys: MonotoneSystem, m: list, epsilon, h: int):
-    """y = x + round_down(eps d / ||d||_inf) on the 2**-(h + STEP_BITS) grid,
-    d = (I - B(x))^-1 1, when every d_i > 0 and P(y) <= y; else None.
+    """y = x + round_down(e d / ||d||_inf) on the 2**-(h + STEP_BITS) grid,
+    d = (I - B(x))^-1 1, for the half step e = eps / 2 and, only when that y
+    fails P(y) <= y, the full step e = eps; the first y that passes, else
+    None (also when some d_i <= 0).
 
     Works on the mantissas m of x = m 2**-h and on ``solve_integer``'s
-    pairs d_i = p_i / q_i (q_i > 0): the largest d_k comes from
-    cross-multiplication, and with t = h + STEP_BITS and eps = eps_n /
-    eps_d the mantissas of y over 2**t are (m_i << STEP_BITS) + floor(2**t
-    eps_n p_i q_k / (eps_d q_i p_k)).  Each step is at most 2**t eps, so
-    0 <= y - x <= eps holds without a check.  The step's grid is finer than
-    the iterate's, so the direction keeps its resolution when the iterate's
-    grid is only a few bits finer than eps.
+    pairs d_i = p_i / q_i (q_i > 0), one solve for both steps: the largest
+    d_k comes from cross-multiplication, and with t = h + STEP_BITS and eps
+    = eps_n / eps_d the mantissas of y over 2**t are (m_i << STEP_BITS) +
+    floor(2**(t - halve) eps_n p_i q_k / (eps_d q_i p_k)), halve = 1 for
+    the half step and 0 for the full one.  Each step is at most 2**-halve
+    eps, so 0 <= y - x <= eps holds without a check.  The half step leaves
+    every answer interval [y - eps, x] at least about eps / 2 wide, where
+    the full step leaves a sliver on the coordinate of the largest d_i.
+    The step's grid is finer than the iterate's, so the direction keeps its
+    resolution when the iterate's grid is only a few bits finer than eps.
     """
     rows, _ = newton_rows(sys, m, h)
     try:  # A = s (I - B(x)), so A^-1 (s 1) = (I - B(x))^-1 1
@@ -440,10 +446,11 @@ def _newton_direction_candidate(sys: MonotoneSystem, m: list, epsilon, h: int):
             pk, qk = p, q
     t = h + STEP_BITS
     top, bottom = epsilon.numerator * qk, epsilon.denominator * pk
-    y = [(mi << STEP_BITS) + ((top * p) << t) // (bottom * q) for mi, (p, q) in zip(m, d)]
-    if not _is_post_fixed_point(sys, y, 1 << t):
-        return None
-    return [Rat(yi, 1 << t) for yi in y]
+    for halve in (1, 0):  # the half step, then the full step
+        y = [(mi << STEP_BITS) + ((top * p) << (t - halve)) // (bottom * q) for mi, (p, q) in zip(m, d)]
+        if _is_post_fixed_point(sys, y, 1 << t):
+            return [Rat(yi, 1 << t) for yi in y]
+    return None
 
 
 def _simplest_rational(lo, hi):
@@ -485,13 +492,17 @@ def post_fixed_point_witness(sys: MonotoneSystem, m: list, epsilon, h: int):
     over the lcm of its denominators for the second.  Two candidates are
     tried in order:
 
-    - the Newton direction: with d = (I - B(x))^-1 1, y = x + round_down(eps
+    - the Newton direction: with d = (I - B(x))^-1 1, y = x + round_down(e
       d / ||d||_inf) on the 2**-(h + STEP_BITS) grid, provided every d_i >
-      0.  That grid is 8 bits finer than the iterate's, so the step keeps
-      its resolution on a first witness grid only WITNESS_HEADROOM = 2 bits
-      finer than eps.  Near a non-critical q*, P(y) - y = P(x) - x - (eps /
-      ||d||) 1 + O(eps^2), so it passes once x is close enough to q*; at a
-      critical q*, I - B(q*) is singular and it cannot pass;
+      0, for e = eps / 2 and, if that y fails the check, e = eps, from one
+      linear solve.  The half step leaves every answer interval [y - eps,
+      x] about eps / 2 wide or more; the full step certifies the iterates
+      that are too far below q* for it.  That grid is 8 bits finer than the
+      iterate's, so the step keeps its resolution on a first witness grid
+      only WITNESS_HEADROOM = 2 bits finer than eps.  Near a non-critical
+      q*, P(y) - y = P(x) - x - (e / ||d||) 1 + O(e^2), so it passes once x
+      is close enough to q*; at a critical q*, I - B(q*) is singular and it
+      cannot pass;
     - the simplest rationals: y_i is the rational with the least denominator
       in [x_i, x_i + eps].  At a rational q* with a small denominator it is
       q* itself once x is within eps below it, which certifies critical

@@ -24,18 +24,36 @@ def value_iterates(sys: MonotoneSystem):
     integer numerators x over one shared scale s.  From x = 0 and s = 1,
     each step is x <- L s**D P(x / s) (``mps.evaluate_scaled``) and s <- L
     s**D, and then divides out gcd(s, x_1, ..., x_n), so s is the lcm of
-    the reduced denominators.  Values can grow without bound on systems with
-    no finite LFP; the caller owns the step budget."""
+    the reduced denominators.  Every prime factor of s divides L (s_1
+    divides L, and s_k divides L s_(k-1)**D), so that gcd is 1 whenever
+    gcd(L, x_1, ..., x_n) is, and only then is it skipped: CPython's gcd
+    is quadratic, and on a high-degree input the step that outgrows a
+    caller's budget has numerators of millions of bits.  Values can grow
+    without bound on systems with no finite LFP; the caller owns the step
+    budget."""
     form = sys.integer_form
     x, s = [0] * sys.n, 1
     while True:
         x = evaluate_scaled(sys, x, s)
         s = form.denominator * s**form.degree
-        g = gcd(s, *x)
+        g = gcd(s, *x) if gcd(form.denominator, *x) > 1 else 1
         if g > 1:
             x = [xi // g for xi in x]
             s //= g
         yield x, s
+
+
+def lowest_terms(sys: MonotoneSystem, x: list, s: int) -> list:
+    """(p, q) with p / q = x_i / s in lowest terms, for each numerator of an
+    iterate (x, s) of ``value_iterates``.  A numerator coprime to L is
+    coprime to s, whose prime factors all divide L, so it needs no gcd with
+    s."""
+    denominator = sys.integer_form.denominator
+    pairs = []
+    for xi in x:
+        g = gcd(xi, s) if gcd(xi, denominator) > 1 else 1
+        pairs.append((xi // g, s // g))
+    return pairs
 
 
 def value_iterate(sys: MonotoneSystem, k: int) -> list:

@@ -62,8 +62,8 @@ LEAKY_CHAIN2_RESCALED_ANSWER = "c717887c3f6450becca57867e83fac29068115376805b3d4
 # SHA-256 of random_outcomes(mode) below: substochastic n = 8, seeds 0-19,
 # and in certified mode also random_p1ca(Random(7), r) for r = 1..3.
 RANDOM_OUTCOMES = {
-    "certified": "f581439cc2b8104d3d6f48ed5f911596f4b935ff1d729361956e3ee8e68f3a1c",
-    "adaptive": "d2cabda6f220727c97f70d5b69b1f8ecbac567b7d2cfadbad43c67bed53ce527",
+    "certified": "da62abc9bcce0066fb765f3ebd73d38cef404435788692aefd05754efb10c730",
+    "adaptive": "a421a9f9867d8df8e45e117e33e0dbdff9a0e82818ace9c71195475bc224d89e",
 }
 
 # SHA-256 of rescaled_outcomes() below: small substochastic systems under
@@ -71,7 +71,7 @@ RANDOM_OUTCOMES = {
 # twice that with it (its product variables are quadratic in the input's).
 # The witness grids are the unscaled ladder h0 2**k, so only the runs that
 # reach the theorem's grid report u > 0.
-RESCALED_OUTCOMES = "2fc50ac29c96466e32d31bf8b2460a3312813316fc2ac87d0b046c1c23587d41"
+RESCALED_OUTCOMES = "3a48d361045b072894f3efffc2ea878222fa72edaed435e6aec1ba09990a3b08"
 
 # a = a^2/4 + 1, b = b/2 + a/8: q* = (2, 1/2).  a is critical, so the
 # Newton-direction witness fails, and b is far from 1; q* is rational, so

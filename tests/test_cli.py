@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import signal
 import sys
 import time
@@ -293,6 +294,30 @@ class TestOtherSubcommands:
             "stopped before step 12"
         )
 
+    def test_value_iter_takes_no_gcd_of_two_large_numbers(self, tmp_path, monkeypatch):
+        # x = x^1000/2 + 1/2: iterate 3 has a numerator of about a million
+        # bits.  Every prime factor of the shared scale divides L = 2 and the
+        # numerator is odd, so it is in lowest terms, and the run stops at
+        # the budget without a (quadratic) gcd of two operands that large.
+        large = []
+        real = math.gcd
+
+        def recording(*args):
+            if sum(a.bit_length() > 100_000 for a in args) >= 2:
+                large.append([a.bit_length() for a in args])
+            return real(*args)
+
+        monkeypatch.setattr(math, "gcd", recording)  # what Fraction calls
+        monkeypatch.setattr("lfpsolve.oracle.gcd", recording)
+        doc = json.dumps({"vars": ["x"], "eqs": [[{"c": "1/2", "m": {"x": 1000}}, {"c": "1/2", "m": {}}]]})
+        code, out, _ = run_cli(["value-iter", "--steps", "3"], doc, tmp_path)
+        assert code == 1
+        assert json.loads(out)["error"]["message"] == (
+            "value iterate 3 has a numerator or denominator of more than 14284 bits; "
+            "stopped before step 4"
+        )
+        assert large == []
+
     def test_value_iter_rejects_negative_steps(self, tmp_path):
         code, out, _ = run_cli(["value-iter", "--steps", "-1"], CHAIN3, tmp_path)
         assert code == 1
@@ -416,7 +441,7 @@ class TestTracePinned:
         "gambler": (
             ["p1ca-term", "--epsilon", "1/1024", "--trace"],
             GAMBLER,
-            "a61947ffcc6acbc05486ed7901a1013958220775db908c4617f62e6683bf315f",
+            "fadecc174e8d4a87a9c4c27f43724fc307c9049e0dadff45c296ae9835849690",
             "b167c8352e10359a076c365de257dab3992979f577604a5ec1a1ace8cffcce59",
         ),
     }

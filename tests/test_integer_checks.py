@@ -9,14 +9,25 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from conftest import doubled_chain, random_substochastic, univariate
+from conftest import doubled_chain, random_p1ca, random_substochastic, univariate
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from reference import fraction_value_iterate, rational_pivots_pass
 
-from lfpsolve import Monomial, MonotoneSystem, RnmConfig, SingularMatrix, run_rnm, value_iterate
+from lfpsolve import (
+    Monomial,
+    MonotoneSystem,
+    RnmConfig,
+    SingularMatrix,
+    SolveOptions,
+    run_rnm,
+    solve,
+    termination_probabilities,
+    value_iterate,
+)
 from lfpsolve.driver import (
     _diagonal_pivots_pass,
     _is_post_fixed_point,
@@ -25,7 +36,8 @@ from lfpsolve.driver import (
 )
 from lfpsolve.mps import eval_jacobian, evaluate
 from lfpsolve.newton import newton_rows
-from lfpsolve.ratmath import identity_minus, round_down_dyadic, solve_linear
+from lfpsolve.oracle import lowest_terms, value_iterates
+from lfpsolve.ratmath import identity_minus, round_down_dyadic, solve_integer, solve_linear
 
 COEFFICIENTS = [Fraction(c) for c in ('1/3', '2/7', '1/2', '5/6', '3/5', '1', '4/9')]
 
@@ -48,9 +60,13 @@ def systems(draw, max_vars: int = 3, max_degree: int = 3):
     return MonotoneSystem(tuple(f"x{i}" for i in range(n)), tuple(equations))
 
 
-def _exact_check(sys: MonotoneSystem, x: list, s: int) -> bool:
-    y = [Fraction(xi, s) for xi in x]
+def _passes(sys: MonotoneSystem, y: list) -> bool:
+    """P(y) <= y by exact ``mps.evaluate``."""
     return all(p <= yi for p, yi in zip(evaluate(sys, y), y))
+
+
+def _exact_check(sys: MonotoneSystem, x: list, s: int) -> bool:
+    return _passes(sys, [Fraction(xi, s) for xi in x])
 
 
 # --- the post-fixed-point test -----------------------------------------------------
@@ -142,6 +158,18 @@ def test_value_iterate_is_in_lowest_terms():
         assert pairs == [(v.numerator, v.denominator) for v in fraction_value_iterate(sys, k)]
 
 
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(sys=systems(max_vars=4))
+def test_lowest_terms_and_the_shared_scale_match_the_fraction_loop(sys):
+    # Both skip every gcd whose numerators share no factor with L; the
+    # scale is still the lcm of the reduced denominators, and each pair is
+    # the rational loop's reduced numerator and denominator.
+    for k, (x, s) in zip(range(1, sys.n + 2), value_iterates(sys)):
+        expected = fraction_value_iterate(sys, k)
+        assert lowest_terms(sys, x, s) == [(v.numerator, v.denominator) for v in expected]
+        assert s == lcm(1, *(v.denominator for v in expected))
+
+
 # --- the diagonal-pivot test -----------------------------------------------------
 
 
@@ -194,16 +222,27 @@ def test_pivot_test_on_chosen_matrices(rows, expected):
 # --- the Newton-direction witness --------------------------------------------------
 
 
-def _rational_direction(sys: MonotoneSystem, lower, epsilon, h: int):
-    """The step of the Newton-direction candidate in rationals: d by
-    ``solve_linear`` on I - B(x), then round_down(eps d / max d) on the
-    2**-(h + 8) grid, 8 bits finer than the iterate's."""
-    x = [dy.value() for dy in lower]
-    d = solve_linear(identity_minus(eval_jacobian(sys, x)), [Fraction(1)] * sys.n)
+def _rational_steps(sys: MonotoneSystem, x: list, epsilon, h: int) -> list:
+    """The two steps of the Newton-direction candidate in rationals, the
+    half step first: d by ``solve_linear`` on I - B(x), then x +
+    round_down(e d / max d) on the 2**-(h + 8) grid, 8 bits finer than the
+    iterate's, for e = eps / 2 and e = eps; [] without a positive d."""
+    try:
+        d = solve_linear(identity_minus(eval_jacobian(sys, x)), [Fraction(1)] * sys.n)
+    except SingularMatrix:
+        return []
     if any(di <= 0 for di in d):
-        return None
-    step = epsilon / max(d)
-    return [xi + round_down_dyadic(step * di, h + 8).value() for xi, di in zip(x, d)]
+        return []
+    return [
+        [xi + round_down_dyadic(e / max(d) * di, h + 8).value() for xi, di in zip(x, d)]
+        for e in (epsilon / 2, epsilon)
+    ]
+
+
+def _rational_direction(sys: MonotoneSystem, x: list, epsilon, h: int):
+    """The Newton-direction candidate in rationals: the first of
+    ``_rational_steps`` that passes the exact check, else None."""
+    return next((y for y in _rational_steps(sys, x, epsilon, h) if _passes(sys, y)), None)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -218,17 +257,13 @@ def _rational_direction(sys: MonotoneSystem, lower, epsilon, h: int):
 def test_accepted_newton_direction_is_within_epsilon(seed, n, h, epsilon):
     sys = random_substochastic(random.Random(seed), n)
     lower, _ = run_rnm(sys, RnmConfig(h, h), keep_trace=False)
-    y = _newton_direction_candidate(sys, [d.mantissa for d in lower], epsilon, h)
-    expected = _rational_direction(sys, lower, epsilon, h)
-    event("accepted" if y is not None else "rejected")
-    if y is None:
-        scale = 1 << (h + 8)
-        assert expected is None or not _exact_check(sys, [int(v * scale) for v in expected], scale)
-        return
-    assert y == expected
     x = [dy.value() for dy in lower]
-    assert all(0 <= yi - xi <= epsilon for xi, yi in zip(x, y))
-    assert all(p <= yi for p, yi in zip(evaluate(sys, y), y))
+    y = _newton_direction_candidate(sys, [d.mantissa for d in lower], epsilon, h)
+    event("accepted" if y is not None else "rejected")
+    assert y == _rational_direction(sys, x, epsilon, h)
+    if y is not None:
+        assert all(0 <= yi - xi <= epsilon for xi, yi in zip(x, y))
+        assert _passes(sys, y)
 
 
 def test_newton_direction_is_accepted_on_most_runs():
@@ -249,6 +284,96 @@ def test_singular_newton_direction_falls_back_to_the_simplest_candidate():
     sys, h, epsilon = univariate("1/2", 0, "1/2"), 20, Fraction(1, 1 << 16)
     assert _newton_direction_candidate(sys, [1 << h], epsilon, h) is None
     assert post_fixed_point_witness(sys, [1 << h], epsilon, h) == [1]
+
+
+def _witness_calls(monkeypatch, run, *args) -> tuple:
+    """run(*args)'s result, and (sys, x, epsilon, h, y) of every
+    Newton-direction candidate that it tries, x the grid's iterate and y the
+    candidate or None."""
+    calls = []
+
+    def recording(sys, m, epsilon, h):
+        y = _newton_direction_candidate(sys, m, epsilon, h)
+        calls.append((sys, [Fraction(mi, 1 << h) for mi in m], epsilon, h, y))
+        return y
+
+    with monkeypatch.context() as patch:
+        patch.setattr("lfpsolve.driver._newton_direction_candidate", recording)
+        result = run(*args)
+    return result, calls
+
+
+@pytest.mark.parametrize("bits", [16, 30])
+def test_half_step_is_the_witness_wherever_it_passes(bits, monkeypatch):
+    # Over generated traffic: wherever the half step passes the exact check,
+    # it is the witness, so every coordinate has y_i - x_i <= eps / 2 and
+    # every answer interval [y - eps, x] is at least about eps / 2 wide.
+    eps = Fraction(1, 1 << bits)
+
+    def traffic():
+        for seed in range(40):
+            for n in (2, 3, 4):
+                solve(random_substochastic(random.Random(seed), n), eps, SolveOptions(qmax_exponent_assert=0))
+        for seed in range(6):
+            for r in (1, 2, 3, 4):
+                termination_probabilities(random_p1ca(random.Random(seed), r), eps)
+
+    half_passed = 0
+    _, calls = _witness_calls(monkeypatch, traffic)
+    for sys, x, epsilon, h, y in calls:
+        steps = _rational_steps(sys, x, epsilon, h)
+        if steps and _passes(sys, steps[0]):
+            half_passed += 1
+            assert y is not None
+            assert all(0 <= yi - xi <= epsilon / 2 for xi, yi in zip(x, y))
+            assert y == steps[0]
+    assert half_passed >= 120
+
+
+def _full_step_case(monkeypatch):
+    """The first Newton-direction call of random_substochastic(Random(30),
+    2) at 2**-16 under the probability flag, and its report."""
+    system = random_substochastic(random.Random(30), 2)
+    options = SolveOptions(qmax_exponent_assert=0)
+    report, calls = _witness_calls(monkeypatch, solve, system, Fraction(1, 1 << 16), options)
+    return calls[0], report
+
+
+def test_full_step_is_the_witness_where_the_half_step_fails(monkeypatch):
+    # The half step fails the exact check here, and the full step along the
+    # same d certifies the first grid, 18; without it the ladder climbs.
+    (sys, x, epsilon, h, y), report = _full_step_case(monkeypatch)
+    half, full = _rational_steps(sys, x, epsilon, h)
+    assert not _passes(sys, half) and _passes(sys, full)
+    assert y == full
+    assert report.certificate.kind == "witness" and report.certificate.attempted_h == (18,)
+    assert max(yi - xi for xi, yi in zip(x, y)) > epsilon / 2
+
+
+def test_both_steps_share_one_linear_solve(monkeypatch):
+    # The full step reuses the half step's d: one solve_integer per call,
+    # whether one exact check runs or two.
+    (sys, x, epsilon, h, _), _ = _full_step_case(monkeypatch)
+    counts = {"solve": 0, "check": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr("lfpsolve.driver.solve_integer", counted("solve", solve_integer))
+    monkeypatch.setattr("lfpsolve.driver._is_post_fixed_point", counted("check", _is_post_fixed_point))
+    one_step = univariate("1/4", 0, "1/2")  # q* = 2 - sqrt(2), far from critical
+    lower, _ = run_rnm(one_step, RnmConfig(20, 20), keep_trace=False)
+    for system, m, grid, checks in (
+        (sys, [int(xi * (1 << h)) for xi in x], h, 2),
+        (one_step, [d.mantissa for d in lower], 20, 1),
+    ):
+        counts.update(solve=0, check=0)
+        assert _newton_direction_candidate(system, m, epsilon, grid) is not None
+        assert counts == {"solve": 1, "check": checks}
 
 
 # --- the trace residual ------------------------------------------------------------

@@ -36,7 +36,7 @@ def test_quick_start_solve_block():
         "('x',)",
         "[0]",
         "[Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)]",
-        "239/408",
+        "140/239",
     ]
 
 

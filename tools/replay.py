@@ -27,9 +27,10 @@ written against its tree's API.  The corpus:
   adaptive ceiling, the q* = 1 pre-pass with variables left over, the
   pre-pass's elimination with row scaling, cancellation and division by
   the content, the component order that ``decompose`` and ``solve`` share,
-  a singular Newton step in both modes, ``bounds`` on a system that
-  cleaning empties, ``value-iter`` within and past its bit budget, and
-  ``p1ca-validate`` and ``p1ca-term`` on a valid and an invalid model;
+  a Newton-direction witness whose half step fails and whose full step
+  certifies, a singular Newton step in both modes, ``bounds`` on a system
+  that cleaning empties, ``value-iter`` within and past its bit budget,
+  and ``p1ca-validate`` and ``p1ca-term`` on a valid and an invalid model;
 - a missing file, a parse error and a bad epsilon;
 - the standard output of every demo in TREE/demos.
 
@@ -158,6 +159,22 @@ PREPASS_ELIMINATION = {
         [{"c": "1/2", "m": {"x": 1}}, {"c": "1/4", "m": {"y": 2}}, {"c": "1/4", "m": {}}],
     ],
 }
+# random_substochastic(Random(30), 2) of the test suite: on the first grid
+# the Newton-direction witness's half step eps / 2 fails the exact check and
+# the full step eps along the same direction passes, so it is certified on
+# grid 18 (without the full step the ladder climbs to 36).
+FULL_STEP = {
+    "vars": ["v0", "v1"],
+    "eqs": [
+        [
+            {"c": "1183/16384", "m": {"v0": 2}},
+            {"c": "21/256", "m": {"v0": 2}},
+            {"c": "273/4096", "m": {"v1": 1}},
+            {"c": "1/2", "m": {}},
+        ],
+        [{"c": "7/128", "m": {"v0": 1}}, {"c": "3/16", "m": {}}],
+    ],
+}
 # an unknown target state, and probabilities from "a" summing to 5/4
 BAD_P1CA = {
     "states": ["a"],
@@ -210,6 +227,12 @@ ROUTES = {
         PREPASS_ELIMINATION,
         0,
         {"certificate.kind": "witness", "certificate.exact_one": ["x", "y"]},
+    ),
+    "full-step-fallback": (
+        ["solve", "--assume-prob", "--epsilon", EPS],
+        FULL_STEP,
+        0,
+        {"certificate.kind": "witness", "certificate.attempted_h": [18]},
     ),
     "singular": (["solve", "--epsilon", EPS], X_PLUS_1, 3, {"error.type": "SingularMatrix"}),
     "singular-adaptive": (
